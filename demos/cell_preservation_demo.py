@@ -13,13 +13,12 @@ differences — once with a skip edge from step 1 to step 4, once without.
 
 import numpy as np
 
-from bmrnn.cells import init_sgru_params, sgru_forward, zeros_like_sgru
-from bmrnn.numeric import SeededRng
+from bmrnn.cells import SGRUParams, sgru_forward, sgru_layout
 
 
 def h4_sensitivity(seed: int, with_skip: bool) -> float:
     rng = np.random.default_rng(seed)
-    p = zeros_like_sgru(init_sgru_params(1, 1, SeededRng(0)))
+    p = SGRUParams.from_named({n: np.zeros(shape) for n, shape in sgru_layout(1, 1)})
     p.base.W_zx[:] = rng.uniform(0.5, 1.5)    # large x opens the update gate
     p.base.W_rx[:] = -rng.uniform(0.5, 1.5)   # ... and closes the reset gate
     p.base.W_hx[:] = rng.uniform(-1, 1)

@@ -13,6 +13,6 @@ from .errors import (
     DivergenceError,
     ShapeMismatchError,
 )
-from .numeric import SeededRng, elementwise, init_params, matvec
+from .numeric import SeededRng, init_params
 
 __version__ = "0.1.0"

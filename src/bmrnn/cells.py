@@ -46,7 +46,12 @@ __all__ = [
     "gru_backward",
     "sgru_forward",
     "sgru_backward",
+    "sgru_layout",
 ]
+
+GRU_NAMES = ("W_zx", "W_zh", "W_rx", "W_rh", "W_hx", "W_hh", "b_z", "b_r", "b_h")
+SGRU_NAMES = ("W_zx", "W_zh", "W_rx", "W_rh", "W_sx", "W_sh", "W_hx", "W_hh", "W_hp",
+              "b_z", "b_r", "b_s", "b_h")
 
 
 @dataclass
@@ -73,11 +78,8 @@ class GRUParams:
 
     def named_tensors(self):
         """Canonical (name, array) pairs, fixed order."""
-        for name in ("W_zx", "W_zh", "W_rx", "W_rh", "W_hx", "W_hh", "b_z", "b_r", "b_h"):
+        for name in GRU_NAMES:
             yield name, getattr(self, name)
-
-    def copy(self) -> "GRUParams":
-        return GRUParams(**{n: t.copy() for n, t in self.named_tensors()})
 
 
 @dataclass
@@ -99,20 +101,24 @@ class SGRUParams:
         return self.base.input_dim
 
     def named_tensors(self):
-        base = dict(self.base.named_tensors())
-        for name in ("W_zx", "W_zh", "W_rx", "W_rh", "W_sx", "W_sh", "W_hx", "W_hh", "W_hp"):
-            yield name, base[name] if name in base else getattr(self, name)
-        for name in ("b_z", "b_r", "b_s", "b_h"):
-            yield name, base[name] if name in base else getattr(self, name)
+        """Canonical (name, array) pairs: the order of the model file."""
+        for name in SGRU_NAMES:
+            yield name, getattr(self.base if name in GRU_NAMES else self, name)
 
-    def copy(self) -> "SGRUParams":
-        return SGRUParams(
-            base=self.base.copy(),
-            W_sx=self.W_sx.copy(),
-            W_sh=self.W_sh.copy(),
-            W_hp=self.W_hp.copy(),
-            b_s=self.b_s.copy(),
-        )
+    @classmethod
+    def from_named(cls, tensors: dict, prefix: str = "") -> "SGRUParams":
+        """Parameters from ``{prefix + name: array}``; the arrays are not copied."""
+        t = {n: tensors[prefix + n] for n in SGRU_NAMES}
+        return cls(base=GRUParams(**{n: t.pop(n) for n in GRU_NAMES}), **t)
+
+
+def sgru_layout(input_dim: int, hidden_dim: int) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every sGRU tensor in canonical order."""
+    return [
+        (n, (hidden_dim,) if n.startswith("b")
+         else (hidden_dim, input_dim if n.endswith("x") else hidden_dim))
+        for n in SGRU_NAMES
+    ]
 
 
 @dataclass
@@ -171,20 +177,6 @@ def init_sgru_params(
     )
 
 
-def zeros_like_gru(p: GRUParams) -> GRUParams:
-    return GRUParams(**{n: np.zeros_like(t) for n, t in p.named_tensors()})
-
-
-def zeros_like_sgru(p: SGRUParams) -> SGRUParams:
-    return SGRUParams(
-        base=zeros_like_gru(p.base),
-        W_sx=np.zeros_like(p.W_sx),
-        W_sh=np.zeros_like(p.W_sh),
-        W_hp=np.zeros_like(p.W_hp),
-        b_s=np.zeros_like(p.b_s),
-    )
-
-
 def _sigmoid(x: Array) -> Array:
     out = np.empty_like(x)
     pos = x >= 0
@@ -216,25 +208,23 @@ def sgru_forward(
 ) -> StepTrace:
     """One skip-cell step; h_skip is the ancestor state, or None for skip-free steps.
 
-    The skip gate is only evaluated when an ancestor exists.
+    The skip gate is only evaluated when an ancestor exists; without one the
+    step computes exactly what ``gru_forward`` computes on ``params.base``.
     """
-    if h_skip is None:
-        return gru_forward(params.base, x_t, h_prev)
     _check_step_dims(params, x_t, h_prev)
-    if h_skip.shape != h_prev.shape:
-        raise ShapeMismatchError("skip-ancestor state", h_skip.shape, h_prev.shape)
     base = params.base
     z = _sigmoid(base.W_zx @ x_t + base.W_zh @ h_prev + base.b_z)
     r = _sigmoid(base.W_rx @ x_t + base.W_rh @ h_prev + base.b_r)
-    s = _sigmoid(params.W_sx @ x_t + params.W_sh @ h_skip + params.b_s)
-    h_tilde = np.tanh(
-        base.W_hx @ x_t
-        + base.W_hh @ (r * h_prev)
-        + params.W_hp @ (s * h_skip)
-        + base.b_h
-    )
+    a_h = base.W_hx @ x_t + base.W_hh @ (r * h_prev)
+    s = None
+    if h_skip is not None:
+        if h_skip.shape != h_prev.shape:
+            raise ShapeMismatchError("skip-ancestor state", h_skip.shape, h_prev.shape)
+        s = _sigmoid(params.W_sx @ x_t + params.W_sh @ h_skip + params.b_s)
+        a_h = a_h + params.W_hp @ (s * h_skip)
+    h_tilde = np.tanh(a_h + base.b_h)
     h = z * h_tilde + (1.0 - z) * h_prev
-    return StepTrace(z=z, r=r, s=s, h_tilde=h_tilde, h=h, had_skip=True)
+    return StepTrace(z=z, r=r, s=s, h_tilde=h_tilde, h=h, had_skip=s is not None)
 
 
 def gru_backward(
@@ -246,7 +236,7 @@ def gru_backward(
 ) -> GRUStepGrads:
     """Analytic gradients of one baseline step given upstream dL/dh_t."""
     z, r, h_tilde = trace.z, trace.r, trace.h_tilde
-    g = zeros_like_gru(params)
+    g = GRUParams(**{n: np.zeros_like(t) for n, t in params.named_tensors()})
 
     dz = dh_t * (h_tilde - h_prev)
     dh_tilde = dh_t * z
@@ -286,23 +276,17 @@ def sgru_backward(
     h_skip: Array | None,
     trace: StepTrace,
     dh_t: Array,
+    grads: SGRUParams | None = None,
 ) -> SGRUStepGrads:
-    """Analytic gradients of one skip step; dh_skip is zero for skip-free steps."""
-    if not trace.had_skip:
-        base = gru_backward(params.base, x_t, h_prev, trace, dh_t)
-        g = zeros_like_sgru(params)
-        g.base = base.params
-        return SGRUStepGrads(
-            params=g,
-            dx=base.dx,
-            dh_prev=base.dh_prev,
-            dh_skip=np.zeros_like(base.dh_prev),
-        )
+    """Analytic gradients of one skip step; dh_skip is zero for skip-free steps.
 
-    base = params.base
+    Parameter gradients are added into ``grads`` (fresh zeros when None),
+    which is returned as the result's ``params``.
+    """
+    if grads is None:
+        grads = SGRUParams.from_named({n: np.zeros_like(t) for n, t in params.named_tensors()})
+    base, gb = params.base, grads.base
     z, r, s, h_tilde = trace.z, trace.r, trace.s, trace.h_tilde
-    g = zeros_like_sgru(params)
-    gb = g.base
 
     dz = dh_t * (h_tilde - h_prev)
     dh_tilde = dh_t * z
@@ -318,19 +302,21 @@ def sgru_backward(
     dr = drh * h_prev
     dh_prev = dh_prev + drh * r
 
-    # preservation term: W_hp (s * h_skip) inside the candidate
-    sh = s * h_skip
-    g.W_hp += np.outer(da_h, sh)
-    dsh = params.W_hp.T @ da_h
-    ds = dsh * h_skip
-    dh_skip = dsh * s
+    dh_skip = np.zeros_like(dh_prev)
+    if trace.had_skip:
+        # preservation term: W_hp (s * h_skip) inside the candidate
+        sh = s * h_skip
+        grads.W_hp += np.outer(da_h, sh)
+        dsh = params.W_hp.T @ da_h
+        ds = dsh * h_skip
+        dh_skip = dsh * s
 
-    da_s = ds * s * (1.0 - s)
-    g.W_sx += np.outer(da_s, x_t)
-    g.W_sh += np.outer(da_s, h_skip)
-    g.b_s += da_s
-    dx += params.W_sx.T @ da_s
-    dh_skip = dh_skip + params.W_sh.T @ da_s
+        da_s = ds * s * (1.0 - s)
+        grads.W_sx += np.outer(da_s, x_t)
+        grads.W_sh += np.outer(da_s, h_skip)
+        grads.b_s += da_s
+        dx += params.W_sx.T @ da_s
+        dh_skip = dh_skip + params.W_sh.T @ da_s
 
     da_z = dz * z * (1.0 - z)
     gb.W_zx += np.outer(da_z, x_t)
@@ -346,4 +332,4 @@ def sgru_backward(
     dx += base.W_rx.T @ da_r
     dh_prev = dh_prev + base.W_rh.T @ da_r
 
-    return SGRUStepGrads(params=g, dx=dx, dh_prev=dh_prev, dh_skip=dh_skip)
+    return SGRUStepGrads(params=grads, dx=dx, dh_prev=dh_prev, dh_skip=dh_skip)

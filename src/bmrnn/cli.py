@@ -52,17 +52,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_threads_flag(parser: _Parser) -> None:
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=argparse.SUPPRESS,
-        help="worker threads; 1 (the default) guarantees bit-exact "
-        "determinism, and the current implementation runs the same "
-        "deterministic schedule for any value (default: 1)",
-    )
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="bmrnn", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -107,7 +96,6 @@ def _build_parser() -> _Parser:
     p_detect.add_argument("--normalize", action="store_true",
                           default=argparse.SUPPRESS,
                           help="L2-normalize features before inner products")
-    _add_threads_flag(p_detect)
 
     p_train = sub.add_parser("train", help="train a model on a corpus")
     p_train.add_argument("--manifest", required=True)
@@ -148,7 +136,6 @@ def _build_parser() -> _Parser:
                          help="freeze the merge bias at exactly zero")
     p_train.add_argument("--log", default=argparse.SUPPRESS,
                          help="JSON-lines training log path (default: none)")
-    _add_threads_flag(p_train)
 
     p_eval = sub.add_parser("eval", help="evaluate retrieval on a split")
     p_eval.add_argument("--manifest", required=True)
@@ -163,7 +150,6 @@ def _build_parser() -> _Parser:
     p_eval.add_argument("--split", choices=["train", "val", "test"],
                         default=argparse.SUPPRESS,
                         help="which split to evaluate (default: test)")
-    _add_threads_flag(p_eval)
 
     p_grad = sub.add_parser(
         "gradcheck", help="compare analytic gradients against finite differences"
@@ -187,16 +173,16 @@ _DEFAULTS: dict[str, dict] = {
     },
     "detect-skips": {
         "damping": 0.9, "preference": None, "max_iter": 200, "window": 15,
-        "normalize": False, "threads": 1,
+        "normalize": False,
     },
     "train": {
         "alpha": 0.5, "gamma": 0.2, "negatives": 127, "local_mode": "aligned",
         "epochs": 20, "batch": 8, "lr": 1e-3, "optimizer": "adam", "clip": 5.0,
         "patience": 10, "hidden": 16, "seed": 0, "checkpoint_every": 0,
-        "no_merge_bias": False, "log": None, "threads": 1,
+        "no_merge_bias": False, "log": None,
     },
     "eval": {
-        "alpha": 0.5, "local_mode": "aligned", "split": "test", "threads": 1,
+        "alpha": 0.5, "local_mode": "aligned", "split": "test",
     },
     "gradcheck": {"seed": 0, "configs": 20},
 }
@@ -234,18 +220,35 @@ def _parse_config_file(path: str, known: dict) -> dict:
     return out
 
 
+def _trained_compatibility(model_path) -> dict:
+    """alpha and local_mode from the model's training sidecar; {} without one."""
+    sidecar = Path(str(model_path) + ".json")
+    if not sidecar.exists():
+        return {}
+    try:
+        ccfg = json.loads(sidecar.read_text(encoding="utf-8"))["config"]["compatibility"]
+        return {"alpha": ccfg["alpha"], "local_mode": ccfg["local_term_mode"]}
+    except (json.JSONDecodeError, KeyError, TypeError) as e:
+        raise DataError(f"malformed training sidecar ({e!r})", path=str(sidecar)) from None
+
+
 def _resolve(args: argparse.Namespace) -> dict:
-    """defaults <- config file <- explicit flags; logs the result."""
+    """defaults <- the model's training sidecar (eval only) <- config file <-
+    explicit flags; logs the result."""
     explicit = {
         k: v for k, v in vars(args).items() if k not in ("command", "config")
     }
     resolved = dict(_DEFAULTS[args.command])
+    trained = _trained_compatibility(args.model) if args.command == "eval" else {}
+    resolved.update(trained)
     config_path = getattr(args, "config", None)
     if config_path is not None:
         resolved.update(_parse_config_file(config_path, _DEFAULTS[args.command]))
     resolved.update(explicit)
-    if resolved.get("threads", 1) < 1:
-        raise ConfigError(f"--threads must be >= 1, got {resolved['threads']}")
+    for key, value in trained.items():
+        if resolved[key] != value:
+            print(f"note: {key} {resolved[key]!r} overrides the model's training "
+                  f"value {value!r}", file=sys.stderr)
     printable = {k: (str(v) if isinstance(v, Path) else v) for k, v in resolved.items()}
     print(
         f"resolved config [{args.command}]: "
@@ -284,6 +287,10 @@ def _cmd_detect_skips(opts: dict) -> int:
     n_converged = 0
     n_pairs = 0
     for rec in dataset.records:
+        if rec.N == 1:   # nothing to cluster: one singleton, no skips
+            records.append(SkipRecord(rec.story_id, clusters=[[0]], pairs=[], converged=True))
+            n_converged += 1
+            continue
         sim = similarity(rec.story.raw_fc, normalize=opts["normalize"])
         assignment = affinity_propagation(
             sim,

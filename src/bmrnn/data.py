@@ -61,7 +61,7 @@ def write_tensor(path, arr: np.ndarray) -> None:
 
 
 def read_tensor(path, story_id: str | None = None) -> np.ndarray:
-    """Read a BMT1 tensor, widened to float64."""
+    """Read a BMT1 tensor, widened to float64; NaN or infinite entries are a DataError."""
     path = Path(path)
     try:
         raw = path.read_bytes()
@@ -85,6 +85,8 @@ def read_tensor(path, story_id: str | None = None) -> np.ndarray:
             path=str(path), story_id=story_id,
         )
     data = np.frombuffer(raw, dtype="<f4", offset=header_end)
+    if not np.all(np.isfinite(data)):
+        raise DataError("tensor holds non-finite values", path=str(path), story_id=story_id)
     return data.astype(np.float64).reshape(dims)
 
 

@@ -14,6 +14,8 @@ carries gradient exactly once per pair).
 
 from __future__ import annotations
 
+import copy
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -25,7 +27,7 @@ from .cells import (
     init_sgru_params,
     sgru_backward,
     sgru_forward,
-    zeros_like_sgru,
+    sgru_layout,
 )
 from .errors import DataError, ShapeMismatchError
 from .numeric import SeededRng, init_params
@@ -36,7 +38,6 @@ __all__ = [
     "StoryStream",
     "ForwardTrace",
     "init_bmrnn_params",
-    "zeros_like_bmrnn",
     "bmrnn_forward",
     "bmrnn_backward",
     "save_model",
@@ -49,12 +50,23 @@ MODEL_MAGIC = b"BMRN"
 MODEL_VERSION = 1
 
 
+def bmrnn_layout(input_dim: int, hidden_dim: int, output_dim: int):
+    """(name, shape) of all 29 tensors in canonical order: the model file's."""
+    cell, merge = sgru_layout(input_dim, hidden_dim), (output_dim, hidden_dim)
+    return [(f"{d}.{n}", shape) for d in ("fwd", "bwd") for n, shape in cell] + [
+        ("merge_f", merge), ("merge_b", merge), ("b_merge", (output_dim,))
+    ]
+
+
 @dataclass
 class BMRNNParams:
     """Parameters of both directional passes plus the linear merge.
 
     The two directions share dimensions but never values; training updates
-    them independently.
+    them independently.  All 29 tensors live in one contiguous float64
+    buffer ``flat``, in canonical order; the fields are views into it, so
+    an in-place write to a field is a write to ``flat`` and whole-model
+    operations (zeroing, copying, optimizer steps) act on ``flat`` at once.
     """
 
     fwd: SGRUParams
@@ -62,6 +74,38 @@ class BMRNNParams:
     merge_f: np.ndarray   # (output_dim, hidden_dim)
     merge_b: np.ndarray   # (output_dim, hidden_dim)
     b_merge: np.ndarray   # (output_dim,)
+    flat: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        """Copy the given tensors into one buffer, checking every shape."""
+        named = dict(self.named_tensors())
+        for name in ("fwd.W_zx", "merge_f"):   # every other shape follows from these two
+            if np.ndim(named[name]) != 2:
+                raise ShapeMismatchError(name, np.shape(named[name]), ("rows", "cols"))
+        layout = self.layout()
+        for name, shape in layout:
+            if np.shape(named[name]) != shape:
+                raise ShapeMismatchError(name, np.shape(named[name]), shape)
+        self._bind(np.concatenate([np.ravel(named[n]) for n, _ in layout], dtype=float))
+
+    def _bind(self, flat: np.ndarray) -> None:
+        """Make ``flat`` the buffer and every field a view into it."""
+        views, start = {}, 0
+        for name, shape in self.layout():
+            end = start + math.prod(shape)
+            views[name] = flat[start:end].reshape(shape)
+            start = end
+        self.flat = flat
+        self.fwd = SGRUParams.from_named(views, "fwd.")
+        self.bwd = SGRUParams.from_named(views, "bwd.")
+        self.merge_f, self.merge_b, self.b_merge = (
+            views["merge_f"], views["merge_b"], views["b_merge"]
+        )
+
+    def _with_flat(self, flat: np.ndarray) -> "BMRNNParams":
+        out = copy.copy(self)
+        out._bind(flat)
+        return out
 
     @property
     def input_dim(self) -> int:
@@ -75,6 +119,9 @@ class BMRNNParams:
     def output_dim(self) -> int:
         return self.merge_f.shape[0]
 
+    def layout(self):
+        return bmrnn_layout(self.input_dim, self.hidden_dim, self.output_dim)
+
     def named_tensors(self):
         for name, t in self.fwd.named_tensors():
             yield f"fwd.{name}", t
@@ -85,13 +132,10 @@ class BMRNNParams:
         yield "b_merge", self.b_merge
 
     def copy(self) -> "BMRNNParams":
-        return BMRNNParams(
-            fwd=self.fwd.copy(),
-            bwd=self.bwd.copy(),
-            merge_f=self.merge_f.copy(),
-            merge_b=self.merge_b.copy(),
-            b_merge=self.b_merge.copy(),
-        )
+        return self._with_flat(self.flat.copy())
+
+    def zeros_like(self) -> "BMRNNParams":
+        return self._with_flat(np.zeros_like(self.flat))
 
 
 @dataclass
@@ -163,16 +207,6 @@ def init_bmrnn_params(
     )
 
 
-def zeros_like_bmrnn(params: BMRNNParams) -> BMRNNParams:
-    return BMRNNParams(
-        fwd=zeros_like_sgru(params.fwd),
-        bwd=zeros_like_sgru(params.bwd),
-        merge_f=np.zeros_like(params.merge_f),
-        merge_b=np.zeros_like(params.merge_b),
-        b_merge=np.zeros_like(params.b_merge),
-    )
-
-
 def bmrnn_forward(params: BMRNNParams, story: StoryStream, skips: SkipMatrix) -> ForwardTrace:
     """Run both directional passes and merge their hidden sequences."""
     n = story.N
@@ -225,7 +259,7 @@ def bmrnn_backward(
     if len(dH) != n:
         raise ShapeMismatchError("bmrnn_backward", (len(dH),), (n,))
     hidden = params.hidden_dim
-    grads = zeros_like_bmrnn(params)
+    grads = params.zeros_like()
     dX = [np.zeros_like(x) for x in story.x]
 
     # merge layer
@@ -248,8 +282,9 @@ def bmrnn_backward(
         anc = skips.ancestor_of(t)
         h_prev = trace.fwd_traces[t - 1].h if t > 0 else np.zeros(hidden)
         h_skip = trace.fwd_traces[anc].h if anc is not None else None
-        g = sgru_backward(params.fwd, story.x[t], h_prev, h_skip, trace.fwd_traces[t], upstream)
-        _accumulate_sgru(grads.fwd, g.params)
+        g = sgru_backward(
+            params.fwd, story.x[t], h_prev, h_skip, trace.fwd_traces[t], upstream, grads.fwd
+        )
         dX[t] += g.dx
         carry = g.dh_prev
         if anc is not None:
@@ -266,19 +301,15 @@ def bmrnn_backward(
         anc = skips_b.ancestor_of(t)
         h_prev = trace.bwd_traces[t + 1].h if t < n - 1 else np.zeros(hidden)
         h_skip = trace.bwd_traces[anc].h if anc is not None else None
-        g = sgru_backward(params.bwd, story.x[t], h_prev, h_skip, trace.bwd_traces[t], upstream)
-        _accumulate_sgru(grads.bwd, g.params)
+        g = sgru_backward(
+            params.bwd, story.x[t], h_prev, h_skip, trace.bwd_traces[t], upstream, grads.bwd
+        )
         dX[t] += g.dx
         carry = g.dh_prev
         if anc is not None:
             skip_acc[anc] += g.dh_skip
 
     return grads, dX
-
-
-def _accumulate_sgru(acc: SGRUParams, delta: SGRUParams) -> None:
-    for (_, a), (_, d) in zip(acc.named_tensors(), delta.named_tensors()):
-        a += d
 
 
 # ---------------------------------------------------------------------------
@@ -338,40 +369,22 @@ def load_model(path) -> BMRNNParams:
         if f.read(1):
             raise DataError("trailing bytes after last tensor", path=str(path))
 
-    expected = _expected_tensor_names()
+    expected = [name for name, _ in bmrnn_layout(0, 0, 0)]
     missing = [n for n in expected if n not in named]
     unknown = [n for n in named if n not in expected]
     if missing:
         raise DataError(f"missing tensors: {', '.join(missing)}", path=str(path))
     if unknown:
         raise DataError(f"unknown tensors: {', '.join(unknown)}", path=str(path))
-
-    def sgru_from(prefix: str) -> SGRUParams:
-        g = {k.split(".", 1)[1]: v for k, v in named.items() if k.startswith(prefix)}
-        from .cells import GRUParams
-
-        return SGRUParams(
-            base=GRUParams(
-                W_zx=g["W_zx"], W_zh=g["W_zh"], W_rx=g["W_rx"], W_rh=g["W_rh"],
-                W_hx=g["W_hx"], W_hh=g["W_hh"], b_z=g["b_z"], b_r=g["b_r"], b_h=g["b_h"],
-            ),
-            W_sx=g["W_sx"], W_sh=g["W_sh"], W_hp=g["W_hp"], b_s=g["b_s"],
+    try:
+        return BMRNNParams(
+            fwd=SGRUParams.from_named(named, "fwd."),
+            bwd=SGRUParams.from_named(named, "bwd."),
+            merge_f=named["merge_f"],
+            merge_b=named["merge_b"],
+            b_merge=named["b_merge"],
         )
-
-    return BMRNNParams(
-        fwd=sgru_from("fwd."),
-        bwd=sgru_from("bwd."),
-        merge_f=named["merge_f"],
-        merge_b=named["merge_b"],
-        b_merge=named["b_merge"],
-    )
-
-
-def _expected_tensor_names() -> list[str]:
-    cell = ["W_zx", "W_zh", "W_rx", "W_rh", "W_sx", "W_sh", "W_hx", "W_hh", "W_hp",
-            "b_z", "b_r", "b_s", "b_h"]
-    return (
-        [f"fwd.{n}" for n in cell]
-        + [f"bwd.{n}" for n in cell]
-        + ["merge_f", "merge_b", "b_merge"]
-    )
+    except ShapeMismatchError as e:
+        raise DataError(
+            f"tensor {e.op!r} has shape {e.left}, expected {e.right}", path=str(path)
+        ) from None

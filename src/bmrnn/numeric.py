@@ -1,16 +1,13 @@
-"""Dense float64 linear algebra and seeded randomness for the whole package.
+"""Seeded randomness and weight initialization for the whole package.
 
 Vectors are 1-D float64 numpy arrays and matrices are 2-D float64 numpy
-arrays, row-major. This module is a thin contract-checked layer over numpy;
-every function is pure and never mutates its inputs. Disk formats store
-float32, so loaders widen to float64 on the way in.
+arrays, row-major. Disk formats store float32, so loaders widen to float64
+on the way in.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import ShapeMismatchError
 
 Array = np.ndarray
 
@@ -47,94 +44,6 @@ class SeededRng:
         return SeededRng((self.seed * 0x9E3779B97F4A7C15 + offset) % (1 << 63))
 
 
-def as_vector(data) -> Array:
-    v = np.asarray(data, dtype=np.float64)
-    if v.ndim != 1:
-        raise ShapeMismatchError("as_vector", v.shape, ("n",))
-    return v
-
-
-def as_matrix(data) -> Array:
-    m = np.asarray(data, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeMismatchError("as_matrix", m.shape, ("rows", "cols"))
-    return m
-
-
-def matvec(m: Array, v: Array) -> Array:
-    """Matrix-vector product with an explicit shape check."""
-    if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:
-        raise ShapeMismatchError("matvec", m.shape, v.shape)
-    return m @ v
-
-
-def sigmoid(x: Array) -> Array:
-    # Split by sign so exp never overflows for large |x|.
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def dsigmoid(x: Array) -> Array:
-    """Derivative of sigmoid at pre-activation x: s(x) * (1 - s(x))."""
-    s = sigmoid(x)
-    return s * (1.0 - s)
-
-
-def tanh(x: Array) -> Array:
-    return np.tanh(x)
-
-
-def dtanh(x: Array) -> Array:
-    """Derivative of tanh at pre-activation x: 1 - tanh(x)^2."""
-    t = np.tanh(x)
-    return 1.0 - t * t
-
-
-def hadamard(a: Array, b: Array) -> Array:
-    if a.shape != b.shape:
-        raise ShapeMismatchError("hadamard", a.shape, b.shape)
-    return a * b
-
-
-def add(a: Array, b: Array) -> Array:
-    if a.shape != b.shape:
-        raise ShapeMismatchError("add", a.shape, b.shape)
-    return a + b
-
-
-def sub(a: Array, b: Array) -> Array:
-    if a.shape != b.shape:
-        raise ShapeMismatchError("sub", a.shape, b.shape)
-    return a - b
-
-
-_UNARY = {"sigmoid": sigmoid, "tanh": tanh, "dsigmoid": dsigmoid, "dtanh": dtanh}
-_BINARY = {"add": add, "sub": sub, "hadamard": hadamard}
-
-
-def elementwise(op: str, a: Array, b: Array | None = None) -> Array:
-    """Dispatch an elementwise operation by name.
-
-    Unary ops (sigmoid, tanh, dsigmoid, dtanh) take one vector; binary ops
-    (add, sub, hadamard) require two vectors of equal shape.
-    """
-    if op in _UNARY:
-        if b is not None:
-            raise ValueError(f"{op} is unary, got a second operand")
-        return _UNARY[op](np.asarray(a, dtype=np.float64))
-    if op in _BINARY:
-        if b is None:
-            raise ValueError(f"{op} is binary, second operand missing")
-        return _BINARY[op](
-            np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-        )
-    raise ValueError(f"unknown elementwise op {op!r}")
-
-
 def init_params(rows: int, cols: int, rng: SeededRng, scale: float | None = None) -> Array:
     """Weight matrix with entries uniform in [-scale, +scale].
 
@@ -146,6 +55,3 @@ def init_params(rows: int, cols: int, rng: SeededRng, scale: float | None = None
         raise ValueError(f"scale must be positive, got {scale}")
     return rng.uniform(-scale, scale, (rows, cols))
 
-
-def all_finite(*arrays: Array) -> bool:
-    return all(np.all(np.isfinite(a)) for a in arrays)

@@ -50,7 +50,6 @@ class ClusterAssignment:
     clusters: list[list[int]]      # sorted members, one list per exemplar
     exemplars: list[int]           # ascending exemplar indices
     converged: bool
-    n_iter: int
 
     @property
     def n(self) -> int:
@@ -185,7 +184,6 @@ def affinity_propagation(
 
         history.append(tuple(np.flatnonzero(np.diagonal(R) + np.diagonal(A) > 0).tolist()))
 
-    n_iter = max_iter
     exemplars = np.flatnonzero(np.diagonal(R) + np.diagonal(A) > 0)
     converged = (
         len(history) == convergence_window
@@ -209,7 +207,6 @@ def affinity_propagation(
         clusters=clusters,
         exemplars=exemplars.tolist(),
         converged=converged,
-        n_iter=n_iter,
     )
 
 

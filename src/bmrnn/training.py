@@ -30,7 +30,6 @@ from .network import (
     init_bmrnn_params,
     load_model,
     save_model,
-    zeros_like_bmrnn,
 )
 from .numeric import SeededRng
 from .objective import (
@@ -151,20 +150,22 @@ def load_checkpoint(path) -> Checkpoint:
 class OptimizerState:
     kind: str
     step: int
-    m: BMRNNParams                  # first moment (adam) / velocity (sgd)
-    v: BMRNNParams | None = None    # second moment (adam only)
+    m: np.ndarray                   # first moment (adam) / velocity (sgd), like params.flat
+    v: np.ndarray | None = None     # second moment (adam only)
 
 
 def init_optimizer_state(params: BMRNNParams, cfg: TrainConfig) -> OptimizerState:
     return OptimizerState(
         kind=cfg.optimizer,
         step=0,
-        m=zeros_like_bmrnn(params),
-        v=zeros_like_bmrnn(params) if cfg.optimizer == "adam" else None,
+        m=np.zeros_like(params.flat),
+        v=np.zeros_like(params.flat) if cfg.optimizer == "adam" else None,
     )
 
 
 def global_grad_norm(grads: BMRNNParams) -> float:
+    # one partial sum per tensor: np.sum over the whole buffer would add in
+    # another order and change the low bits of the norm
     return float(np.sqrt(sum(float(np.sum(g * g)) for _, g in grads.named_tensors())))
 
 
@@ -176,9 +177,7 @@ def clip_gradients(grads: BMRNNParams, max_norm: float) -> float:
     """
     norm = global_grad_norm(grads)
     if norm > max_norm:
-        scale = max_norm / norm
-        for _, g in grads.named_tensors():
-            g *= scale
+        grads.flat *= max_norm / norm
     return norm
 
 
@@ -190,27 +189,19 @@ def update_step(
     if not cfg.update_merge_bias:
         grads.b_merge[:] = 0.0
     state.step += 1
+    p, g, m, v = params.flat, grads.flat, state.m, state.v
     if state.kind == "adam":
         bc1 = 1.0 - cfg.beta1**state.step
         bc2 = 1.0 - cfg.beta2**state.step
-        for (_, p), (_, g), (_, m), (_, v) in zip(
-            params.named_tensors(),
-            grads.named_tensors(),
-            state.m.named_tensors(),
-            state.v.named_tensors(),
-        ):
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            p -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * g
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * g * g
+        p -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
     else:
-        for (_, p), (_, g), (_, vel) in zip(
-            params.named_tensors(), grads.named_tensors(), state.m.named_tensors()
-        ):
-            vel *= cfg.momentum
-            vel += g
-            p -= cfg.learning_rate * vel
+        m *= cfg.momentum
+        m += g
+        p -= cfg.learning_rate * m
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +236,6 @@ def story_loss_and_grads(
         raise DivergenceError(story.story_id, epoch, step)
     grads, d_inputs = bmrnn_backward(params, story, skip_matrix, trace, result.dH)
     return result, grads, d_inputs
-
-
-def _accumulate(total: BMRNNParams, delta: BMRNNParams, weight: float = 1.0) -> None:
-    for (_, t), (_, d) in zip(total.named_tensors(), delta.named_tensors()):
-        t += weight * d
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +297,7 @@ def train(
             step = 0
             for start in range(0, len(order), cfg.batch_size):
                 batch = order[start : start + cfg.batch_size]
-                batch_grads = zeros_like_bmrnn(params)
+                batch_grads = params.zeros_like()
                 for rec in batch:
                     skip_matrix, partition = structures[rec.story_id]
                     draw = sample_negatives(
@@ -324,7 +310,7 @@ def train(
                         neg_V, neg_H, ccfg, epoch=epoch, step=step,
                     )
                     losses.append(result.loss)
-                    _accumulate(batch_grads, grads, 1.0 / len(batch))
+                    batch_grads.flat += (1.0 / len(batch)) * grads.flat
                     step += 1
                 update_step(params, batch_grads, state, cfg)
 

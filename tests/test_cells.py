@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -64,8 +66,8 @@ def fd_cell_grads(params, x, h_prev, h_skip, g):
     out = {}
     tensors = list(params.named_tensors())
     for name, _ in tensors:
-        p_plus = params.copy()
-        p_minus = params.copy()
+        p_plus = copy.deepcopy(params)
+        p_minus = copy.deepcopy(params)
         tp = dict(p_plus.named_tensors())[name]
         tm = dict(p_minus.named_tensors())[name]
         grad = np.zeros_like(tp)

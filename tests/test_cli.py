@@ -2,12 +2,16 @@
 the end-to-end pipeline."""
 
 import json
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from bmrnn.cli import run
 from bmrnn.data import load_skips, read_tensor, write_tensor
+from bmrnn.network import init_bmrnn_params, save_model
+from bmrnn.numeric import SeededRng
 
 
 def make_corpus(tmp_path, stories=18, seed=5, extra=()):
@@ -58,13 +62,6 @@ class TestUsageErrors:
     def test_unknown_flag(self, capsys):
         assert run(["gradcheck", "--bogus", "1"]) == 1
 
-    def test_threads_must_be_positive(self, tmp_path, capsys):
-        corpus = make_corpus(tmp_path, stories=6)
-        code = run(["detect-skips", "--manifest", str(corpus / "manifest.jsonl"),
-                    "--out", str(tmp_path / "s.jsonl"), "--threads", "0"])
-        assert code == 1
-        assert "threads" in capsys.readouterr().err
-
     def test_help_exits_zero_and_documents_defaults(self, capsys):
         with_help = run(["train", "--help"])
         assert with_help == 0
@@ -91,15 +88,7 @@ class TestDataErrors:
                     "--report", str(tmp_path / "r.json")])
         assert code == 2
 
-    def test_infeasible_synth_config(self, tmp_path, capsys):
-        code = run(["synth", "--out", str(tmp_path / "c"), "--dim", "4",
-                    "--pool", "9"])
-        assert code == 2
-        assert "embed_dim" in capsys.readouterr().err
-
-
-class TestNumericalFailures:
-    def test_divergent_training_exits_3(self, tmp_path, capsys):
+    def test_non_finite_embedding_names_file_and_story(self, tmp_path, capsys):
         corpus = make_corpus(tmp_path, stories=12)
         skips = detect(tmp_path, corpus)
         victim = corpus / "tensors" / "story_00002.emb.bmt"
@@ -109,8 +98,86 @@ class TestNumericalFailures:
         code = run(["train", "--manifest", str(corpus / "manifest.jsonl"),
                     "--skips", str(skips), "--out", str(tmp_path / "m.bin"),
                     "--epochs", "1", "--negatives", "3", "--hidden", "4"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(victim) in err and "story_00002" in err and "non-finite" in err
+
+    def test_eval_rejects_misshapen_model(self, tmp_path, capsys):
+        corpus = make_corpus(tmp_path, stories=6)
+        skips = detect(tmp_path, corpus)
+        params = init_bmrnn_params(16, 6, 16, SeededRng(0))
+        tensors = [(n, np.zeros(1) if n == "fwd.b_z" else t) for n, t in params.named_tensors()]
+        model = tmp_path / "m.bin"
+        save_model(model, SimpleNamespace(named_tensors=lambda: tensors))
+        code = run(["eval", "--manifest", str(corpus / "manifest.jsonl"),
+                    "--skips", str(skips), "--model", str(model),
+                    "--report", str(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "fwd.b_z" in err and "(1,)" in err and "(6,)" in err
+
+    def test_infeasible_synth_config(self, tmp_path, capsys):
+        code = run(["synth", "--out", str(tmp_path / "c"), "--dim", "4",
+                    "--pool", "9"])
+        assert code == 2
+        assert "embed_dim" in capsys.readouterr().err
+
+
+class TestNumericalFailures:
+    def test_divergent_training_exits_3(self, tmp_path, capsys):
+        # one Adam step of size 1e308 overflows the next forward pass
+        corpus = make_corpus(tmp_path, stories=12)
+        skips = detect(tmp_path, corpus)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run(["train", "--manifest", str(corpus / "manifest.jsonl"),
+                        "--skips", str(skips), "--out", str(tmp_path / "m.bin"),
+                        "--epochs", "2", "--negatives", "3", "--hidden", "4",
+                        "--lr", "1e308"])
         assert code == 3
-        assert "story_00002" in capsys.readouterr().err
+        assert re.search(r"non-finite loss at epoch 1, step 0, story 'story_\d{5}'",
+                         capsys.readouterr().err)
+
+
+def resolved_config(err, command):
+    return json.loads(err.split(f"resolved config [{command}]: ", 1)[1].splitlines()[0])
+
+
+class TestEvalTrainingConfig:
+    """eval scores with the compatibility config the model was trained with."""
+
+    def eval_args(self, tmp_path, corpus, skips, model, extra=()):
+        return ["eval", "--manifest", str(corpus / "manifest.jsonl"), "--skips", str(skips),
+                "--model", str(model), "--report", str(tmp_path / "r.json"), *extra]
+
+    def test_sidecar_default_flag_override_and_fallback(self, tmp_path, capsys):
+        corpus = make_corpus(tmp_path)
+        skips = detect(tmp_path, corpus)
+        model = train_model(tmp_path, corpus, skips,
+                            extra=["--alpha", "0.2", "--local-mode", "all-pairs"])
+        capsys.readouterr()
+        assert run(self.eval_args(tmp_path, corpus, skips, model)) == 0
+        err = capsys.readouterr().err
+        assert resolved_config(err, "eval")["alpha"] == 0.2
+        assert resolved_config(err, "eval")["local_mode"] == "all-pairs"
+        assert "overrides" not in err
+
+        assert run(self.eval_args(tmp_path, corpus, skips, model, ["--alpha", "0.5"])) == 0
+        err = capsys.readouterr().err
+        assert resolved_config(err, "eval")["alpha"] == 0.5
+        assert "alpha 0.5 overrides the model's training value 0.2" in err
+
+        (tmp_path / "model.bin.json").unlink()
+        assert run(self.eval_args(tmp_path, corpus, skips, model)) == 0
+        resolved = resolved_config(capsys.readouterr().err, "eval")
+        assert (resolved["alpha"], resolved["local_mode"]) == (0.5, "aligned")
+
+    def test_malformed_sidecar(self, tmp_path, capsys):
+        corpus = make_corpus(tmp_path, stories=6)
+        skips = detect(tmp_path, corpus)
+        model = train_model(tmp_path, corpus, skips)
+        (tmp_path / "model.bin.json").write_text("{}\n")
+        assert run(self.eval_args(tmp_path, corpus, skips, model)) == 2
+        assert "sidecar" in capsys.readouterr().err
 
 
 class TestConfigFile:
@@ -164,6 +231,16 @@ class TestPipeline:
             assert key in report
         assert report["pool_size"] == 3     # 18 stories -> 3 test
         assert (tmp_path / "model.bin.json").exists()
+
+    def test_one_photo_stories(self, tmp_path):
+        corpus = make_corpus(tmp_path, stories=12, extra=["--length", "1", "--scenes", "1"])
+        skips = detect(tmp_path, corpus)
+        for rec in load_skips(skips).values():
+            assert rec.clusters == [[0]] and rec.pairs == []
+        model = train_model(tmp_path, corpus, skips)
+        assert run(["eval", "--manifest", str(corpus / "manifest.jsonl"),
+                    "--skips", str(skips), "--model", str(model),
+                    "--report", str(tmp_path / "r.json")]) == 0
 
     def test_detected_skips_match_planted_on_clean_corpus(self, tmp_path):
         corpus = make_corpus(tmp_path, stories=12)

@@ -1,5 +1,6 @@
 import math
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -368,6 +369,14 @@ class TestModelFile:
                 f.write(struct.pack(f"<{t.ndim}I", *t.shape))
                 f.write(np.ascontiguousarray(t, dtype="<f4").tobytes())
         with pytest.raises(DataError, match="unknown"):
+            load_model(path)
+
+    def test_wrong_shape_names_tensor_and_shapes(self, tmp_path):
+        p = init_bmrnn_params(2, 3, 2, SeededRng(27))
+        tensors = [(n, np.zeros(1) if n == "fwd.b_z" else t) for n, t in p.named_tensors()]
+        path = tmp_path / "m.bmrn"
+        save_model(path, SimpleNamespace(named_tensors=lambda: tensors))
+        with pytest.raises(DataError, match=r"'fwd\.b_z' has shape \(1,\), expected \(3,\)"):
             load_model(path)
 
     def test_format_is_little_endian_float32(self, tmp_path):

@@ -166,7 +166,6 @@ def manual_assignment(clusters, n):
         clusters=[sorted(c) for c in clusters],
         exemplars=exemplars,
         converged=True,
-        n_iter=1,
     )
 
 

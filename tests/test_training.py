@@ -9,7 +9,7 @@ import pytest
 
 from bmrnn.data import SynthConfig, generate_synthetic
 from bmrnn.errors import ConfigError, DataError, DivergenceError
-from bmrnn.network import init_bmrnn_params, load_model, zeros_like_bmrnn
+from bmrnn.network import init_bmrnn_params, load_model
 from bmrnn.numeric import SeededRng
 from bmrnn.objective import CompatibilityConfig, SentenceSequence
 from bmrnn.training import (
@@ -32,7 +32,7 @@ def tiny_params(seed=0, input_dim=3, hidden=4, out=3):
 
 
 def constant_grads(params, value):
-    grads = zeros_like_bmrnn(params)
+    grads = params.zeros_like()
     for _, g in grads.named_tensors():
         g += value
     return grads
@@ -111,7 +111,7 @@ class TestUpdateStep:
         snapshot = params.copy()
         cfg = TrainConfig(optimizer="sgd-momentum")
         state = init_optimizer_state(params, cfg)
-        update_step(params, zeros_like_bmrnn(params), state, cfg)
+        update_step(params, params.zeros_like(), state, cfg)
         for (_, p), (_, q) in zip(params.named_tensors(), snapshot.named_tensors()):
             npt.assert_array_equal(p, q)
 
@@ -121,7 +121,7 @@ class TestUpdateStep:
         cfg = TrainConfig()
         state = init_optimizer_state(params, cfg)
         rng = np.random.default_rng(3)
-        grads = zeros_like_bmrnn(params)
+        grads = params.zeros_like()
         for _, g in grads.named_tensors():
             g += np.where(rng.random(g.shape) < 0.5, -0.5, 0.5)
         signs = [np.sign(g) for _, g in grads.named_tensors()]
