@@ -30,7 +30,7 @@ from .errors import ConfigError, DataError
 from .network import StoryStream
 from .numeric import SeededRng
 from .objective import SentenceSequence, SubStoryPartition
-from .skips import SkipMatrix
+from .skips import SkipMatrix, cluster_chains
 
 __all__ = [
     "BMT1_MAGIC",
@@ -39,6 +39,7 @@ __all__ = [
     "StoryRecord",
     "Dataset",
     "SkipRecord",
+    "check_skip_records",
     "write_skips",
     "load_skips",
     "SynthConfig",
@@ -156,6 +157,19 @@ class SkipRecord:
         return d
 
 
+def check_skip_records(records: list[StoryRecord], skips_by_id: dict[str, SkipRecord]) -> None:
+    """Every story has a skip record, and the record covers the story's steps."""
+    for rec in records:
+        skip = skips_by_id.get(rec.story_id)
+        if skip is None:
+            raise DataError("no skip record for story", story_id=rec.story_id)
+        if skip.n != rec.N:
+            raise DataError(
+                f"skip record covers {skip.n} steps, the story has {rec.N}",
+                story_id=rec.story_id,
+            )
+
+
 def write_skips(path, records: list[SkipRecord]) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for r in records:
@@ -188,6 +202,11 @@ def load_skips(path) -> dict[str, SkipRecord]:
         if covered != list(range(len(covered))):
             raise DataError(
                 f"line {line_no}: clusters do not partition 0..{len(covered) - 1}",
+                path=str(path), story_id=rec.story_id,
+            )
+        if sorted(rec.pairs) != sorted(cluster_chains(rec.clusters)):
+            raise DataError(
+                f"line {line_no}: skips are not the time-ordered chains of the clusters",
                 path=str(path), story_id=rec.story_id,
             )
         if rec.story_id in out:
@@ -313,20 +332,18 @@ def generate_synthetic(cfg: SynthConfig) -> SynthCorpus:
         for t, s in enumerate(labels):
             clusters_map.setdefault(s, []).append(t)
         clusters = [sorted(v) for _, v in sorted(clusters_map.items())]
-        pairs = [
-            (a, b) for members in clusters for a, b in zip(members, members[1:])
-        ]
+        pairs = cluster_chains(clusters)
         # cross-skip descendants have their scene occluded in the embedding
         occluded = {t for p, t in pairs if t - p >= 2}
 
-        raw_fc, xs, vs = [], [], []
+        raw_fc, xs, vs = (np.empty((cfg.story_len, cfg.embed_dim)) for _ in range(3))
         for t in range(cfg.story_len):
-            raw_fc.append(centers[t] + rng.normal(shape=cfg.embed_dim) * cfg.noise_sigma)
+            raw_fc[t] = centers[t] + rng.normal(shape=cfg.embed_dim) * cfg.noise_sigma
             base = gap_vec if t in occluded else centers[t]
-            xs.append(base + rng.normal(shape=cfg.embed_dim) * cfg.noise_sigma)
+            xs[t] = base + rng.normal(shape=cfg.embed_dim) * cfg.noise_sigma
             pos = np.zeros(cfg.story_len)
             pos[t] = 1.0
-            vs.append(
+            vs[t] = (
                 sentence_map @ np.concatenate([centers[t], pos])
                 + rng.normal(shape=cfg.embed_dim) * cfg.noise_sigma
             )
@@ -367,9 +384,9 @@ def write_corpus(corpus: SynthCorpus, out_dir) -> Path:
                 "embedding_file": f"tensors/{sid}.emb.bmt",
                 "sentence_file": f"tensors/{sid}.sent.bmt",
             }
-            write_tensor(out / names["feature_file"], np.stack(rec.story.raw_fc))
-            write_tensor(out / names["embedding_file"], np.stack(rec.story.x))
-            write_tensor(out / names["sentence_file"], np.stack(rec.sentences.v))
+            write_tensor(out / names["feature_file"], rec.story.raw_fc)
+            write_tensor(out / names["embedding_file"], rec.story.x)
+            write_tensor(out / names["sentence_file"], rec.sentences.v)
             f.write(
                 json.dumps(
                     {"story_id": sid, "n": rec.N, "split": rec.split, **names},
@@ -433,11 +450,9 @@ def load_manifest(path) -> Dataset:
                 story_id=sid,
                 split=entry["split"],
                 story=StoryStream(
-                    story_id=sid,
-                    x=list(loaded["embedding_file"]),
-                    raw_fc=list(loaded["feature_file"]),
+                    story_id=sid, x=loaded["embedding_file"], raw_fc=loaded["feature_file"]
                 ),
-                sentences=SentenceSequence(story_id=sid, v=list(loaded["sentence_file"])),
+                sentences=SentenceSequence(story_id=sid, v=loaded["sentence_file"]),
             )
         )
     return Dataset(records=records)

@@ -31,15 +31,13 @@ class DataError(BmrnnError):
 
 
 class DivergenceError(BmrnnError):
-    """Training produced a non-finite loss; names the offending story and step."""
+    """Training left the finite range; names the story and step where it was seen."""
 
-    def __init__(self, story_id: str, epoch: int, step: int):
+    def __init__(self, story_id: str, epoch: int, step: int, what: str = "non-finite loss"):
         self.story_id = story_id
         self.epoch = epoch
         self.step = step
-        super().__init__(
-            f"non-finite loss at epoch {epoch}, step {step}, story {story_id!r}"
-        )
+        super().__init__(f"{what} at epoch {epoch}, step {step}, story {story_id!r}")
 
 
 class ConfigError(BmrnnError, ValueError):

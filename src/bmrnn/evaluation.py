@@ -12,7 +12,7 @@ import json
 import statistics
 from dataclasses import dataclass
 
-from .data import SkipRecord, StoryRecord
+from .data import SkipRecord, StoryRecord, check_skip_records
 from .errors import DataError
 from .network import BMRNNParams, bmrnn_forward
 from .objective import CompatibilityConfig, SentenceSequence, compatibility
@@ -96,11 +96,10 @@ def evaluate(
         raise DataError("no stories to evaluate")
     if pool is None:
         pool = [rec.sentences for rec in records]
+    check_skip_records(records, skips_by_id)
     per_story_ranks: list[tuple[str, int]] = []
     for rec in records:
-        skip = skips_by_id.get(rec.story_id)
-        if skip is None:
-            raise DataError("no skip record for story", story_id=rec.story_id)
+        skip = skips_by_id[rec.story_id]
         h_seq = bmrnn_forward(params, rec.story, skip.matrix()).merged
         partition = skip.partition()
         scores = {

@@ -30,7 +30,7 @@ from .cells import (
     sgru_layout,
 )
 from .errors import DataError, ShapeMismatchError
-from .numeric import SeededRng, init_params
+from .numeric import SeededRng, init_params, stack_rows
 from .skips import SkipMatrix, transpose_skips
 
 __all__ = [
@@ -140,33 +140,28 @@ class BMRNNParams:
 
 @dataclass
 class StoryStream:
-    """One photo stream: embeddings x_t, plus optional raw features.
+    """One photo stream: embeddings x, plus optional raw features.
 
-    ``raw_fc`` carries the pre-embedding feature vectors consumed only by
-    skip detection; the network itself reads ``x``.
+    ``x`` is an (N, D) array, one row per photo; ``raw_fc`` holds the
+    pre-embedding feature rows consumed only by skip detection.  Both
+    accept a list of rows.
     """
 
     story_id: str
-    x: list[np.ndarray]
-    raw_fc: list[np.ndarray] | None = None
+    x: np.ndarray
+    raw_fc: np.ndarray | None = None
 
     def __post_init__(self):
+        self.x = stack_rows(self.x, "story_stream")
         if len(self.x) < 1:
             raise DataError("story must contain at least one step", story_id=self.story_id)
-        dim = self.x[0].shape
-        for v in self.x[1:]:
-            if v.shape != dim:
-                raise ShapeMismatchError("story_stream", dim, v.shape)
         if self.raw_fc is not None:
+            self.raw_fc = stack_rows(self.raw_fc, "story_stream")
             if len(self.raw_fc) != len(self.x):
                 raise DataError(
                     f"raw feature count {len(self.raw_fc)} != step count {len(self.x)}",
                     story_id=self.story_id,
                 )
-            fdim = self.raw_fc[0].shape
-            for v in self.raw_fc[1:]:
-                if v.shape != fdim:
-                    raise ShapeMismatchError("story_stream", fdim, v.shape)
 
     @property
     def N(self) -> int:
@@ -175,19 +170,11 @@ class StoryStream:
 
 @dataclass
 class ForwardTrace:
-    """Everything the backward pass needs: per-step traces and the merge."""
+    """Everything the backward pass needs: per-step traces and the (N, D) merge."""
 
     fwd_traces: list[StepTrace]
     bwd_traces: list[StepTrace]
-    merged: list[np.ndarray]
-
-    @property
-    def h_fwd(self) -> list[np.ndarray]:
-        return [t.h for t in self.fwd_traces]
-
-    @property
-    def h_bwd(self) -> list[np.ndarray]:
-        return [t.h for t in self.bwd_traces]
+    merged: np.ndarray
 
 
 def init_bmrnn_params(
@@ -207,40 +194,59 @@ def init_bmrnn_params(
     )
 
 
+def _sweep(cell: SGRUParams, x: np.ndarray, skips: SkipMatrix, order) -> list[StepTrace]:
+    """One directional pass visiting the steps in ``order``.  A step's
+    previous state is that of the step visited just before it (zero for the
+    first), and its skip ancestor, always visited earlier, comes from
+    ``skips``."""
+    traces: list[StepTrace | None] = [None] * len(x)
+    h_prev = np.zeros(cell.hidden_dim)
+    for t in order:
+        anc = skips.ancestor_of(t)
+        h_skip = traces[anc].h if anc is not None else None
+        traces[t] = sgru_forward(cell, x[t], h_prev, h_skip)
+        h_prev = traces[t].h
+    return traces
+
+
+def _sweep_backward(cell, grads, x, skips, order, traces, dh, dX) -> None:
+    """BPTT through one ``_sweep``: steps in reverse visiting order; dh_prev
+    flows to the step visited before, dh_skip accumulates on the skip
+    ancestor.  Adds into ``grads`` and ``dX``."""
+    hidden = cell.hidden_dim
+    carry = np.zeros(hidden)
+    skip_acc = np.zeros((len(x), hidden))
+    for i in reversed(range(len(order))):
+        t = order[i]
+        upstream = dh[t] + carry + skip_acc[t]
+        anc = skips.ancestor_of(t)
+        h_prev = traces[order[i - 1]].h if i > 0 else np.zeros(hidden)
+        h_skip = traces[anc].h if anc is not None else None
+        g = sgru_backward(cell, x[t], h_prev, h_skip, traces[t], upstream, grads)
+        dX[t] += g.dx
+        carry = g.dh_prev
+        if anc is not None:
+            skip_acc[anc] += g.dh_skip
+
+
 def bmrnn_forward(params: BMRNNParams, story: StoryStream, skips: SkipMatrix) -> ForwardTrace:
-    """Run both directional passes and merge their hidden sequences."""
+    """Run both directional passes and merge their hidden sequences.
+
+    The forward pass walks t = 0..N-1 with skip ancestors p < t; the
+    backward pass walks t = N-1..0 with the transposed skips, so its
+    "previous" state at step t is that of step t+1.
+    """
     n = story.N
     if skips.n != n:
         raise ShapeMismatchError("bmrnn_forward", (skips.n,), (n,))
-    hidden = params.hidden_dim
-
-    # forward pass: t = 0..N-1, previous state h_{t-1}, skip ancestor p < t
-    fwd_traces: list[StepTrace] = []
-    h_prev = np.zeros(hidden)
-    for t in range(n):
-        anc = skips.ancestor_of(t)
-        h_skip = fwd_traces[anc].h if anc is not None else None
-        tr = sgru_forward(params.fwd, story.x[t], h_prev, h_skip)
-        fwd_traces.append(tr)
-        h_prev = tr.h
-
-    # backward pass: t = N-1..0 with transposed skips; its "previous" state
-    # at step t is the state of step t+1, and its skip ancestor u > t was
-    # already computed earlier in this sweep
-    skips_b = transpose_skips(skips)
-    bwd_traces: list[StepTrace | None] = [None] * n
-    h_prev = np.zeros(hidden)
-    for t in range(n - 1, -1, -1):
-        anc = skips_b.ancestor_of(t)
-        h_skip = bwd_traces[anc].h if anc is not None else None
-        tr = sgru_forward(params.bwd, story.x[t], h_prev, h_skip)
-        bwd_traces[t] = tr
-        h_prev = tr.h
-
-    merged = [
+    fwd_traces = _sweep(params.fwd, story.x, skips, range(n))
+    bwd_traces = _sweep(params.bwd, story.x, transpose_skips(skips), range(n - 1, -1, -1))
+    # per step, not one GEMM: the reduction to a plain bidirectional GRU is
+    # compared bit for bit, and a batched product rounds differently
+    merged = np.stack([
         params.merge_f @ fwd_traces[t].h + params.merge_b @ bwd_traces[t].h + params.b_merge
         for t in range(n)
-    ]
+    ])
     return ForwardTrace(fwd_traces=fwd_traces, bwd_traces=bwd_traces, merged=merged)
 
 
@@ -249,66 +255,28 @@ def bmrnn_backward(
     story: StoryStream,
     skips: SkipMatrix,
     trace: ForwardTrace,
-    dH: list[np.ndarray],
-) -> tuple[BMRNNParams, list[np.ndarray]]:
-    """Backpropagate dL/dh_t for every merged output back to params and x.
+    dH: np.ndarray,
+) -> tuple[BMRNNParams, np.ndarray]:
+    """Backpropagate dL/dH, one row per merged output, back to params and x.
 
-    Returns (gradients shaped like params, per-step gradients dL/dx_t).
+    Returns (gradients shaped like params, dL/dx as an (N, input_dim) array).
     """
     n = story.N
+    dH = np.asarray(dH, dtype=float)
     if len(dH) != n:
         raise ShapeMismatchError("bmrnn_backward", (len(dH),), (n,))
-    hidden = params.hidden_dim
     grads = params.zeros_like()
-    dX = [np.zeros_like(x) for x in story.x]
+    dX = np.zeros_like(story.x)
 
     # merge layer
-    dh_fwd = []
-    dh_bwd = []
-    for t in range(n):
-        g = np.asarray(dH[t], dtype=float)
-        grads.merge_f += np.outer(g, trace.fwd_traces[t].h)
-        grads.merge_b += np.outer(g, trace.bwd_traces[t].h)
-        grads.b_merge += g
-        dh_fwd.append(params.merge_f.T @ g)
-        dh_bwd.append(params.merge_b.T @ g)
+    grads.merge_f += dH.T @ np.stack([tr.h for tr in trace.fwd_traces])
+    grads.merge_b += dH.T @ np.stack([tr.h for tr in trace.bwd_traces])
+    grads.b_merge += dH.sum(axis=0)
 
-    # forward pass BPTT: reverse visitation order t = N-1..0; dh_prev flows
-    # to step t-1, dh_skip accumulates on the skip ancestor p < t
-    carry = np.zeros(hidden)
-    skip_acc = [np.zeros(hidden) for _ in range(n)]
-    for t in range(n - 1, -1, -1):
-        upstream = dh_fwd[t] + carry + skip_acc[t]
-        anc = skips.ancestor_of(t)
-        h_prev = trace.fwd_traces[t - 1].h if t > 0 else np.zeros(hidden)
-        h_skip = trace.fwd_traces[anc].h if anc is not None else None
-        g = sgru_backward(
-            params.fwd, story.x[t], h_prev, h_skip, trace.fwd_traces[t], upstream, grads.fwd
-        )
-        dX[t] += g.dx
-        carry = g.dh_prev
-        if anc is not None:
-            skip_acc[anc] += g.dh_skip
-
-    # backward pass BPTT: computation ran t = N-1..0, so reverse order is
-    # t = 0..N-1; dh_prev flows to step t+1, dh_skip accumulates on the
-    # transposed-skip ancestor u > t
-    skips_b = transpose_skips(skips)
-    carry = np.zeros(hidden)
-    skip_acc = [np.zeros(hidden) for _ in range(n)]
-    for t in range(n):
-        upstream = dh_bwd[t] + carry + skip_acc[t]
-        anc = skips_b.ancestor_of(t)
-        h_prev = trace.bwd_traces[t + 1].h if t < n - 1 else np.zeros(hidden)
-        h_skip = trace.bwd_traces[anc].h if anc is not None else None
-        g = sgru_backward(
-            params.bwd, story.x[t], h_prev, h_skip, trace.bwd_traces[t], upstream, grads.bwd
-        )
-        dX[t] += g.dx
-        carry = g.dh_prev
-        if anc is not None:
-            skip_acc[anc] += g.dh_skip
-
+    _sweep_backward(params.fwd, grads.fwd, story.x, skips, range(n),
+                    trace.fwd_traces, dH @ params.merge_f, dX)
+    _sweep_backward(params.bwd, grads.bwd, story.x, transpose_skips(skips),
+                    range(n - 1, -1, -1), trace.bwd_traces, dH @ params.merge_b, dX)
     return grads, dX
 
 
@@ -317,6 +285,9 @@ def bmrnn_backward(
 # tensor a u16-length-prefixed UTF-8 name, u32 rank, u32 dims, and the data
 # as little-endian float32 in row-major order
 # ---------------------------------------------------------------------------
+
+
+FLOAT32_MAX = float(np.finfo(np.float32).max)   # the largest entry a model file holds
 
 
 def save_model(path, params: BMRNNParams) -> None:
@@ -365,6 +336,8 @@ def load_model(path) -> BMRNNParams:
             data = np.frombuffer(
                 _read_exact(f, 4 * n_items, path, f"data of {name!r}"), dtype="<f4"
             )
+            if not np.all(np.isfinite(data)):
+                raise DataError(f"tensor {name!r} holds non-finite values", path=str(path))
             named[name] = data.astype(float).reshape(dims)
         if f.read(1):
             raise DataError("trailing bytes after last tensor", path=str(path))

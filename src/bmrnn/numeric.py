@@ -1,15 +1,32 @@
-"""Seeded randomness and weight initialization for the whole package.
+"""Seeded randomness, weight initialization and row stacking for the whole package.
 
 Vectors are 1-D float64 numpy arrays and matrices are 2-D float64 numpy
-arrays, row-major. Disk formats store float32, so loaders widen to float64
-on the way in.
+arrays, row-major; a sequence of N steps is one (N, D) matrix. Disk formats
+store float32, so loaders widen to float64 on the way in.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import ShapeMismatchError
+
 Array = np.ndarray
+
+
+def stack_rows(rows, op: str) -> Array:
+    """An (N, D) float64 array from a 2-d array (not copied when float64) or
+    a list of equal-shape rows; ragged rows raise ShapeMismatchError naming
+    ``op``.  An empty list gives a (0, 0) array, left for the caller to reject."""
+    if not isinstance(rows, np.ndarray):
+        rows = [np.asarray(r, dtype=float) for r in rows]
+        for r in rows[1:]:
+            if r.shape != rows[0].shape:
+                raise ShapeMismatchError(op, rows[0].shape, r.shape)
+        rows = np.stack(rows) if rows else np.zeros((0, 0))
+    if rows.ndim != 2:
+        raise ShapeMismatchError(op, rows.shape, ("steps", "dim"))
+    return rows.astype(float, copy=False)
 
 
 class SeededRng:

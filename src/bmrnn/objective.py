@@ -8,6 +8,11 @@ scores of sampled negative pairs by a margin, hinge-style, on both sides:
 wrong sentences for the true photos, and wrong photos for the true
 sentences.
 
+Both terms are inner products of rows of H and V, so the score is one
+bilinear form, c(H, V) = sum_ab K_ab <H_a, V_b> with K = alpha I +
+(1 - alpha) M, where M holds the sub-story weights; the partition builds K
+and both local-term modes differ only in M.  Sequences are (N, D) arrays.
+
 Sequences of different lengths (negatives usually differ) are scored over
 the common prefix.  The gradient is taken with respect to H only; negative
 photo-stream predictions are treated as cached constants by the caller.
@@ -21,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeMismatchError
-from .numeric import SeededRng
+from .numeric import SeededRng, stack_rows
 
 __all__ = [
     "SubStoryPartition",
@@ -38,9 +43,15 @@ __all__ = [
 
 @dataclass
 class SubStoryPartition:
-    """Disjoint groups of 0-based timestep indices (one group per sub-story)."""
+    """Disjoint groups of 0-based timestep indices (one group per sub-story).
+
+    ``_local`` is the all-pairs weight matrix over the steps up to the last
+    member: [g(a) = g(b)] / |g|, zero for steps no group covers.
+    """
 
     groups: list[list[int]]
+    _local: np.ndarray = field(init=False, repr=False, compare=False)
+    _kernels: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         seen: set[int] = set()
@@ -57,11 +68,34 @@ class SubStoryPartition:
             seen.update(members)
             cleaned.append(members)
         self.groups = cleaned
+        self._local = np.zeros((max(seen, default=-1) + 1,) * 2)
+        for members in cleaned:
+            self._local[np.ix_(members, members)] = 1.0 / len(members)
 
     @classmethod
     def from_clusters(cls, clusters: list[list[int]]) -> "SubStoryPartition":
         """Build from skip-detection clusters (singletons included)."""
         return cls(groups=[list(c) for c in clusters])
+
+    def kernel(self, L: int, cfg: "CompatibilityConfig") -> np.ndarray:
+        """K = alpha I + (1 - alpha) M over the first L steps, read-only.
+
+        M_ab = [g(a) = g(b)] / |g| for covered steps in all-pairs mode, and
+        only its diagonal 1/|g(a)| in aligned mode.  |g| counts every member,
+        also those at or beyond L.  Built once per (L, alpha, mode).
+        """
+        key = (L, cfg.alpha, cfg.local_term_mode)
+        K = self._kernels.get(key)
+        if K is None:
+            m = min(L, len(self._local))
+            M = np.zeros((L, L))
+            M[:m, :m] = self._local[:m, :m]
+            if cfg.local_term_mode == "aligned":
+                M = np.diag(np.diag(M))
+            K = cfg.alpha * np.eye(L) + (1.0 - cfg.alpha) * M
+            K.flags.writeable = False
+            self._kernels[key] = K
+        return K
 
 
 @dataclass
@@ -88,94 +122,74 @@ class CompatibilityConfig:
 
 @dataclass
 class SentenceSequence:
-    """One story's sentence embeddings v_t."""
+    """One story's sentence embeddings: an (N, D) array, one row per step
+    (a list of rows is accepted)."""
 
     story_id: str
-    v: list[np.ndarray]
+    v: np.ndarray
 
     def __post_init__(self):
+        self.v = stack_rows(self.v, "sentence_sequence")
         if len(self.v) < 1:
             raise DataError("sentence sequence must contain at least one step",
                             story_id=self.story_id)
-        dim = self.v[0].shape
-        for u in self.v[1:]:
-            if u.shape != dim:
-                raise ShapeMismatchError("sentence_sequence", dim, u.shape)
 
     @property
     def N(self) -> int:
         return len(self.v)
 
 
-def _check_inputs(H, V: SentenceSequence) -> int:
+def _prefix_kernel(H, V: SentenceSequence, partition: SubStoryPartition, cfg):
+    """H as an array, the common-prefix length L, and the kernel over it."""
+    H = np.asarray(H, dtype=float)
     if len(H) < 1:
         raise DataError("compatibility needs a non-empty predicted sequence")
-    if H[0].shape != V.v[0].shape:
-        raise ShapeMismatchError("compatibility", H[0].shape, V.v[0].shape)
+    if H.shape[1:] != V.v.shape[1:]:
+        raise ShapeMismatchError("compatibility", H.shape[1:], V.v.shape[1:])
     # mismatched lengths (negatives usually differ) score the common prefix;
     # partition members beyond it simply do not contribute
-    return min(len(H), V.N)
+    L = min(len(H), V.N)
+    return H, L, partition.kernel(L, cfg)
 
 
 def compatibility(
-    H: list[np.ndarray],
+    H: np.ndarray,
     V: SentenceSequence,
     partition: SubStoryPartition,
     cfg: CompatibilityConfig,
 ) -> float:
-    """alpha-weighted global + per-sub-story local score over the common prefix."""
-    L = _check_inputs(H, V)
-    glob = sum(float(np.dot(H[t], V.v[t])) for t in range(L))
-    local = 0.0
-    for g in partition.groups:
-        n_i = len(g)
-        inside = [t for t in g if t < L]
-        if cfg.local_term_mode == "aligned":
-            local += sum(float(np.dot(H[t], V.v[t])) for t in inside) / n_i
-        else:  # all-pairs
-            local += sum(
-                float(np.dot(H[a], V.v[b])) for a in inside for b in inside
-            ) / n_i
-    return cfg.alpha * glob + (1.0 - cfg.alpha) * local
+    """c(H, V) = sum_{a,b<L} K_ab <H_a, V_b> over the common prefix L: the
+    alpha-weighted global term plus the per-sub-story local term."""
+    H, L, K = _prefix_kernel(H, V, partition, cfg)
+    return float(np.vdot(H[:L], K @ V.v[:L]))
 
 
 def compatibility_grad(
-    H: list[np.ndarray],
+    H: np.ndarray,
     V: SentenceSequence,
     partition: SubStoryPartition,
     cfg: CompatibilityConfig,
-) -> list[np.ndarray]:
-    """d compatibility / d h_t for every timestep of H."""
-    L = _check_inputs(H, V)
-    grad = [np.zeros_like(h) for h in H]
-    for t in range(L):
-        grad[t] += cfg.alpha * V.v[t]
-    for g in partition.groups:
-        n_i = len(g)
-        inside = [t for t in g if t < L]
-        if cfg.local_term_mode == "aligned":
-            for t in inside:
-                grad[t] += (1.0 - cfg.alpha) / n_i * V.v[t]
-        else:
-            v_sum = sum((V.v[b] for b in inside), start=np.zeros_like(H[0]))
-            for a in inside:
-                grad[a] += (1.0 - cfg.alpha) / n_i * v_sum
+) -> np.ndarray:
+    """d compatibility / dH, shaped like H: K V over the prefix, zero beyond."""
+    H, L, K = _prefix_kernel(H, V, partition, cfg)
+    grad = np.zeros_like(H)
+    grad[:L] = K @ V.v[:L]
     return grad
 
 
 @dataclass
 class LossResult:
     loss: float
-    dH: list[np.ndarray]
+    dH: np.ndarray
     active_v_hinges: int = 0
     active_h_hinges: int = 0
 
 
 def contrastive_loss(
-    H: list[np.ndarray],
+    H: np.ndarray,
     V: SentenceSequence,
     negatives_V: list[SentenceSequence],
-    negatives_H: list[list[np.ndarray]],
+    negatives_H: list[np.ndarray],
     partition: SubStoryPartition,
     cfg: CompatibilityConfig,
 ) -> LossResult:
@@ -188,20 +202,17 @@ def contrastive_loss(
     are constants here (the trainer refreshes them once per epoch), so only
     the -c(H,V) part of an active H'-hinge contributes to dH.
     """
-    if len(negatives_V) != cfg.negatives_per_positive:
-        raise ConfigError(
-            f"expected {cfg.negatives_per_positive} sentence negatives, got {len(negatives_V)}"
-        )
-    if len(negatives_H) != cfg.negatives_per_positive:
-        raise ConfigError(
-            f"expected {cfg.negatives_per_positive} stream negatives, got {len(negatives_H)}"
-        )
+    for side, negatives in (("sentence", negatives_V), ("stream", negatives_H)):
+        if len(negatives) != cfg.negatives_per_positive:
+            raise ConfigError(
+                f"expected {cfg.negatives_per_positive} {side} negatives, got {len(negatives)}"
+            )
 
     base = compatibility(H, V, partition, cfg)
     base_grad = compatibility_grad(H, V, partition, cfg)
 
     loss = 0.0
-    dH = [np.zeros_like(h) for h in H]
+    dH = np.zeros_like(base_grad)
     active_v = active_h = 0
 
     for Vp in negatives_V:
@@ -210,9 +221,7 @@ def contrastive_loss(
         if hinge > 0.0:
             loss += hinge
             active_v += 1
-            neg_grad = compatibility_grad(H, Vp, partition, cfg)
-            for t in range(len(H)):
-                dH[t] += neg_grad[t] - base_grad[t]
+            dH += compatibility_grad(H, Vp, partition, cfg) - base_grad
 
     for Hp in negatives_H:
         # the sub-story structure lives on the positive pair's timeline, so
@@ -221,8 +230,7 @@ def contrastive_loss(
         if hinge > 0.0:
             loss += hinge
             active_h += 1
-            for t in range(len(H)):
-                dH[t] -= base_grad[t]
+    dH -= active_h * base_grad
 
     return LossResult(loss=loss, dH=dH, active_v_hinges=active_v, active_h_hinges=active_h)
 

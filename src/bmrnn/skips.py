@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeMismatchError
+from .numeric import stack_rows
 
 __all__ = [
     "SimilarityMatrix",
@@ -27,6 +28,7 @@ __all__ = [
     "similarity",
     "affinity_propagation",
     "build_skip_matrix",
+    "cluster_chains",
     "transpose_skips",
 ]
 
@@ -101,20 +103,16 @@ class SkipMatrix:
         return len(self.pairs)
 
 
-def similarity(features: list[np.ndarray], normalize: bool = False) -> SimilarityMatrix:
-    """Pairwise inner products s[i][j] = fc_i . fc_j.
+def similarity(features: np.ndarray, normalize: bool = False) -> SimilarityMatrix:
+    """Pairwise inner products s[i][j] = fc_i . fc_j of the rows of an (n, D)
+    feature array (or a list of rows).
 
     Features are used raw by default; set ``normalize`` to L2-normalize each
-    vector first (turning the entries into cosines).
+    row first (turning the entries into cosines).
     """
-    if len(features) < 2:
-        raise DataError(f"similarity needs at least 2 feature vectors, got {len(features)}")
-    mats = [np.asarray(f, dtype=float) for f in features]
-    dim = mats[0].shape
-    for f in mats[1:]:
-        if f.shape != dim:
-            raise ShapeMismatchError("similarity", dim, f.shape)
-    X = np.stack(mats)
+    X = stack_rows(features, "similarity")
+    if len(X) < 2:
+        raise DataError(f"similarity needs at least 2 feature vectors, got {len(X)}")
     if normalize:
         norms = np.linalg.norm(X, axis=1, keepdims=True)
         X = X / np.where(norms == 0, 1.0, norms)
@@ -218,11 +216,16 @@ def build_skip_matrix(assignment: ClusterAssignment) -> SkipMatrix:
     nothing.  Because clusters partition the indices, every step gets at
     most one ancestor and one descendant.
     """
+    return SkipMatrix(n=assignment.n, pairs=tuple(cluster_chains(assignment.clusters)))
+
+
+def cluster_chains(clusters) -> list[tuple[int, int]]:
+    """Skip pairs chaining each cluster's time-sorted members, cluster by cluster."""
     pairs = []
-    for members in assignment.clusters:
+    for members in clusters:
         ordered = sorted(members)
         pairs.extend(zip(ordered, ordered[1:]))
-    return SkipMatrix(n=assignment.n, pairs=tuple(pairs))
+    return pairs
 
 
 def transpose_skips(r: SkipMatrix) -> SkipMatrix:

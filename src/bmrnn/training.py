@@ -19,10 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import SkipRecord, StoryRecord
+from .data import SkipRecord, StoryRecord, check_skip_records
 from .errors import ConfigError, DataError, DivergenceError
 from .evaluation import evaluate
 from .network import (
+    FLOAT32_MAX,
     BMRNNParams,
     StoryStream,
     bmrnn_backward,
@@ -39,7 +40,7 @@ from .objective import (
     contrastive_loss,
     sample_negatives,
 )
-from .skips import SkipMatrix
+from .skips import SkipMatrix, cluster_chains
 
 __all__ = [
     "TrainConfig",
@@ -216,7 +217,7 @@ def story_loss_and_grads(
     skip_matrix: SkipMatrix,
     partition: SubStoryPartition,
     neg_V: list[SentenceSequence],
-    neg_H: list[list[np.ndarray]],
+    neg_H: list[np.ndarray],
     ccfg: CompatibilityConfig,
     *,
     epoch: int = 0,
@@ -229,7 +230,7 @@ def story_loss_and_grads(
     produce a clean-looking zero loss.
     """
     trace = bmrnn_forward(params, story, skip_matrix)
-    if not all(np.all(np.isfinite(h)) for h in trace.merged):
+    if not np.all(np.isfinite(trace.merged)):
         raise DivergenceError(story.story_id, epoch, step)
     result = contrastive_loss(trace.merged, sentences, neg_V, neg_H, partition, ccfg)
     if not np.isfinite(result.loss):
@@ -241,6 +242,13 @@ def story_loss_and_grads(
 # ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------
+
+
+def _check_float32(params: BMRNNParams, story_id: str, epoch: int, step: int) -> None:
+    """Parameters a float32 model file cannot hold are a divergence, even
+    while the saturated network still gives finite losses."""
+    if not np.all(np.abs(params.flat) <= FLOAT32_MAX):   # NaN fails too
+        raise DivergenceError(story_id, epoch, step, what="parameters beyond float32 range")
 
 
 def train(
@@ -258,12 +266,10 @@ def train(
     validation Recall@1 (the final one if no validation set is given)."""
     if not train_records:
         raise DataError("training set is empty")
-    for rec in train_records + val_records:
-        if rec.story_id not in skips_by_id:
-            raise DataError("no skip record for story", story_id=rec.story_id)
+    check_skip_records(train_records + val_records, skips_by_id)
 
-    input_dim = train_records[0].story.x[0].shape[0]
-    output_dim = train_records[0].sentences.v[0].shape[0]
+    input_dim = train_records[0].story.x.shape[1]
+    output_dim = train_records[0].sentences.v.shape[1]
     rng = SeededRng(cfg.seed)
     if params is None:
         params = init_bmrnn_params(input_dim, hidden_dim, output_dim, rng.spawn(0))
@@ -337,6 +343,7 @@ def train(
                 and cfg.checkpoint_every > 0
                 and (epoch + 1) % cfg.checkpoint_every == 0
             ):
+                _check_float32(params, rec.story_id, epoch, step - 1)
                 save_checkpoint(
                     Path(checkpoint_dir) / f"epoch_{epoch:04d}.bin",
                     Checkpoint(
@@ -367,6 +374,8 @@ def train(
         if log_file:
             log_file.close()
 
+    for p in (params, best_params):
+        _check_float32(p, rec.story_id, epoch, step - 1)
     return Checkpoint(
         params=best_params,
         epoch=best_epoch,
@@ -426,27 +435,18 @@ def _random_check_instance(rng: SeededRng):
         size = 1 + int(rng.integers(0, min(3, len(indices))))
         groups.append(sorted(indices[:size]))
         indices = indices[size:]
-    pairs = tuple(
-        (a, b) for g in groups for a, b in zip(g, g[1:])
-    )
-    skip_matrix = SkipMatrix(n=n, pairs=pairs)
+    skip_matrix = SkipMatrix(n=n, pairs=tuple(cluster_chains(groups)))
     partition = SubStoryPartition.from_clusters(groups)
 
     params = init_bmrnn_params(input_dim, hidden, out_dim, rng)
-    story = StoryStream(
-        story_id="story", x=[rng.normal(shape=input_dim) for _ in range(n)]
-    )
-    sentences = SentenceSequence(
-        story_id="story", v=[0.3 * rng.normal(shape=out_dim) for _ in range(n)]
-    )
+    story = StoryStream(story_id="story", x=rng.normal(shape=(n, input_dim)))
+    sentences = SentenceSequence(story_id="story", v=0.3 * rng.normal(shape=(n, out_dim)))
     ccfg = CompatibilityConfig(gamma=1.0, negatives_per_positive=2)
     neg_V = [
-        SentenceSequence(
-            story_id=f"neg{i}", v=[0.3 * rng.normal(shape=out_dim) for _ in range(n)]
-        )
+        SentenceSequence(story_id=f"neg{i}", v=0.3 * rng.normal(shape=(n, out_dim)))
         for i in range(2)
     ]
-    neg_H = [[0.3 * rng.normal(shape=out_dim) for _ in range(n)] for _ in range(2)]
+    neg_H = [0.3 * rng.normal(shape=(n, out_dim)) for _ in range(2)]
     return params, story, sentences, skip_matrix, partition, neg_V, neg_H, ccfg
 
 
@@ -483,12 +483,10 @@ def grad_check(
                 trace.merged, sentences, neg_V, neg_H, partition, ccfg
             ).loss
 
-        analytic_by_name = dict(grads.named_tensors())
-        for name, tensor in params.named_tensors():
+        analytic_by_name = dict(grads.named_tensors(), inputs=d_inputs)
+        for name, tensor in [*params.named_tensors(), ("inputs", story.x)]:
             analytic = analytic_by_name[name]
-            it = np.nditer(tensor, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
+            for idx in np.ndindex(tensor.shape):
                 orig = tensor[idx]
                 tensor[idx] = orig + eps
                 up = loss_at()
@@ -498,17 +496,5 @@ def grad_check(
                 fd = (up - down) / (2.0 * eps)
                 err = _rel_err(float(analytic[idx]), fd)
                 worst[name] = max(worst.get(name, 0.0), err)
-
-        for t, x in enumerate(story.x):
-            for j in range(x.shape[0]):
-                orig = x[j]
-                x[j] = orig + eps
-                up = loss_at()
-                x[j] = orig - eps
-                down = loss_at()
-                x[j] = orig
-                fd = (up - down) / (2.0 * eps)
-                err = _rel_err(float(d_inputs[t][j]), fd)
-                worst["inputs"] = max(worst.get("inputs", 0.0), err)
 
     return GradCheckReport(per_tensor=worst, n_configs=n_configs)

@@ -116,6 +116,36 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert "fwd.b_z" in err and "(1,)" in err and "(6,)" in err
 
+    def test_skip_record_must_cover_its_story(self, tmp_path, capsys):
+        corpus = make_corpus(tmp_path, stories=12)
+        skips = detect(tmp_path, corpus)
+        model = train_model(tmp_path, corpus, skips)
+        lines = skips.read_text().splitlines()
+        short = {"story_id": json.loads(lines[0])["story_id"], "clusters": [[0, 2], [1, 3]],
+                 "skips": [[0, 2], [1, 3]], "converged": True}
+        skips.write_text("\n".join([json.dumps(short)] + lines[1:]) + "\n")
+        manifest = str(corpus / "manifest.jsonl")
+        for argv in (["train", "--out", str(tmp_path / "m.bin"), "--epochs", "1",
+                      "--negatives", "3", "--hidden", "4"],
+                     ["eval", "--model", str(model), "--split", "train",
+                      "--report", str(tmp_path / "r.json")]):
+            assert run([*argv, "--manifest", manifest, "--skips", str(skips)]) == 2
+            err = capsys.readouterr().err
+            assert "covers 4 steps, the story has 5" in err and short["story_id"] in err
+
+    def test_eval_rejects_non_finite_model(self, tmp_path, capsys):
+        corpus = make_corpus(tmp_path, stories=6)
+        skips = detect(tmp_path, corpus)
+        params = init_bmrnn_params(16, 6, 16, SeededRng(0))
+        params.merge_b[0, 0] = np.nan
+        model = tmp_path / "m.bin"
+        save_model(model, params)
+        code = run(["eval", "--manifest", str(corpus / "manifest.jsonl"),
+                    "--skips", str(skips), "--model", str(model),
+                    "--report", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "'merge_b' holds non-finite values" in capsys.readouterr().err
+
     def test_infeasible_synth_config(self, tmp_path, capsys):
         code = run(["synth", "--out", str(tmp_path / "c"), "--dim", "4",
                     "--pool", "9"])
@@ -136,6 +166,19 @@ class TestNumericalFailures:
         assert code == 3
         assert re.search(r"non-finite loss at epoch 1, step 0, story 'story_\d{5}'",
                          capsys.readouterr().err)
+
+    def test_parameters_beyond_float32_exit_3_and_write_no_model(self, tmp_path, capsys):
+        # the gates saturate, so the losses stay finite while the
+        # parameters grow past what a float32 model file can hold
+        corpus = make_corpus(tmp_path, stories=12)
+        skips = detect(tmp_path, corpus)
+        model = tmp_path / "m.bin"
+        code = run(["train", "--manifest", str(corpus / "manifest.jsonl"),
+                    "--skips", str(skips), "--out", str(model),
+                    "--epochs", "2", "--negatives", "3", "--hidden", "4", "--lr", "1e300"])
+        assert code == 3
+        assert "parameters beyond float32 range at epoch 1" in capsys.readouterr().err
+        assert not model.exists()
 
 
 def resolved_config(err, command):

@@ -22,6 +22,9 @@ from bmrnn.data import (
     write_tensor,
 )
 from bmrnn.errors import ConfigError, DataError
+from bmrnn.network import bmrnn_backward, bmrnn_forward, init_bmrnn_params
+from bmrnn.numeric import SeededRng
+from bmrnn.objective import CompatibilityConfig, contrastive_loss
 from bmrnn.skips import affinity_propagation, build_skip_matrix, similarity
 
 
@@ -134,6 +137,17 @@ class TestSkipRecordIO:
         path.write_text(json.dumps(rec) + "\n")
         with pytest.raises(DataError, match="partition"):
             load_skips(path)
+
+    def test_skips_must_chain_clusters(self, tmp_path):
+        path = tmp_path / "skips.jsonl"
+        good = {"story_id": "a", "clusters": [[0, 3], [1, 2, 4]],
+                "skips": [[0, 3], [1, 2], [2, 4]], "converged": True}
+        bad = dict(good, story_id="b", skips=[[0, 4]])
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(DataError, match="chains") as exc_info:
+            load_skips(path)
+        assert "line 2" in str(exc_info.value)
+        assert str(path) in str(exc_info.value) and "story: b" in str(exc_info.value)
 
     def test_duplicate_story(self, tmp_path):
         path = tmp_path / "skips.jsonl"
@@ -315,6 +329,28 @@ class TestCorpusIO:
                 np.stack(back.sentences.v),
                 np.stack(orig.sentences.v).astype(np.float32).astype(np.float64),
             )
+
+    def test_sequences_are_arrays_end_to_end(self, tmp_path):
+        corpus, manifest = self.small_corpus(tmp_path)
+        ds = load_manifest(manifest)
+        skips = load_skips(manifest.parent / "planted_skips.jsonl")
+        rec, other = ds.records[0], ds.records[1]
+
+        def assert_rows(a, n, d):
+            assert isinstance(a, np.ndarray) and a.dtype == np.float64 and a.shape == (n, d)
+
+        for a in (rec.story.x, rec.story.raw_fc, rec.sentences.v):
+            assert_rows(a, rec.N, 16)
+        params = init_bmrnn_params(16, 6, 16, SeededRng(0))
+        skip = skips[rec.story_id]
+        trace = bmrnn_forward(params, rec.story, skip.matrix())
+        assert_rows(trace.merged, rec.N, 16)
+        neg_h = bmrnn_forward(params, other.story, skips[other.story_id].matrix()).merged
+        res = contrastive_loss(trace.merged, rec.sentences, [other.sentences], [neg_h],
+                               skip.partition(), CompatibilityConfig(negatives_per_positive=1))
+        assert_rows(res.dH, rec.N, 16)
+        _, dX = bmrnn_backward(params, rec.story, skip.matrix(), trace, res.dH)
+        assert_rows(dX, rec.N, 16)
 
     def test_planted_skips_written(self, tmp_path):
         corpus, manifest = self.small_corpus(tmp_path)

@@ -306,6 +306,14 @@ class TestModelFile:
         for (name, a), (_, b) in zip(p.named_tensors(), q.named_tensors()):
             npt.assert_array_equal(np.asarray(a, dtype=np.float32).astype(float), b, err_msg=name)
 
+    def test_non_finite_tensor_named(self, tmp_path):
+        p = init_bmrnn_params(3, 4, 2, SeededRng(24))
+        p.bwd.W_hp[1, 2] = np.inf
+        path = tmp_path / "m.bmrn"
+        save_model(path, p)
+        with pytest.raises(DataError, match="'bwd.W_hp' holds non-finite"):
+            load_model(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.bmrn"
         path.write_bytes(b"NOPE" + b"\x00" * 10)

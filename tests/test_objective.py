@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bmrnn.errors import ConfigError, DataError, ShapeMismatchError
 from bmrnn.numeric import SeededRng
@@ -293,3 +295,73 @@ class TestSampleNegatives:
         sigma = (draws * p * (1 - p)) ** 0.5
         for k, c in counts.items():
             assert abs(c - draws * p) < 3 * sigma, (k, c)
+
+
+def reference_compatibility(H, V, groups, alpha, mode):
+    """Per-timestep loops: the score and d score / dH, independent of the kernel."""
+    L = min(len(H), len(V))
+    glob = sum(float(np.dot(H[t], V[t])) for t in range(L))
+    grad = np.zeros_like(H)
+    for t in range(L):
+        grad[t] += alpha * V[t]
+    local = 0.0
+    for g in groups:
+        inside = [t for t in g if t < L]
+        if mode == "aligned":
+            local += sum(float(np.dot(H[t], V[t])) for t in inside) / len(g)
+            for t in inside:
+                grad[t] += (1.0 - alpha) / len(g) * V[t]
+        else:
+            local += sum(float(np.dot(H[a], V[b])) for a in inside for b in inside) / len(g)
+            v_sum = sum((V[b] for b in inside), start=np.zeros(H.shape[1]))
+            for a in inside:
+                grad[a] += (1.0 - alpha) / len(g) * v_sum
+    return alpha * glob + (1.0 - alpha) * local, grad
+
+
+@st.composite
+def scoring_instances(draw):
+    """Random H and V of unequal lengths 1-8 and a partition over up to 8
+    steps, with uncovered steps and members beyond the common prefix."""
+    dim = draw(st.integers(1, 4))
+    n_h, n_v, extent = (draw(st.integers(1, 8)) for _ in range(3))
+    labels = draw(st.lists(st.integers(-1, 3), min_size=extent, max_size=extent))
+    groups = [[t for t, lab in enumerate(labels) if lab == g] for g in range(4)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cfg = CompatibilityConfig(
+        alpha=draw(st.floats(0.0, 1.0)),
+        gamma=draw(st.floats(0.01, 5.0)),
+        negatives_per_positive=1,
+        local_term_mode=draw(st.sampled_from(["aligned", "all-pairs"])),
+    )
+    return (rng.normal(size=(n_h, dim)), seq("v", rng.normal(size=(n_v, dim))),
+            SubStoryPartition(groups=[g for g in groups if g]), cfg)
+
+
+class TestBilinearForm:
+    @settings(max_examples=300, deadline=None)
+    @given(scoring_instances())
+    def test_matches_per_timestep_loops(self, inst):
+        H, V, part, cfg = inst
+        want, want_grad = reference_compatibility(H, V.v, part.groups, cfg.alpha,
+                                                  cfg.local_term_mode)
+        npt.assert_allclose(compatibility(H, V, part, cfg), want, rtol=1e-12, atol=1e-12)
+        grad = compatibility_grad(H, V, part, cfg)
+        assert isinstance(grad, np.ndarray) and grad.shape == H.shape
+        npt.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(scoring_instances())
+    def test_identical_negative_cancels_exactly(self, inst):
+        H, V, part, cfg = inst
+        g = compatibility_grad(H, V, part, cfg)
+        sq = float(np.sum(g * g))
+        assume(sq > 1e-6)
+        # c is linear in H, so this stream negative scores gamma + 1 below
+        # the positive and its hinge stays inactive
+        far = H - (cfg.gamma + 1.0) / sq * g
+        dup = seq("dup", V.v.copy())
+        res = contrastive_loss(H, V, [dup], [far], part, cfg)
+        assert res.loss == cfg.gamma
+        assert res.active_v_hinges == 1 and res.active_h_hinges == 0
+        assert np.all(res.dH == 0.0)
