@@ -1,8 +1,10 @@
 """Command-line interface: synth, detect-skips, train, eval, gradcheck.
 
-Option resolution is layered: built-in defaults, then an optional config
-file of ``key = value`` lines, then explicit flags.  Unknown config keys are
-rejected, and every run logs the fully-resolved configuration to stderr.
+Option resolution is layered: built-in defaults (``--help`` shows them),
+then, for eval, the model's training sidecar, then an optional config file
+of ``key = value`` lines, then explicit flags.  A config-file value is read
+by its flag's own parser, unknown config keys are rejected, and every run
+logs the fully-resolved configuration to stderr.
 
 Exit codes: 0 success; 1 usage error (bad flags, bad config); 2 data error
 (missing or malformed files); 3 numerical failure (divergence, failed
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -30,7 +33,7 @@ from .evaluation import evaluate
 from .network import load_model
 from .objective import CompatibilityConfig
 from .skips import affinity_propagation, build_skip_matrix, similarity
-from .training import Checkpoint, TrainConfig, grad_check, save_checkpoint, train
+from .training import TrainConfig, grad_check, read_sidecar, save_checkpoint, sidecar_path, train
 
 __all__ = ["run", "main"]
 
@@ -40,222 +43,181 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on usage errors; we reserve 2 for data
-    problems, so usage failures are converted to exceptions instead."""
+    problems, so usage failures are raised as ConfigError instead."""
 
     def error(self, message):
-        raise _UsageError(message)
+        raise ConfigError(message)
 
 
-def _build_parser() -> _Parser:
+class _Help(argparse.ArgumentDefaultsHelpFormatter):
+    """Shows each option's default, except on required ones, which have none."""
+
+    def _get_help_string(self, action):
+        return action.help if action.required else super()._get_help_string(action)
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The parser and its subcommand parsers by name."""
     parser = _Parser(prog="bmrnn", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p_synth = sub.add_parser(
-        "synth", help="generate a synthetic cross-skipping story corpus"
-    )
-    p_synth.add_argument("--out", required=True, help="output corpus directory")
-    p_synth.add_argument("--stories", type=int, default=argparse.SUPPRESS,
-                         help="total story count, split 4:1:1 (default: 300)")
-    p_synth.add_argument("--length", type=int, default=argparse.SUPPRESS,
-                         help="photos per story (default: 5)")
-    p_synth.add_argument("--scenes", type=int, default=argparse.SUPPRESS,
-                         help="scenes interleaved per story (default: 2)")
-    p_synth.add_argument("--dim", type=int, default=argparse.SUPPRESS,
-                         help="feature/embedding dimension (default: 16)")
-    p_synth.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                         help="generator seed (default: 0)")
-    p_synth.add_argument("--separation", type=float, default=argparse.SUPPRESS,
-                         help="minimum scene-center separation (default: 4.0)")
-    p_synth.add_argument("--noise", type=float, default=argparse.SUPPRESS,
-                         help="per-step Gaussian noise sigma (default: 0.3)")
-    p_synth.add_argument("--pool", type=int, default=argparse.SUPPRESS,
-                         help="corpus-level scene pool size (default: 6)")
+    def command(name: str, help: str):
+        return sub.add_parser(name, help=help, formatter_class=_Help).add_argument
 
-    p_detect = sub.add_parser(
-        "detect-skips",
-        help="cluster photo features per story and emit skip structures",
-    )
-    p_detect.add_argument("--manifest", required=True)
-    p_detect.add_argument("--out", required=True, help="output skip JSON-lines file")
-    p_detect.add_argument("--damping", type=float, default=argparse.SUPPRESS,
-                          help="message damping in [0.5, 1) (default: 0.9)")
-    p_detect.add_argument("--preference", type=float, default=argparse.SUPPRESS,
-                          help="exemplar preference (default: median of "
-                          "off-diagonal similarities)")
-    p_detect.add_argument("--max-iter", type=int, default=argparse.SUPPRESS,
-                          help="message-passing iterations (default: 200)")
-    p_detect.add_argument("--window", type=int, default=argparse.SUPPRESS,
-                          help="stability window for the convergence flag "
-                          "(default: 15)")
-    p_detect.add_argument("--normalize", action="store_true",
-                          default=argparse.SUPPRESS,
-                          help="L2-normalize features before inner products")
+    synth = command("synth", "generate a synthetic cross-skipping story corpus")
+    synth("--out", required=True, help="output corpus directory")
+    synth("--stories", type=int, default=SynthConfig.num_stories,
+          help="total story count, split 4:1:1")
+    synth("--length", type=int, default=SynthConfig.story_len, help="photos per story")
+    synth("--scenes", type=int, default=SynthConfig.num_scenes,
+          help="scenes interleaved per story")
+    synth("--dim", type=int, default=SynthConfig.embed_dim, help="feature/embedding dimension")
+    synth("--seed", type=int, default=SynthConfig.seed, help="generator seed")
+    synth("--separation", type=_finite_float, default=SynthConfig.scene_separation,
+          help="minimum scene-center separation")
+    synth("--noise", type=_finite_float, default=SynthConfig.noise_sigma,
+          help="per-step Gaussian noise sigma")
+    synth("--pool", type=int, default=SynthConfig.scene_pool_size,
+          help="corpus-level scene pool size")
 
-    p_train = sub.add_parser("train", help="train a model on a corpus")
-    p_train.add_argument("--manifest", required=True)
-    p_train.add_argument("--skips", required=True, help="skip JSON-lines file")
-    p_train.add_argument("--out", required=True, help="output model file")
-    p_train.add_argument("--alpha", type=float, default=argparse.SUPPRESS,
-                         help="global/local compatibility mix (default: 0.5)")
-    p_train.add_argument("--gamma", type=float, default=argparse.SUPPRESS,
-                         help="contrastive margin (default: 0.2)")
-    p_train.add_argument("--negatives", type=int, default=argparse.SUPPRESS,
-                         help="negatives per positive pair (default: 127)")
-    p_train.add_argument("--local-mode", choices=["aligned", "all-pairs"],
-                         default=argparse.SUPPRESS,
-                         help="local compatibility term (default: aligned)")
-    p_train.add_argument("--epochs", type=int, default=argparse.SUPPRESS,
-                         help="training epochs (default: 20)")
-    p_train.add_argument("--batch", type=int, default=argparse.SUPPRESS,
-                         help="minibatch size (default: 8)")
-    p_train.add_argument("--lr", type=float, default=argparse.SUPPRESS,
-                         help="learning rate (default: 0.001)")
-    p_train.add_argument("--optimizer", choices=["adam", "sgd-momentum"],
-                         default=argparse.SUPPRESS,
-                         help="optimizer (default: adam)")
-    p_train.add_argument("--clip", type=float, default=argparse.SUPPRESS,
-                         help="global gradient-norm clip (default: 5.0)")
-    p_train.add_argument("--patience", type=int, default=argparse.SUPPRESS,
-                         help="early-stopping patience on validation Recall@1 "
-                         "(default: 10)")
-    p_train.add_argument("--hidden", type=int, default=argparse.SUPPRESS,
-                         help="hidden state dimension (default: 16)")
-    p_train.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                         help="training seed (default: 0)")
-    p_train.add_argument("--checkpoint-every", type=int, default=argparse.SUPPRESS,
-                         help="save a checkpoint every N epochs beside the "
-                         "model file (default: 0 = off)")
-    p_train.add_argument("--no-merge-bias", action="store_true",
-                         default=argparse.SUPPRESS,
-                         help="freeze the merge bias at exactly zero")
-    p_train.add_argument("--log", default=argparse.SUPPRESS,
-                         help="JSON-lines training log path (default: none)")
+    detect = command("detect-skips", "cluster photo features per story and emit skip structures")
+    detect("--manifest", required=True)
+    detect("--out", required=True, help="output skip JSON-lines file")
+    detect("--damping", type=_finite_float, default=0.9, help="message damping in [0.5, 1)")
+    detect("--preference", type=_finite_float, default=None,
+           help="exemplar preference; None is the median of the off-diagonal similarities")
+    detect("--max-iter", type=int, default=200, help="message-passing iterations")
+    detect("--window", type=int, default=15,
+           help="stability window for the convergence flag, at most --max-iter")
+    detect("--normalize", action="store_true",
+           help="L2-normalize features before inner products")
 
-    p_eval = sub.add_parser("eval", help="evaluate retrieval on a split")
-    p_eval.add_argument("--manifest", required=True)
-    p_eval.add_argument("--skips", required=True)
-    p_eval.add_argument("--model", required=True)
-    p_eval.add_argument("--report", required=True, help="output report JSON path")
-    p_eval.add_argument("--alpha", type=float, default=argparse.SUPPRESS,
-                        help="global/local compatibility mix (default: 0.5)")
-    p_eval.add_argument("--local-mode", choices=["aligned", "all-pairs"],
-                        default=argparse.SUPPRESS,
-                        help="local compatibility term (default: aligned)")
-    p_eval.add_argument("--split", choices=["train", "val", "test"],
-                        default=argparse.SUPPRESS,
-                        help="which split to evaluate (default: test)")
+    train_ = command("train", "train a model on a corpus")
+    train_("--manifest", required=True)
+    train_("--skips", required=True, help="skip JSON-lines file")
+    train_("--out", required=True, help="output model file")
 
-    p_grad = sub.add_parser(
-        "gradcheck", help="compare analytic gradients against finite differences"
-    )
-    p_grad.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="seed for the random configurations (default: 0)")
-    p_grad.add_argument("--configs", type=int, default=argparse.SUPPRESS,
-                        help="number of random configurations (default: 20)")
+    eval_ = command("eval", "evaluate retrieval on a split")
+    eval_("--manifest", required=True)
+    eval_("--skips", required=True)
+    eval_("--model", required=True)
+    eval_("--report", required=True, help="output report JSON path")
+    eval_("--split", choices=["train", "val", "test"], default="test",
+          help="which split to evaluate")
 
-    for p in (p_synth, p_detect, p_train, p_eval, p_grad):
-        p.add_argument("--config", default=argparse.SUPPRESS,
-                       help="config file of 'key = value' lines; explicit "
+    for add in (train_, eval_):
+        add("--alpha", type=_finite_float, default=CompatibilityConfig.alpha,
+            help="global/local compatibility mix")
+        add("--local-mode", choices=["aligned", "all-pairs"],
+            default=CompatibilityConfig.local_term_mode, help="local compatibility term")
+    train_("--gamma", type=_finite_float, default=CompatibilityConfig.gamma,
+           help="contrastive margin")
+    train_("--negatives", type=int, default=CompatibilityConfig.negatives_per_positive,
+           help="negatives per positive pair")
+    train_("--epochs", type=int, default=TrainConfig.epochs, help="training epochs")
+    train_("--batch", type=int, default=TrainConfig.batch_size, help="minibatch size")
+    train_("--lr", type=_finite_float, default=TrainConfig.learning_rate, help="learning rate")
+    train_("--optimizer", choices=["adam", "sgd-momentum"], default=TrainConfig.optimizer,
+           help="optimizer")
+    train_("--clip", type=_finite_float, default=TrainConfig.grad_clip_norm,
+           help="global gradient-norm clip")
+    train_("--patience", type=int, default=TrainConfig.early_stop_patience,
+           help="early-stopping patience on validation Recall@1")
+    train_("--hidden", type=int, default=16, help="hidden state dimension")
+    train_("--seed", type=int, default=TrainConfig.seed, help="training seed")
+    train_("--checkpoint-every", type=int, default=TrainConfig.checkpoint_every,
+           help="save a checkpoint every N epochs beside the model file; 0 is off")
+    train_("--no-merge-bias", action="store_true", help="freeze the merge bias at exactly zero")
+    train_("--log", help="JSON-lines training log path")
+
+    grad = command("gradcheck", "compare analytic gradients against finite differences")
+    grad("--seed", type=int, default=0, help="seed for the random configurations")
+    grad("--configs", type=int, default=20, help="number of random configurations")
+
+    for p in sub.choices.values():
+        p.add_argument("--config", help="config file of 'key = value' lines; explicit "
                        "flags override file values")
-    return parser
+    return parser, sub.choices
 
 
-_DEFAULTS: dict[str, dict] = {
-    "synth": {
-        "stories": 300, "length": 5, "scenes": 2, "dim": 16, "seed": 0,
-        "separation": 4.0, "noise": 0.3, "pool": 6,
-    },
-    "detect-skips": {
-        "damping": 0.9, "preference": None, "max_iter": 200, "window": 15,
-        "normalize": False,
-    },
-    "train": {
-        "alpha": 0.5, "gamma": 0.2, "negatives": 127, "local_mode": "aligned",
-        "epochs": 20, "batch": 8, "lr": 1e-3, "optimizer": "adam", "clip": 5.0,
-        "patience": 10, "hidden": 16, "seed": 0, "checkpoint_every": 0,
-        "no_merge_bias": False, "log": None,
-    },
-    "eval": {
-        "alpha": 0.5, "local_mode": "aligned", "split": "test",
-    },
-    "gradcheck": {"seed": 0, "configs": 20},
-}
-
-_BOOL_KEYS = {"normalize", "no_merge_bias"}
-
-
-def _parse_config_file(path: str, known: dict) -> dict:
+def _read_config_file(path: str, parser: _Parser) -> dict:
+    """The ``key = value`` lines of a config file.  Each value is read by the
+    action of its flag ``--key``: its type and choices, or true/false for a
+    switch; a bad value is a ConfigError naming file and line."""
     p = Path(path)
     if not p.exists():
         raise DataError("config file not found", path=str(p))
+    actions = {a.dest: a for a in parser._actions
+               if a.option_strings and not a.required and a.dest not in ("help", "config")}
     out = {}
     for line_no, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
+        where = f"{p}:{line_no}"
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise ConfigError(f"{p}:{line_no}: expected 'key = value', got {line!r}")
-        key, _, value = stripped.partition("=")
-        key = key.strip().replace("-", "_")
-        value = value.strip()
-        if key not in known:
-            raise ConfigError(f"{p}:{line_no}: unknown config key {key!r}")
-        default = known[key]
-        if key in _BOOL_KEYS:
+            raise ConfigError(f"{where}: expected 'key = value', got {line!r}")
+        key, _, value = (part.strip() for part in stripped.partition("="))
+        key = key.replace("-", "_")
+        if key not in actions:
+            raise ConfigError(f"{where}: unknown config key {key!r}")
+        action = actions[key]
+        if action.nargs == 0:       # a store_true switch
             if value.lower() not in ("true", "false"):
-                raise ConfigError(f"{p}:{line_no}: {key} must be true or false")
+                raise ConfigError(f"{where}: {key} must be true or false")
             out[key] = value.lower() == "true"
-        elif isinstance(default, int) and not isinstance(default, bool):
-            out[key] = int(value)
-        elif isinstance(default, float):
-            out[key] = float(value)
-        else:
-            out[key] = value
+            continue
+        try:
+            out[key] = parser._get_value(action, value)
+            parser._check_value(action, out[key])
+        except argparse.ArgumentError as e:
+            raise ConfigError(f"{where}: {e}") from None
     return out
 
 
 def _trained_compatibility(model_path) -> dict:
     """alpha and local_mode from the model's training sidecar; {} without one."""
-    sidecar = Path(str(model_path) + ".json")
-    if not sidecar.exists():
+    if not sidecar_path(model_path).exists():
         return {}
-    try:
-        ccfg = json.loads(sidecar.read_text(encoding="utf-8"))["config"]["compatibility"]
-        return {"alpha": ccfg["alpha"], "local_mode": ccfg["local_term_mode"]}
-    except (json.JSONDecodeError, KeyError, TypeError) as e:
-        raise DataError(f"malformed training sidecar ({e!r})", path=str(sidecar)) from None
+    ccfg = read_sidecar(model_path)["config"].get("compatibility")
+    if not isinstance(ccfg, dict) or not {"alpha", "local_term_mode"} <= ccfg.keys():
+        raise DataError("training sidecar holds no compatibility alpha and local_term_mode",
+                        path=str(sidecar_path(model_path)))
+    return {"alpha": ccfg["alpha"], "local_mode": ccfg["local_term_mode"]}
 
 
-def _resolve(args: argparse.Namespace) -> dict:
+def _resolve(argv) -> tuple[str, dict]:
     """defaults <- the model's training sidecar (eval only) <- config file <-
-    explicit flags; logs the result."""
-    explicit = {
-        k: v for k, v in vars(args).items() if k not in ("command", "config")
-    }
-    resolved = dict(_DEFAULTS[args.command])
+    explicit flags; logs the result.  The two middle layers become the
+    subcommand's defaults, so a second parse lets explicit flags win."""
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
+    sub = commands[args.command]
     trained = _trained_compatibility(args.model) if args.command == "eval" else {}
-    resolved.update(trained)
-    config_path = getattr(args, "config", None)
-    if config_path is not None:
-        resolved.update(_parse_config_file(config_path, _DEFAULTS[args.command]))
-    resolved.update(explicit)
+    sub.set_defaults(**trained)
+    if args.config is not None:
+        sub.set_defaults(**_read_config_file(args.config, sub))
+    opts = vars(parser.parse_args(argv))
+    command = opts.pop("command")
+    del opts["config"]
     for key, value in trained.items():
-        if resolved[key] != value:
-            print(f"note: {key} {resolved[key]!r} overrides the model's training "
+        if opts[key] != value:
+            print(f"note: {key} {opts[key]!r} overrides the model's training "
                   f"value {value!r}", file=sys.stderr)
-    printable = {k: (str(v) if isinstance(v, Path) else v) for k, v in resolved.items()}
-    print(
-        f"resolved config [{args.command}]: "
-        + json.dumps(printable, sort_keys=True, default=str),
-        file=sys.stderr,
-    )
-    return resolved
+    print(f"resolved config [{command}]: " + json.dumps(opts, sort_keys=True), file=sys.stderr)
+    return command, opts
 
 
 def _cmd_synth(opts: dict) -> int:
@@ -282,10 +244,11 @@ def _cmd_synth(opts: dict) -> int:
 
 
 def _cmd_detect_skips(opts: dict) -> int:
+    if opts["window"] > opts["max_iter"]:    # the convergence flag could never be set
+        raise ConfigError(f"--window {opts['window']} exceeds --max-iter {opts['max_iter']}")
     dataset = load_manifest(opts["manifest"])
     records = []
-    n_converged = 0
-    n_pairs = 0
+    n_converged = n_pairs = 0
     for rec in dataset.records:
         if rec.N == 1:   # nothing to cluster: one singleton, no skips
             records.append(SkipRecord(rec.story_id, clusters=[[0]], pairs=[], converged=True))
@@ -293,21 +256,14 @@ def _cmd_detect_skips(opts: dict) -> int:
             continue
         sim = similarity(rec.story.raw_fc, normalize=opts["normalize"])
         assignment = affinity_propagation(
-            sim,
-            damping=opts["damping"],
-            preference=opts["preference"],
-            max_iter=opts["max_iter"],
-            convergence_window=opts["window"],
+            sim, damping=opts["damping"], preference=opts["preference"],
+            max_iter=opts["max_iter"], convergence_window=opts["window"],
         )
         pairs = list(build_skip_matrix(assignment).pairs)
-        records.append(
-            SkipRecord(
-                story_id=rec.story_id,
-                clusters=sorted(sorted(c) for c in assignment.clusters),
-                pairs=pairs,
-                converged=assignment.converged,
-            )
-        )
+        records.append(SkipRecord(
+            story_id=rec.story_id, clusters=sorted(sorted(c) for c in assignment.clusters),
+            pairs=pairs, converged=assignment.converged,
+        ))
         n_converged += assignment.converged
         n_pairs += len(pairs)
     write_skips(opts["out"], records)
@@ -364,8 +320,7 @@ def _cmd_eval(opts: dict) -> int:
     params = load_model(opts["model"])
     records = dataset.split(opts["split"])
     if not records:
-        raise DataError(f"no stories in split {opts['split']!r}",
-                        path=str(opts["manifest"]))
+        raise DataError(f"no stories in split {opts['split']!r}", path=str(opts["manifest"]))
     ccfg = CompatibilityConfig(alpha=opts["alpha"], local_term_mode=opts["local_mode"])
     report = evaluate(params, records, skips, ccfg)
     Path(opts["report"]).write_text(report.to_json() + "\n", encoding="utf-8")
@@ -390,17 +345,11 @@ _COMMANDS = {
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        command, opts = _resolve(argv)
+        return _COMMANDS[command](opts)
     except SystemExit as e:      # --help
         return int(e.code or 0)
-    try:
-        opts = _resolve(args)
-        return _COMMANDS[args.command](opts)
     except ConfigError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -240,7 +240,7 @@ class SynthConfig:
             raise ConfigError(
                 f"num_scenes must be in [1, story_len={self.story_len}], got {self.num_scenes}"
             )
-        if self.scene_separation <= self.noise_sigma:
+        if not self.scene_separation > self.noise_sigma:
             raise ConfigError(
                 f"scene_separation ({self.scene_separation}) must exceed "
                 f"noise_sigma ({self.noise_sigma})"

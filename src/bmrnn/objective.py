@@ -108,7 +108,7 @@ class CompatibilityConfig:
     def __post_init__(self):
         if not (0.0 <= self.alpha <= 1.0):
             raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ConfigError(f"gamma must be positive, got {self.gamma}")
         if self.negatives_per_positive < 1:
             raise ConfigError(

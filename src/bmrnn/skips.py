@@ -141,6 +141,10 @@ def affinity_propagation(
     """
     if not (0.5 <= damping < 1.0):
         raise ConfigError(f"damping must be in [0.5, 1.0), got {damping}")
+    if max_iter < 1 or convergence_window < 1:
+        raise ConfigError(
+            f"max_iter and convergence_window must be >= 1, got {max_iter} and {convergence_window}"
+        )
     S = np.array(sim.s, dtype=float, copy=True)
     n = S.shape[0]
     if S.shape != (n, n):

@@ -54,6 +54,8 @@ __all__ = [
     "GradCheckReport",
     "grad_check",
     "save_checkpoint",
+    "sidecar_path",
+    "read_sidecar",
     "load_checkpoint",
 ]
 
@@ -83,7 +85,7 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         # learning_rate 0 is allowed and means "never move" (useful as a
         # no-op baseline); negative rates are rejected
-        if self.learning_rate < 0:
+        if not self.learning_rate >= 0:
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.optimizer not in _OPTIMIZERS:
             raise ConfigError(
@@ -91,11 +93,11 @@ class TrainConfig:
             )
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ConfigError("adam betas must lie in [0, 1)")
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ConfigError(f"adam eps must be positive, got {self.eps}")
         if not (0.0 <= self.momentum < 1.0):
             raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if self.grad_clip_norm <= 0:
+        if not self.grad_clip_norm > 0:
             raise ConfigError(f"grad_clip_norm must be positive, got {self.grad_clip_norm}")
         if self.checkpoint_every < 0:
             raise ConfigError("checkpoint_every must be >= 0")
@@ -123,23 +125,34 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "best_val_recall1": ckpt.best_val_recall1,
         "config": ckpt.config,
     }
-    Path(str(path) + ".json").write_text(
+    sidecar_path(path).write_text(
         json.dumps(sidecar, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
 
 
+def sidecar_path(model_path) -> Path:
+    """Where save_checkpoint writes a model's JSON sidecar."""
+    return Path(str(model_path) + ".json")
+
+
+def read_sidecar(model_path) -> dict:
+    """The epoch, best_val_recall1 and config that save_checkpoint wrote
+    beside a model; a missing or malformed sidecar is a DataError naming it."""
+    path = sidecar_path(model_path)
+    if not path.exists():
+        raise DataError("checkpoint sidecar not found", path=str(path))
+    try:
+        sidecar = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(sidecar["config"], dict):
+            raise TypeError("config is not an object")
+        return {key: sidecar[key] for key in ("epoch", "best_val_recall1", "config")}
+    except (json.JSONDecodeError, KeyError, TypeError) as e:
+        raise DataError(f"malformed training sidecar ({e!r})", path=str(path)) from None
+
+
 def load_checkpoint(path) -> Checkpoint:
     params = load_model(path)
-    sidecar_path = Path(str(path) + ".json")
-    if not sidecar_path.exists():
-        raise DataError("checkpoint sidecar not found", path=str(sidecar_path))
-    sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
-    return Checkpoint(
-        params=params,
-        epoch=sidecar["epoch"],
-        best_val_recall1=sidecar["best_val_recall1"],
-        config=sidecar["config"],
-    )
+    return Checkpoint(params=params, **read_sidecar(path))
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +277,8 @@ def train(
 ) -> Checkpoint:
     """Run the optimization loop and return the best checkpoint by
     validation Recall@1 (the final one if no validation set is given)."""
+    if hidden_dim < 1:
+        raise ConfigError(f"hidden_dim must be >= 1, got {hidden_dim}")
     if not train_records:
         raise DataError("training set is empty")
     check_skip_records(train_records + val_records, skips_by_id)
@@ -462,6 +477,8 @@ def grad_check(
     ``corrupt_tensor`` deliberately perturbs one analytic gradient tensor so
     tests can confirm the harness actually detects wrong gradients.
     """
+    if n_configs < 1:
+        raise ConfigError(f"n_configs must be >= 1, got {n_configs}")
     worst: dict[str, float] = {}
     base_rng = SeededRng(seed)
     for i in range(n_configs):

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bmrnn.cli import run
+from bmrnn.cli import _build_parser, _resolve, run
 from bmrnn.data import load_skips, read_tensor, write_tensor
 from bmrnn.network import init_bmrnn_params, save_model
 from bmrnn.numeric import SeededRng
@@ -61,6 +61,35 @@ class TestUsageErrors:
 
     def test_unknown_flag(self, capsys):
         assert run(["gradcheck", "--bogus", "1"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--gamma", "nan"],
+        ["train", "--gamma", "inf"],
+        ["train", "--lr", "nan"],
+        ["train", "--clip", "nan"],
+        ["detect-skips", "--preference", "nan"],
+    ])
+    def test_non_finite_floats(self, argv, capsys):
+        paths = {"train": ["--manifest", "m", "--skips", "s", "--out", "o"],
+                 "detect-skips": ["--manifest", "m", "--out", "o"]}[argv[0]]
+        assert run([*argv, *paths]) == 1
+        assert "usage error" in capsys.readouterr().err
+
+    def test_window_beyond_max_iter(self, capsys):
+        assert run(["detect-skips", "--manifest", "m", "--out", "o", "--window", "300"]) == 1
+        assert "--window 300 exceeds --max-iter 200" in capsys.readouterr().err
+
+    def test_gradcheck_needs_a_configuration(self, capsys):
+        assert run(["gradcheck", "--configs", "0"]) == 1
+        assert "n_configs must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("hidden", ["0", "-1"])
+    def test_hidden_dim_must_be_positive(self, tmp_path, capsys, hidden):
+        corpus = make_corpus(tmp_path, stories=6)
+        skips = corpus / "planted_skips.jsonl"
+        assert run(["train", "--manifest", str(corpus / "manifest.jsonl"), "--skips", str(skips),
+                    "--out", str(tmp_path / "m.bin"), "--hidden", hidden]) == 1
+        assert "hidden_dim must be >= 1" in capsys.readouterr().err
 
     def test_help_exits_zero_and_documents_defaults(self, capsys):
         with_help = run(["train", "--help"])
@@ -254,9 +283,65 @@ class TestConfigFile:
         assert run(["synth", "--out", str(tmp_path / "c"),
                     "--config", str(tmp_path / "ghost.cfg")]) == 2
 
+    @pytest.mark.parametrize("line, message", [
+        ("max_iter = 2.5", "argument --max-iter: invalid int value: '2.5'"),
+        ("damping = nan", "argument --damping: expected a finite number, got 'nan'"),
+        ("normalize = yes", "normalize must be true or false"),
+    ])
+    def test_bad_value_names_file_and_line(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"window = 10\n{line}\n")
+        assert run(["detect-skips", "--manifest", "m", "--out", "o", "--config", str(cfg)]) == 1
+        assert f"{cfg}:2: {message}" in capsys.readouterr().err
+
+    def test_value_outside_choices(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("local_mode = fancy\n")
+        assert run(["eval", "--manifest", "m", "--skips", "s", "--model", "m.bin",
+                    "--report", "r", "--config", str(cfg)]) == 1
+        assert f"{cfg}:1: argument --local-mode: invalid choice: 'fancy'" in \
+            capsys.readouterr().err
+
+    def test_value_parsed_by_the_flags_type(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("preference = -3\n")
+        _, opts = _resolve(["detect-skips", "--manifest", "m", "--out", "o", "--config", str(cfg)])
+        assert opts["preference"] == -3.0 and isinstance(opts["preference"], float)
+
     def test_resolved_config_always_logged(self, tmp_path, capsys):
         assert run(["gradcheck", "--configs", "1"]) == 0
         assert "resolved config [gradcheck]" in capsys.readouterr().err
+
+
+def optional_flags():
+    """(argv of a subcommand with its required flags, action) for every
+    optional flag of every subcommand."""
+    _, commands = _build_parser()
+    cases = []
+    for name, sub in commands.items():
+        base = [name, *(arg for a in sub._actions if a.required
+                        for arg in (a.option_strings[0], "x"))]
+        cases += [(base, a) for a in sub._actions if a.option_strings and not a.required
+                  and a.dest not in ("help", "config")]
+    return cases
+
+
+@pytest.mark.parametrize("base, action", optional_flags(),
+                         ids=lambda x: x[0] if isinstance(x, list) else x.option_strings[0])
+def test_config_key_resolves_like_its_flag(tmp_path, base, action):
+    """A config key reads its value as its flag does; the value is not the
+    default, so the key demonstrably took effect."""
+    if action.nargs == 0:
+        value, flag = "true", [action.option_strings[0]]
+    else:
+        value = next(c for c in action.choices if c != action.default) if action.choices else "3"
+        flag = [action.option_strings[0], value]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{action.dest} = {value}\n")
+    _, by_flag = _resolve([*base, *flag])
+    _, by_file = _resolve([*base, "--config", str(cfg)])
+    assert by_file == by_flag and by_file != _resolve(base)[1]
+    assert type(by_file[action.dest]) is type(by_flag[action.dest])
 
 
 class TestPipeline:

@@ -61,6 +61,10 @@ class TestConfig:
         with pytest.raises(ConfigError):
             CompatibilityConfig(local_term_mode="fancy")
 
+    def test_nan_gamma_rejected(self):
+        with pytest.raises(ConfigError, match="gamma"):
+            CompatibilityConfig(gamma=float("nan"))
+
 
 class TestCompatibility:
     def test_alpha_one_ignores_partition(self):

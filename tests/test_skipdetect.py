@@ -146,6 +146,12 @@ class TestAffinityPropagation:
         assert not a.converged
         assert sorted(i for c in a.clusters for i in c) == list(range(len(pts)))
 
+    @pytest.mark.parametrize("kwargs", [{"max_iter": 0}, {"convergence_window": 0}])
+    def test_iteration_settings_below_one(self, kwargs):
+        pts, _ = two_blob_instance(5)
+        with pytest.raises(ConfigError, match="must be >= 1"):
+            affinity_propagation(similarity(pts), **kwargs)
+
     def test_damping_out_of_range(self):
         sim = similarity([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
         for bad in (0.4, 1.0, 1.3):

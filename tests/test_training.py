@@ -78,6 +78,12 @@ class TestTrainConfig:
             TrainConfig(**kwargs)
 
 
+@pytest.mark.parametrize("field", ["learning_rate", "eps", "grad_clip_norm"])
+def test_nan_train_config_rejected(field):
+    with pytest.raises(ConfigError, match=field):
+        TrainConfig(**{field: float("nan")})
+
+
 class TestClipGradients:
     def test_norm_50_clipped_to_5(self):
         params = tiny_params()
@@ -326,6 +332,13 @@ class TestCheckpointIO:
         save_checkpoint(path2, loaded)
         assert path2.read_bytes() == first_model
         assert (tmp_path / "again.bin.json").read_bytes() == first_sidecar
+
+    def test_empty_sidecar_names_file(self, tmp_path):
+        path, _ = self.roundtrip(tmp_path)
+        (tmp_path / "model.bin.json").write_text("{}\n")
+        with pytest.raises(DataError, match="malformed training sidecar") as err:
+            load_checkpoint(path)
+        assert str(tmp_path / "model.bin.json") in str(err.value)
 
     def test_missing_sidecar(self, tmp_path):
         path, _ = self.roundtrip(tmp_path)
