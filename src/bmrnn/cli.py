@@ -192,10 +192,15 @@ def _trained_compatibility(model_path) -> dict:
     if not sidecar_path(model_path).exists():
         return {}
     ccfg = read_sidecar(model_path)["config"].get("compatibility")
-    if not isinstance(ccfg, dict) or not {"alpha", "local_term_mode"} <= ccfg.keys():
-        raise DataError("training sidecar holds no compatibility alpha and local_term_mode",
-                        path=str(sidecar_path(model_path)))
-    return {"alpha": ccfg["alpha"], "local_mode": ccfg["local_term_mode"]}
+    try:
+        alpha, mode = ccfg["alpha"], ccfg["local_term_mode"]
+        if type(alpha) not in (int, float):      # JSON true/false is not a number here
+            raise TypeError(f"alpha must be a number, got {json.dumps(alpha)}")
+        CompatibilityConfig(alpha=alpha, local_term_mode=mode)
+    except (KeyError, TypeError, ConfigError) as e:
+        raise DataError(f"training sidecar holds no valid compatibility alpha and "
+                        f"local_term_mode ({e})", path=str(sidecar_path(model_path))) from None
+    return {"alpha": alpha, "local_mode": mode}
 
 
 def _resolve(argv) -> tuple[str, dict]:

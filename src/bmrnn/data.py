@@ -20,7 +20,6 @@ retrieval cannot shortcut on visible steps alone.
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .network import StoryStream
-from .numeric import SeededRng
+from .numeric import SeededRng, decode_tensor, encode_tensor
 from .objective import SentenceSequence, SubStoryPartition
 from .skips import SkipMatrix, cluster_chains
 
@@ -52,43 +51,80 @@ BMT1_MAGIC = b"BMT1"
 
 
 def write_tensor(path, arr: np.ndarray) -> None:
-    """Write one tensor: magic, u32 rank, u32 dims, float32 LE row-major."""
-    a = np.asarray(arr)
+    """Write one tensor: magic, then the tensor record (numeric.encode_tensor)."""
     with open(path, "wb") as f:
-        f.write(BMT1_MAGIC)
-        f.write(struct.pack("<I", a.ndim))
-        f.write(struct.pack(f"<{a.ndim}I", *a.shape))
-        f.write(np.ascontiguousarray(a, dtype="<f4").tobytes())
+        f.write(BMT1_MAGIC + encode_tensor(arr))
 
 
 def read_tensor(path, story_id: str | None = None) -> np.ndarray:
     """Read a BMT1 tensor, widened to float64; NaN or infinite entries are a DataError."""
-    path = Path(path)
+    where = dict(path=str(path), story_id=story_id)
     try:
-        raw = path.read_bytes()
-    except FileNotFoundError:
-        raise DataError("tensor file not found", path=str(path), story_id=story_id) from None
-    if len(raw) < 8 or raw[:4] != BMT1_MAGIC:
-        raise DataError(
-            f"bad magic {raw[:4]!r}, expected {BMT1_MAGIC!r}", path=str(path), story_id=story_id
-        )
-    (rank,) = struct.unpack_from("<I", raw, 4)
-    header_end = 8 + 4 * rank
-    if rank > 8:
-        raise DataError(f"implausible tensor rank {rank}", path=str(path), story_id=story_id)
-    if len(raw) < header_end:
-        raise DataError("truncated tensor header", path=str(path), story_id=story_id)
-    dims = struct.unpack_from(f"<{rank}I", raw, 8)
-    n_items = int(np.prod(dims)) if rank else 1
-    if len(raw) != header_end + 4 * n_items:
-        raise DataError(
-            f"payload is {len(raw) - header_end} bytes, expected {4 * n_items}",
-            path=str(path), story_id=story_id,
-        )
-    data = np.frombuffer(raw, dtype="<f4", offset=header_end)
-    if not np.all(np.isfinite(data)):
-        raise DataError("tensor holds non-finite values", path=str(path), story_id=story_id)
-    return data.astype(np.float64).reshape(dims)
+        raw = Path(path).read_bytes()
+    except OSError as e:
+        raise DataError(f"cannot read tensor file ({e.strerror})", **where) from None
+    if raw[:4] != BMT1_MAGIC:
+        raise DataError(f"bad magic {raw[:4]!r}, expected {BMT1_MAGIC!r}", **where)
+    a, end = decode_tensor(raw, 4, path, story_id=story_id)
+    if end != len(raw):
+        raise DataError(f"tensor payload is {len(raw) - end + 4 * a.size} bytes, "
+                        f"expected {4 * a.size}", **where)
+    return a
+
+
+def _is_ints(v, length=None) -> bool:
+    """A JSON list of integers (true and false do not count), of ``length`` if given."""
+    return isinstance(v, list) and all(type(i) is int for i in v) and length in (None, len(v))
+
+
+_STRING = (lambda v: isinstance(v, str), "a string")
+_FLAG = (lambda v: isinstance(v, bool), "true or false")
+_SKIP_FIELDS = {
+    "story_id": _STRING,
+    "clusters": (lambda v: isinstance(v, list) and all(_is_ints(c) and c for c in v),
+                 "non-empty integer lists"),
+    "skips": (lambda v: isinstance(v, list) and all(_is_ints(p, 2) for p in v), "integer pairs"),
+    "converged": _FLAG,
+    "planted": _FLAG,
+}
+_FILE_KEYS = ("feature_file", "embedding_file", "sentence_file")
+_MANIFEST_FIELDS = {
+    "story_id": _STRING,
+    "n": (lambda v: type(v) is int, "an integer"),
+    "split": (lambda v: v in ("train", "val", "test"), "train, val or test"),
+    **dict.fromkeys(_FILE_KEYS, _STRING),
+}
+
+
+def _json_lines(path, what: str, fields: dict, defaults=None):
+    """(line number, object) per non-blank line of a JSON-lines file, with
+    ``defaults`` filled in.  An unreadable file, invalid JSON, a line that is
+    not an object, or a key missing or rejected by its ``fields`` entry, a
+    (check, description) pair, is a DataError naming the file and line."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except OSError as e:
+        raise DataError(f"cannot read {what} ({e.strerror})", path=str(path)) from None
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        where = f"line {line_no}"
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise DataError(f"{where}: invalid JSON ({e.msg})", path=str(path)) from None
+        if not isinstance(obj, dict):
+            raise DataError(f"{where}: expected a JSON object, got {line.strip()[:40]}",
+                            path=str(path))
+        obj = {**(defaults or {}), **obj}
+        missing = [k for k in fields if k not in obj]
+        if missing:
+            raise DataError(f"{where}: missing keys {', '.join(missing)}", path=str(path))
+        for key, (ok, kind) in fields.items():
+            if not ok(obj[key]):
+                raise DataError(f"{where}: {key} must be {kind}, got {json.dumps(obj[key])}",
+                                path=str(path))
+        yield line_no, obj
 
 
 @dataclass
@@ -111,12 +147,6 @@ class Dataset:
 
     def __post_init__(self):
         self.by_id = {r.story_id: r for r in self.records}
-        if len(self.by_id) != len(self.records):
-            seen = set()
-            for r in self.records:
-                if r.story_id in seen:
-                    raise DataError(f"duplicate story_id {r.story_id!r}")
-                seen.add(r.story_id)
 
     def split(self, name: str) -> list[StoryRecord]:
         return [r for r in self.records if r.split == name]
@@ -177,40 +207,20 @@ def write_skips(path, records: list[SkipRecord]) -> None:
 
 
 def load_skips(path) -> dict[str, SkipRecord]:
-    path = Path(path)
-    if not path.exists():
-        raise DataError("skip file not found", path=str(path))
     out: dict[str, SkipRecord] = {}
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            d = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise DataError(f"line {line_no}: invalid JSON ({e.msg})", path=str(path)) from None
-        try:
-            rec = SkipRecord(
-                story_id=d["story_id"],
-                clusters=[list(map(int, c)) for c in d["clusters"]],
-                pairs=[(int(p), int(t)) for p, t in d["skips"]],
-                converged=bool(d["converged"]),
-                planted=bool(d.get("planted", False)),
-            )
-        except KeyError as e:
-            raise DataError(f"line {line_no}: missing key {e}", path=str(path)) from None
+    for line_no, d in _json_lines(path, "skip file", _SKIP_FIELDS, {"planted": False}):
+        rec = SkipRecord(d["story_id"], d["clusters"], [tuple(p) for p in d["skips"]],
+                         d["converged"], d["planted"])
+        where = dict(path=str(path), story_id=rec.story_id)
         covered = sorted(i for c in rec.clusters for i in c)
         if covered != list(range(len(covered))):
-            raise DataError(
-                f"line {line_no}: clusters do not partition 0..{len(covered) - 1}",
-                path=str(path), story_id=rec.story_id,
-            )
+            raise DataError(f"line {line_no}: clusters do not partition 0..{len(covered) - 1}",
+                            **where)
         if sorted(rec.pairs) != sorted(cluster_chains(rec.clusters)):
-            raise DataError(
-                f"line {line_no}: skips are not the time-ordered chains of the clusters",
-                path=str(path), story_id=rec.story_id,
-            )
+            raise DataError(f"line {line_no}: skips are not the time-ordered chains of the "
+                            "clusters", **where)
         if rec.story_id in out:
-            raise DataError(f"duplicate story_id {rec.story_id!r}", path=str(path))
+            raise DataError(f"line {line_no}: duplicate story_id {rec.story_id!r}", path=str(path))
         out[rec.story_id] = rec
     return out
 
@@ -240,6 +250,8 @@ class SynthConfig:
             raise ConfigError(
                 f"num_scenes must be in [1, story_len={self.story_len}], got {self.num_scenes}"
             )
+        if not self.noise_sigma >= 0:
+            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if not self.scene_separation > self.noise_sigma:
             raise ConfigError(
                 f"scene_separation ({self.scene_separation}) must exceed "
@@ -378,81 +390,44 @@ def write_corpus(corpus: SynthCorpus, out_dir) -> Path:
     manifest_path = out / "manifest.jsonl"
     with open(manifest_path, "w", encoding="utf-8") as f:
         for rec in corpus.records:
-            sid = rec.story_id
-            names = {
-                "feature_file": f"tensors/{sid}.feat.bmt",
-                "embedding_file": f"tensors/{sid}.emb.bmt",
-                "sentence_file": f"tensors/{sid}.sent.bmt",
-            }
-            write_tensor(out / names["feature_file"], rec.story.raw_fc)
-            write_tensor(out / names["embedding_file"], rec.story.x)
-            write_tensor(out / names["sentence_file"], rec.sentences.v)
-            f.write(
-                json.dumps(
-                    {"story_id": sid, "n": rec.N, "split": rec.split, **names},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            entry = {"story_id": rec.story_id, "n": rec.N, "split": rec.split}
+            for key, kind, t in zip(_FILE_KEYS, ("feat", "emb", "sent"),
+                                    (rec.story.raw_fc, rec.story.x, rec.sentences.v)):
+                entry[key] = f"tensors/{rec.story_id}.{kind}.bmt"
+                write_tensor(out / entry[key], t)
+            f.write(json.dumps(entry, sort_keys=True) + "\n")
     write_skips(out / "planted_skips.jsonl", [corpus.skips[r.story_id] for r in corpus.records])
     return manifest_path
 
 
-_REQUIRED_MANIFEST_KEYS = ("story_id", "n", "split", "feature_file", "embedding_file", "sentence_file")
-
-
 def load_manifest(path) -> Dataset:
     """Load a manifest and every story it references."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError("manifest not found", path=str(path))
-    base = path.parent
+    base = Path(path).parent
     records: list[StoryRecord] = []
-    dims: dict[str, tuple] = {}
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise DataError(f"line {line_no}: invalid JSON ({e.msg})", path=str(path)) from None
-        missing = [k for k in _REQUIRED_MANIFEST_KEYS if k not in entry]
-        if missing:
-            raise DataError(
-                f"line {line_no}: missing keys {', '.join(missing)}", path=str(path)
-            )
+    line_of: dict[str, int] = {}
+    dims: dict[str, int] = {}
+    for line_no, entry in _json_lines(path, "manifest", _MANIFEST_FIELDS):
         sid = entry["story_id"]
-        if entry["split"] not in ("train", "val", "test"):
-            raise DataError(f"unknown split {entry['split']!r}", path=str(path), story_id=sid)
-        loaded = {}
-        for key in ("feature_file", "embedding_file", "sentence_file"):
-            t = read_tensor(base / entry[key], story_id=sid)
+        if sid in line_of:
+            raise DataError(f"line {line_no}: duplicate story_id {sid!r} "
+                            f"(first on line {line_of[sid]})", path=str(path))
+        line_of[sid] = line_no
+        loaded = []
+        for key in _FILE_KEYS:
+            tensor_path = base / entry[key]
+            t = read_tensor(tensor_path, story_id=sid)
+            where = dict(path=str(tensor_path), story_id=sid)
             if t.ndim != 2:
-                raise DataError(
-                    f"{key} must be a 2-d tensor (steps, dim), got rank {t.ndim}",
-                    path=str(base / entry[key]), story_id=sid,
-                )
-            if t.shape[0] != entry["n"]:
-                raise DataError(
-                    f"{key} has {t.shape[0]} steps, manifest declares {entry['n']}",
-                    path=str(base / entry[key]), story_id=sid,
-                )
-            prev = dims.get(key)
-            if prev is not None and prev != t.shape[1]:
-                raise DataError(
-                    f"{key} dim {t.shape[1]} differs from earlier stories' {prev}",
-                    path=str(base / entry[key]), story_id=sid,
-                )
-            dims[key] = t.shape[1]
-            loaded[key] = t
-        records.append(
-            StoryRecord(
-                story_id=sid,
-                split=entry["split"],
-                story=StoryStream(
-                    story_id=sid, x=loaded["embedding_file"], raw_fc=loaded["feature_file"]
-                ),
-                sentences=SentenceSequence(story_id=sid, v=loaded["sentence_file"]),
-            )
-        )
+                raise DataError(f"{key} must be a 2-d tensor (steps, dim), got rank {t.ndim}",
+                                **where)
+            if len(t) != entry["n"]:
+                raise DataError(f"{key} has {len(t)} steps, manifest declares {entry['n']}",
+                                **where)
+            if dims.setdefault(key, t.shape[1]) != t.shape[1]:
+                raise DataError(f"{key} dim {t.shape[1]} differs from earlier stories' "
+                                f"{dims[key]}", **where)
+            loaded.append(t)
+        raw_fc, x, v = loaded
+        records.append(StoryRecord(sid, entry["split"], StoryStream(sid, x=x, raw_fc=raw_fc),
+                                   SentenceSequence(sid, v=v)))
     return Dataset(records=records)

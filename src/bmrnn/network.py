@@ -30,7 +30,7 @@ from .cells import (
     sgru_layout,
 )
 from .errors import DataError, ShapeMismatchError
-from .numeric import SeededRng, init_params, stack_rows
+from .numeric import SeededRng, decode_tensor, encode_tensor, init_params, stack_rows
 from .skips import SkipMatrix, transpose_skips
 
 __all__ = [
@@ -282,8 +282,8 @@ def bmrnn_backward(
 
 # ---------------------------------------------------------------------------
 # model file format: magic "BMRN", u16 version, u32 tensor count, then per
-# tensor a u16-length-prefixed UTF-8 name, u32 rank, u32 dims, and the data
-# as little-endian float32 in row-major order
+# tensor a u16-length-prefixed UTF-8 name and a tensor record
+# (numeric.encode_tensor: u32 rank, u32 dims, little-endian float32 row-major)
 # ---------------------------------------------------------------------------
 
 
@@ -293,54 +293,39 @@ FLOAT32_MAX = float(np.finfo(np.float32).max)   # the largest entry a model file
 def save_model(path, params: BMRNNParams) -> None:
     tensors = list(params.named_tensors())
     with open(path, "wb") as f:
-        f.write(MODEL_MAGIC)
-        f.write(struct.pack("<HI", MODEL_VERSION, len(tensors)))
+        f.write(MODEL_MAGIC + struct.pack("<HI", MODEL_VERSION, len(tensors)))
         for name, t in tensors:
             raw = name.encode("utf-8")
-            f.write(struct.pack("<H", len(raw)))
-            f.write(raw)
-            f.write(struct.pack("<I", t.ndim))
-            f.write(struct.pack(f"<{t.ndim}I", *t.shape))
-            f.write(np.ascontiguousarray(t, dtype="<f4").tobytes())
-
-
-def _read_exact(f, count: int, path, what: str) -> bytes:
-    buf = f.read(count)
-    if len(buf) != count:
-        raise DataError(f"truncated model file while reading {what}", path=str(path))
-    return buf
+            f.write(struct.pack("<H", len(raw)) + raw + encode_tensor(t))
 
 
 def load_model(path) -> BMRNNParams:
     """Read a model file back into parameters (stored as float32, upcast)."""
-    named: dict[str, np.ndarray] = {}
     try:
-        f = open(path, "rb")
-    except FileNotFoundError:
-        raise DataError("model file not found", path=str(path)) from None
-    with f:
-        magic = _read_exact(f, 4, path, "magic")
-        if magic != MODEL_MAGIC:
-            raise DataError(f"bad magic {magic!r}, expected {MODEL_MAGIC!r}", path=str(path))
-        version, count = struct.unpack("<HI", _read_exact(f, 6, path, "header"))
-        if version != MODEL_VERSION:
-            raise DataError(f"unsupported model format version {version}", path=str(path))
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", _read_exact(f, 2, path, "name length"))
-            name = _read_exact(f, name_len, path, "name").decode("utf-8")
-            if name in named:
-                raise DataError(f"duplicate tensor {name!r}", path=str(path))
-            (rank,) = struct.unpack("<I", _read_exact(f, 4, path, "rank"))
-            dims = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank, path, "dims"))
-            n_items = int(np.prod(dims)) if rank else 1
-            data = np.frombuffer(
-                _read_exact(f, 4 * n_items, path, f"data of {name!r}"), dtype="<f4"
-            )
-            if not np.all(np.isfinite(data)):
-                raise DataError(f"tensor {name!r} holds non-finite values", path=str(path))
-            named[name] = data.astype(float).reshape(dims)
-        if f.read(1):
-            raise DataError("trailing bytes after last tensor", path=str(path))
+        with open(path, "rb") as f:
+            raw = f.read()
+    except OSError as e:
+        raise DataError(f"cannot read model file ({e.strerror})", path=str(path)) from None
+    if raw[:4] != MODEL_MAGIC:
+        raise DataError(f"bad magic {raw[:4]!r}, expected {MODEL_MAGIC!r}", path=str(path))
+    if len(raw) < 10:
+        raise DataError("truncated model file header", path=str(path))
+    version, count = struct.unpack_from("<HI", raw, 4)
+    if version != MODEL_VERSION:
+        raise DataError(f"unsupported model format version {version}", path=str(path))
+    named: dict[str, np.ndarray] = {}
+    offset = 10
+    for i in range(count):
+        # a length prefix cut short reads as less than 2 bytes, so the name overruns too
+        name_end = offset + 2 + int.from_bytes(raw[offset : offset + 2], "little")
+        if name_end > len(raw):
+            raise DataError(f"truncated model file in the name of tensor {i}", path=str(path))
+        name = raw[offset + 2 : name_end].decode("utf-8", errors="replace")
+        if name in named:
+            raise DataError(f"duplicate tensor {name!r}", path=str(path))
+        named[name], offset = decode_tensor(raw, name_end, path, name=name)
+    if offset != len(raw):
+        raise DataError("trailing bytes after last tensor", path=str(path))
 
     expected = [name for name, _ in bmrnn_layout(0, 0, 0)]
     missing = [n for n in expected if n not in named]

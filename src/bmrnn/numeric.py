@@ -1,17 +1,56 @@
-"""Seeded randomness, weight initialization and row stacking for the whole package.
+"""Seeded randomness, weight initialization, row stacking and the tensor
+record codec for the whole package.
 
 Vectors are 1-D float64 numpy arrays and matrices are 2-D float64 numpy
 arrays, row-major; a sequence of N steps is one (N, D) matrix. Disk formats
-store float32, so loaders widen to float64 on the way in.
+store float32, so the codec widens to float64 on the way in.
 """
 
 from __future__ import annotations
 
+import math
+import struct
+
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import DataError, ShapeMismatchError
 
 Array = np.ndarray
+
+MAX_RANK = 8     # a record declaring more dims is rejected as corrupt
+
+
+def encode_tensor(a) -> bytes:
+    """One tensor record: u32 rank, u32 dims, float32 little-endian row-major payload."""
+    a = np.asarray(a, dtype="<f4")
+    return struct.pack(f"<{a.ndim + 1}I", a.ndim, *a.shape) + a.tobytes()
+
+
+def decode_tensor(raw: bytes, offset: int, path, name: str | None = None,
+                  story_id: str | None = None) -> tuple[Array, int]:
+    """The tensor record at ``raw[offset:]`` as float64, and the offset past it.
+    Sizes are checked against the bytes present before anything is allocated;
+    a bad record or a non-finite entry is a DataError naming ``path`` and
+    ``name`` or ``story_id``."""
+    what = "tensor" if name is None else f"tensor {name!r}"
+
+    def fail(message):
+        return DataError(f"{what} {message}", path=str(path), story_id=story_id)
+
+    rank = struct.unpack_from("<I", raw, offset)[0] if len(raw) >= offset + 4 else 0
+    if rank > MAX_RANK:
+        raise fail(f"has implausible rank {rank}")
+    start = offset + 4 + 4 * rank
+    if len(raw) < start:     # also when the rank itself is cut short
+        raise fail("has a truncated header")
+    dims = struct.unpack_from(f"<{rank}I", raw, offset + 4)
+    n_items = math.prod(dims)
+    if len(raw) < start + 4 * n_items:
+        raise fail(f"payload is {len(raw) - start} bytes, expected {4 * n_items}")
+    data = np.frombuffer(raw, dtype="<f4", count=n_items, offset=start)
+    if not np.all(np.isfinite(data)):
+        raise fail("holds non-finite values")
+    return data.astype(np.float64).reshape(dims), start + 4 * n_items
 
 
 def stack_rows(rows, op: str) -> Array:

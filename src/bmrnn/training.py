@@ -296,6 +296,7 @@ def train(
         sid: (skips_by_id[sid].matrix(), skips_by_id[sid].partition()) for sid in by_id
     }
 
+    config = {"train": cfg.to_dict(), "compatibility": dataclasses.asdict(ccfg)}
     state = init_optimizer_state(params, cfg)
     log_file = open(log_path, "w", encoding="utf-8") if log_path else None
     best_params = params.copy()
@@ -361,15 +362,8 @@ def train(
                 _check_float32(params, rec.story_id, epoch, step - 1)
                 save_checkpoint(
                     Path(checkpoint_dir) / f"epoch_{epoch:04d}.bin",
-                    Checkpoint(
-                        params=params,
-                        epoch=epoch,
-                        best_val_recall1=val_recall1,
-                        config={
-                            "train": cfg.to_dict(),
-                            "compatibility": dataclasses.asdict(ccfg),
-                        },
-                    ),
+                    Checkpoint(params=params, epoch=epoch, best_val_recall1=val_recall1,
+                               config=config),
                 )
 
             if val_records:
@@ -395,7 +389,7 @@ def train(
         params=best_params,
         epoch=best_epoch,
         best_val_recall1=best_recall1,
-        config={"train": cfg.to_dict(), "compatibility": dataclasses.asdict(ccfg)},
+        config=config,
         history=history,
     )
 

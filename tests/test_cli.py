@@ -3,6 +3,7 @@ the end-to-end pipeline."""
 
 import json
 import re
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -91,6 +92,13 @@ class TestUsageErrors:
                     "--out", str(tmp_path / "m.bin"), "--hidden", hidden]) == 1
         assert "hidden_dim must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [["--noise", "-1"], ["--separation", "-2", "--noise", "-3"]])
+    def test_negative_noise_rejected(self, tmp_path, capsys, extra):
+        code = run(["synth", "--out", str(tmp_path / "c"), "--stories", "6", *extra])
+        assert code == 1
+        assert "noise_sigma must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
     def test_help_exits_zero_and_documents_defaults(self, capsys):
         with_help = run(["train", "--help"])
         assert with_help == 0
@@ -175,6 +183,47 @@ class TestDataErrors:
         assert code == 2
         assert "'merge_b' holds non-finite values" in capsys.readouterr().err
 
+    def test_eval_rejects_oversized_model_header(self, tmp_path, capsys):
+        # 48 bytes that declare a (2^20, 2^20) float32 tensor
+        corpus = make_corpus(tmp_path, stories=6)
+        skips = detect(tmp_path, corpus)
+        model = tmp_path / "m.bin"
+        model.write_bytes(b"BMRN" + struct.pack("<HIH", 1, 29, 8) + b"fwd.W_zx"
+                          + struct.pack("<3I", 2, 1 << 20, 1 << 20) + bytes(16))
+        code = run(["eval", "--manifest", str(corpus / "manifest.jsonl"),
+                    "--skips", str(skips), "--model", str(model),
+                    "--report", str(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(model) in err and "'fwd.W_zx'" in err
+
+    @pytest.mark.parametrize("target, edit", [
+        ("manifest.jsonl", lambda d: "5"),
+        ("manifest.jsonl", lambda d: "[1]"),
+        ("manifest.jsonl", lambda d: json.dumps({**d, "embedding_file": 5})),
+        ("manifest.jsonl", lambda d: json.dumps({**d, "n": str(d["n"])})),
+        ("skips.jsonl", lambda d: "5"),
+        ("skips.jsonl", lambda d: "[1]"),
+        ("skips.jsonl", lambda d: json.dumps({**d, "clusters": 5})),
+        ("skips.jsonl", lambda d: json.dumps({**d, "clusters": [["x"]]})),
+        ("skips.jsonl", lambda d: json.dumps({**d, "skips": [[0, 1, 2]]})),
+        ("skips.jsonl", lambda d: json.dumps({**d, "clusters": d["clusters"] + [[]]})),
+    ], ids=["manifest-int", "manifest-list", "manifest-embedding_file-int",
+            "manifest-n-string", "skips-int", "skips-list", "skips-clusters-int",
+            "skips-member-string", "skips-triple", "skips-empty-cluster"])
+    def test_wrongly_typed_line_names_file_and_line(self, tmp_path, capsys, target, edit):
+        corpus = make_corpus(tmp_path, stories=6)
+        detect(tmp_path, corpus)
+        victim = corpus / target
+        lines = victim.read_text().splitlines()
+        victim.write_text("\n".join([edit(json.loads(lines[0]))] + lines[1:]) + "\n")
+        code = run(["train", "--manifest", str(corpus / "manifest.jsonl"),
+                    "--skips", str(corpus / "skips.jsonl"), "--out", str(tmp_path / "m.bin"),
+                    "--epochs", "1", "--negatives", "3", "--hidden", "4"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(victim) in err and "line 1:" in err
+
     def test_infeasible_synth_config(self, tmp_path, capsys):
         code = run(["synth", "--out", str(tmp_path / "c"), "--dim", "4",
                     "--pool", "9"])
@@ -250,6 +299,23 @@ class TestEvalTrainingConfig:
         (tmp_path / "model.bin.json").write_text("{}\n")
         assert run(self.eval_args(tmp_path, corpus, skips, model)) == 2
         assert "sidecar" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("alpha, mode", [
+        ([1], "aligned"), (7, "aligned"), ("x", "aligned"), (True, "aligned"), (0.5, "diagonal"),
+    ], ids=["alpha-list", "alpha-7", "alpha-string", "alpha-bool", "mode-unknown"])
+    def test_bad_sidecar_value_is_a_data_error(self, tmp_path, capsys, alpha, mode):
+        corpus = make_corpus(tmp_path, stories=6)
+        skips = detect(tmp_path, corpus)
+        model = train_model(tmp_path, corpus, skips)
+        sidecar = tmp_path / "model.bin.json"
+        snapshot = json.loads(sidecar.read_text())
+        snapshot["config"]["compatibility"].update(alpha=alpha, local_term_mode=mode)
+        sidecar.write_text(json.dumps(snapshot))
+        capsys.readouterr()
+        assert run(self.eval_args(tmp_path, corpus, skips, model)) == 2
+        err = capsys.readouterr().err
+        assert str(sidecar) in err and "usage error" not in err
 
 
 class TestConfigFile:

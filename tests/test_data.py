@@ -179,6 +179,12 @@ class TestSynthConfig:
             SynthConfig(**kwargs)
 
 
+    @pytest.mark.parametrize("noise", [-1.0, float("nan")])
+    def test_rejects_negative_or_nan_noise(self, noise):
+        with pytest.raises(ConfigError, match="noise_sigma must be >= 0"):
+            SynthConfig(noise_sigma=noise)
+
+
 class TestGenerator:
     def test_split_sizes_and_shapes(self):
         corpus = generate_synthetic(SynthConfig(num_stories=300, seed=1))
@@ -425,3 +431,12 @@ class TestCorpusIO:
         manifest.write_text("\n".join(lines + [lines[0]]) + "\n")
         with pytest.raises(DataError, match="duplicate"):
             load_manifest(manifest)
+
+    def test_duplicate_story_id_names_file_and_line(self, tmp_path):
+        corpus, manifest = self.small_corpus(tmp_path)
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(lines + [lines[1]]) + "\n")
+        dup = rf"line {len(lines) + 1}: duplicate story_id .* \(first on line 2\)"
+        with pytest.raises(DataError, match=dup) as e:
+            load_manifest(manifest)
+        assert str(manifest) in str(e.value)

@@ -387,6 +387,20 @@ class TestModelFile:
         with pytest.raises(DataError, match=r"'fwd\.b_z' has shape \(1,\), expected \(3,\)"):
             load_model(path)
 
+    @pytest.mark.parametrize("record, size, message", [
+        (struct.pack("<3I", 2, 1 << 20, 1 << 20) + bytes(16), 48, "payload is 16 bytes"),
+        (struct.pack("<I", 0xFFFFFFFF) + bytes(8), 32, "implausible rank 4294967295"),
+    ], ids=["huge-dims", "huge-rank"])
+    def test_oversized_header_is_a_data_error(self, tmp_path, record, size, message):
+        # the header declares terabytes; the loader must not try to read them
+        path = tmp_path / "m.bmrn"
+        raw = MODEL_MAGIC + struct.pack("<HIH", MODEL_VERSION, 29, 8) + b"fwd.W_zx" + record
+        assert len(raw) == size
+        path.write_bytes(raw)
+        with pytest.raises(DataError, match=message) as e:
+            load_model(path)
+        assert "'fwd.W_zx'" in str(e.value) and str(path) in str(e.value)
+
     def test_format_is_little_endian_float32(self, tmp_path):
         # pin the byte layout of the header and the first tensor record
         p = init_bmrnn_params(2, 2, 2, SeededRng(26))

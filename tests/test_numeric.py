@@ -1,9 +1,12 @@
+import struct
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from bmrnn.cells import _sigmoid
-from bmrnn.numeric import SeededRng, init_params
+from bmrnn.errors import DataError
+from bmrnn.numeric import SeededRng, decode_tensor, encode_tensor, init_params
 
 
 class TestElementwise:
@@ -67,3 +70,34 @@ class TestSeededRng:
     def test_choice_without_replacement(self):
         picks = SeededRng(2).choice_without_replacement(10, 10)
         assert sorted(picks.tolist()) == list(range(10))
+
+
+class TestTensorRecord:
+    """The tensor record shared by .bmt and model files."""
+
+    @pytest.mark.parametrize("shape", [(), (0,), (7,), (3, 4), (2, 3, 2)])
+    def test_round_trip_at_an_offset(self, shape):
+        a = np.random.default_rng(1).normal(size=shape)
+        raw = b"head" + encode_tensor(a) + b"tail"
+        back, end = decode_tensor(raw, 4, "f.bin")
+        assert back.dtype == np.float64 and back.shape == shape
+        npt.assert_array_equal(back, a.astype(np.float32))
+        assert raw[end:] == b"tail"
+
+    @pytest.mark.parametrize("raw, message", [
+        (struct.pack("<3I", 2, 1 << 20, 1 << 20) + bytes(16),
+         "payload is 16 bytes, expected 4398046511104"),
+        (struct.pack("<I", 0xFFFFFFFF) + bytes(16), "implausible rank 4294967295"),
+        (struct.pack("<4I", 8, 1, 1, 1), "truncated header"),
+        (b"\x02\x00", "truncated header"),
+    ])
+    def test_sizes_checked_before_allocating(self, raw, message):
+        # the declared sizes would need terabytes; only the bytes present are read
+        with pytest.raises(DataError, match=message) as e:
+            decode_tensor(raw, 0, "m.bin", name="fwd.W_zx")
+        assert "'fwd.W_zx'" in str(e.value) and "m.bin" in str(e.value)
+
+    def test_non_finite_names_story(self):
+        raw = encode_tensor(np.array([1.0, np.nan]))
+        with pytest.raises(DataError, match="non-finite.*f.bmt.*story: s1"):
+            decode_tensor(raw, 0, "f.bmt", story_id="s1")
