@@ -7,8 +7,8 @@ by its flag's own parser, unknown config keys are rejected, and every run
 logs the fully-resolved configuration to stderr.
 
 Exit codes: 0 success; 1 usage error (bad flags, bad config); 2 data error
-(missing or malformed files); 3 numerical failure (divergence, failed
-gradient check).
+(an input file missing, unreadable or malformed, or an output not writable);
+3 numerical failure (divergence, failed gradient check).
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .data import (
 from .errors import BmrnnError, ConfigError, DataError, DivergenceError
 from .evaluation import evaluate
 from .network import load_model
+from .numeric import read_file, write_file
 from .objective import CompatibilityConfig
 from .skips import affinity_propagation, build_skip_matrix, similarity
 from .training import TrainConfig, grad_check, read_sidecar, save_checkpoint, sidecar_path, train
@@ -156,14 +157,11 @@ def _read_config_file(path: str, parser: _Parser) -> dict:
     """The ``key = value`` lines of a config file.  Each value is read by the
     action of its flag ``--key``: its type and choices, or true/false for a
     switch; a bad value is a ConfigError naming file and line."""
-    p = Path(path)
-    if not p.exists():
-        raise DataError("config file not found", path=str(p))
     actions = {a.dest: a for a in parser._actions
                if a.option_strings and not a.required and a.dest not in ("help", "config")}
     out = {}
-    for line_no, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
-        where = f"{p}:{line_no}"
+    for line_no, line in enumerate(read_file(path, "config file", text=True).splitlines(), 1):
+        where = f"{path}:{line_no}"
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -280,6 +278,10 @@ def _cmd_detect_skips(opts: dict) -> int:
 
 
 def _cmd_train(opts: dict) -> int:
+    for flag in ("out", "log"):      # fail before training, not after it
+        if opts[flag] is not None and not Path(opts[flag]).parent.is_dir():
+            raise DataError(f"cannot write --{flag} {opts[flag]}: no such directory",
+                            path=str(Path(opts[flag]).parent))
     dataset = load_manifest(opts["manifest"])
     skips = load_skips(opts["skips"])
     ccfg = CompatibilityConfig(
@@ -326,9 +328,13 @@ def _cmd_eval(opts: dict) -> int:
     records = dataset.split(opts["split"])
     if not records:
         raise DataError(f"no stories in split {opts['split']!r}", path=str(opts["manifest"]))
+    widths = (records[0].story.x.shape[1], records[0].sentences.v.shape[1])
+    if (params.input_dim, params.output_dim) != widths:
+        raise DataError(f"model is {params.input_dim} -> {params.output_dim} dims, the corpus "
+                        f"{widths[0]} -> {widths[1]}", path=str(opts["model"]))
     ccfg = CompatibilityConfig(alpha=opts["alpha"], local_term_mode=opts["local_mode"])
     report = evaluate(params, records, skips, ccfg)
-    Path(opts["report"]).write_text(report.to_json() + "\n", encoding="utf-8")
+    write_file(opts["report"], report.to_json() + "\n", "report")
     print(report.to_text_table())
     print(f"report -> {opts['report']}")
     return EXIT_OK

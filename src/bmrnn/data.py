@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .network import StoryStream
-from .numeric import SeededRng, decode_tensor, encode_tensor
+from .numeric import SeededRng, decode_tensor, encode_tensor, read_file, write_file
 from .objective import SentenceSequence, SubStoryPartition
 from .skips import SkipMatrix, cluster_chains
 
@@ -52,17 +52,13 @@ BMT1_MAGIC = b"BMT1"
 
 def write_tensor(path, arr: np.ndarray) -> None:
     """Write one tensor: magic, then the tensor record (numeric.encode_tensor)."""
-    with open(path, "wb") as f:
-        f.write(BMT1_MAGIC + encode_tensor(arr))
+    write_file(path, BMT1_MAGIC + encode_tensor(arr), "tensor file")
 
 
 def read_tensor(path, story_id: str | None = None) -> np.ndarray:
     """Read a BMT1 tensor, widened to float64; NaN or infinite entries are a DataError."""
     where = dict(path=str(path), story_id=story_id)
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as e:
-        raise DataError(f"cannot read tensor file ({e.strerror})", **where) from None
+    raw = read_file(path, "tensor file", story_id=story_id)
     if raw[:4] != BMT1_MAGIC:
         raise DataError(f"bad magic {raw[:4]!r}, expected {BMT1_MAGIC!r}", **where)
     a, end = decode_tensor(raw, 4, path, story_id=story_id)
@@ -98,14 +94,10 @@ _MANIFEST_FIELDS = {
 
 def _json_lines(path, what: str, fields: dict, defaults=None):
     """(line number, object) per non-blank line of a JSON-lines file, with
-    ``defaults`` filled in.  An unreadable file, invalid JSON, a line that is
-    not an object, or a key missing or rejected by its ``fields`` entry, a
-    (check, description) pair, is a DataError naming the file and line."""
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as e:
-        raise DataError(f"cannot read {what} ({e.strerror})", path=str(path)) from None
-    for line_no, line in enumerate(lines, start=1):
+    ``defaults`` filled in.  An unreadable or non-UTF-8 file, invalid JSON, a
+    line that is not an object, or a key missing or rejected by its ``fields``
+    entry, a (check, description) pair, is a DataError naming the file and line."""
+    for line_no, line in enumerate(read_file(path, what, text=True).splitlines(), start=1):
         if not line.strip():
             continue
         where = f"line {line_no}"
@@ -201,9 +193,8 @@ def check_skip_records(records: list[StoryRecord], skips_by_id: dict[str, SkipRe
 
 
 def write_skips(path, records: list[SkipRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for r in records:
-            f.write(json.dumps(r.to_json_dict(), sort_keys=True) + "\n")
+    write_file(path, "".join(json.dumps(r.to_json_dict(), sort_keys=True) + "\n"
+                             for r in records), "skip file")
 
 
 def load_skips(path) -> dict[str, SkipRecord]:
@@ -386,16 +377,21 @@ def generate_synthetic(cfg: SynthConfig) -> SynthCorpus:
 def write_corpus(corpus: SynthCorpus, out_dir) -> Path:
     """Write manifest, tensor files, and planted skips; returns manifest path."""
     out = Path(out_dir)
-    (out / "tensors").mkdir(parents=True, exist_ok=True)
+    try:
+        (out / "tensors").mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise DataError(f"cannot create corpus directory ({e.strerror})",
+                        path=str(out / "tensors")) from None
+    lines = []
+    for rec in corpus.records:
+        entry = {"story_id": rec.story_id, "n": rec.N, "split": rec.split}
+        for key, kind, t in zip(_FILE_KEYS, ("feat", "emb", "sent"),
+                                (rec.story.raw_fc, rec.story.x, rec.sentences.v)):
+            entry[key] = f"tensors/{rec.story_id}.{kind}.bmt"
+            write_tensor(out / entry[key], t)
+        lines.append(json.dumps(entry, sort_keys=True) + "\n")
     manifest_path = out / "manifest.jsonl"
-    with open(manifest_path, "w", encoding="utf-8") as f:
-        for rec in corpus.records:
-            entry = {"story_id": rec.story_id, "n": rec.N, "split": rec.split}
-            for key, kind, t in zip(_FILE_KEYS, ("feat", "emb", "sent"),
-                                    (rec.story.raw_fc, rec.story.x, rec.sentences.v)):
-                entry[key] = f"tensors/{rec.story_id}.{kind}.bmt"
-                write_tensor(out / entry[key], t)
-            f.write(json.dumps(entry, sort_keys=True) + "\n")
+    write_file(manifest_path, "".join(lines), "manifest")
     write_skips(out / "planted_skips.jsonl", [corpus.skips[r.story_id] for r in corpus.records])
     return manifest_path
 

@@ -30,7 +30,9 @@ from .cells import (
     sgru_layout,
 )
 from .errors import DataError, ShapeMismatchError
-from .numeric import SeededRng, decode_tensor, encode_tensor, init_params, stack_rows
+from .numeric import (
+    SeededRng, decode_tensor, encode_tensor, init_params, read_file, stack_rows, write_file,
+)
 from .skips import SkipMatrix, transpose_skips
 
 __all__ = [
@@ -292,20 +294,16 @@ FLOAT32_MAX = float(np.finfo(np.float32).max)   # the largest entry a model file
 
 def save_model(path, params: BMRNNParams) -> None:
     tensors = list(params.named_tensors())
-    with open(path, "wb") as f:
-        f.write(MODEL_MAGIC + struct.pack("<HI", MODEL_VERSION, len(tensors)))
-        for name, t in tensors:
-            raw = name.encode("utf-8")
-            f.write(struct.pack("<H", len(raw)) + raw + encode_tensor(t))
+    parts = [MODEL_MAGIC + struct.pack("<HI", MODEL_VERSION, len(tensors))]
+    for name, t in tensors:
+        raw = name.encode("utf-8")
+        parts.append(struct.pack("<H", len(raw)) + raw + encode_tensor(t))
+    write_file(path, b"".join(parts), "model file")
 
 
 def load_model(path) -> BMRNNParams:
     """Read a model file back into parameters (stored as float32, upcast)."""
-    try:
-        with open(path, "rb") as f:
-            raw = f.read()
-    except OSError as e:
-        raise DataError(f"cannot read model file ({e.strerror})", path=str(path)) from None
+    raw = read_file(path, "model file")
     if raw[:4] != MODEL_MAGIC:
         raise DataError(f"bad magic {raw[:4]!r}, expected {MODEL_MAGIC!r}", path=str(path))
     if len(raw) < 10:

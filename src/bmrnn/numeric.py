@@ -1,5 +1,5 @@
-"""Seeded randomness, weight initialization, row stacking and the tensor
-record codec for the whole package.
+"""Seeded randomness, weight initialization, row stacking, the tensor
+record codec and the file boundary for the whole package.
 
 Vectors are 1-D float64 numpy arrays and matrices are 2-D float64 numpy
 arrays, row-major; a sequence of N steps is one (N, D) matrix. Disk formats
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -18,6 +19,28 @@ from .errors import DataError, ShapeMismatchError
 Array = np.ndarray
 
 MAX_RANK = 8     # a record declaring more dims is rejected as corrupt
+
+
+def read_file(path, what: str, text: bool = False, story_id: str | None = None) -> bytes | str:
+    """The bytes of ``path``, or its UTF-8 text.  A file that cannot be read
+    or decoded is a DataError naming ``what``, the path and ``story_id``."""
+    where = dict(path=str(path), story_id=story_id)
+    try:
+        raw = Path(path).read_bytes()
+        return raw.decode("utf-8") if text else raw
+    except OSError as e:
+        raise DataError(f"cannot read {what} ({e.strerror})", **where) from None
+    except UnicodeDecodeError as e:
+        raise DataError(f"{what} is not UTF-8 text (byte {e.start})", **where) from None
+
+
+def write_file(path, data, what: str) -> None:
+    """Write bytes, or text as UTF-8, to ``path``; a path that cannot be
+    written is a DataError naming ``what`` and the path."""
+    try:
+        Path(path).write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+    except OSError as e:
+        raise DataError(f"cannot write {what} ({e.strerror})", path=str(path)) from None
 
 
 def encode_tensor(a) -> bytes:

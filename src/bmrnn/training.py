@@ -32,7 +32,7 @@ from .network import (
     load_model,
     save_model,
 )
-from .numeric import SeededRng
+from .numeric import SeededRng, read_file, write_file
 from .objective import (
     CompatibilityConfig,
     SentenceSequence,
@@ -125,9 +125,8 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "best_val_recall1": ckpt.best_val_recall1,
         "config": ckpt.config,
     }
-    sidecar_path(path).write_text(
-        json.dumps(sidecar, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_file(sidecar_path(path), json.dumps(sidecar, sort_keys=True, indent=2) + "\n",
+               "training sidecar")
 
 
 def sidecar_path(model_path) -> Path:
@@ -139,10 +138,9 @@ def read_sidecar(model_path) -> dict:
     """The epoch, best_val_recall1 and config that save_checkpoint wrote
     beside a model; a missing or malformed sidecar is a DataError naming it."""
     path = sidecar_path(model_path)
-    if not path.exists():
-        raise DataError("checkpoint sidecar not found", path=str(path))
+    text = read_file(path, "training sidecar", text=True)
     try:
-        sidecar = json.loads(path.read_text(encoding="utf-8"))
+        sidecar = json.loads(text)
         if not isinstance(sidecar["config"], dict):
             raise TypeError("config is not an object")
         return {key: sidecar[key] for key in ("epoch", "best_val_recall1", "config")}
@@ -298,90 +296,83 @@ def train(
 
     config = {"train": cfg.to_dict(), "compatibility": dataclasses.asdict(ccfg)}
     state = init_optimizer_state(params, cfg)
-    log_file = open(log_path, "w", encoding="utf-8") if log_path else None
     best_params = params.copy()
     best_epoch = 0
     best_recall1: float | None = None
     epochs_since_best = 0
     history: list[dict] = []
 
-    try:
-        for epoch in range(cfg.epochs):
-            t0 = time.perf_counter()
-            # stream-side negatives are refreshed here and held constant
-            # for the whole epoch
-            h_cache = {
-                sid: bmrnn_forward(params, by_id[sid].story, structures[sid][0]).merged
-                for sid in by_id
-            }
-            order = [train_records[i] for i in order_rng.permutation(len(train_records))]
-            losses: list[float] = []
-            step = 0
-            for start in range(0, len(order), cfg.batch_size):
-                batch = order[start : start + cfg.batch_size]
-                batch_grads = params.zeros_like()
-                for rec in batch:
-                    skip_matrix, partition = structures[rec.story_id]
-                    draw = sample_negatives(
-                        by_id, rec.story_id, ccfg.negatives_per_positive, neg_rng
-                    )
-                    neg_V = [r.sentences for r in draw.neg_V]
-                    neg_H = [h_cache[r.story_id] for r in draw.neg_H_sources]
-                    result, grads, _ = story_loss_and_grads(
-                        params, rec.story, rec.sentences, skip_matrix, partition,
-                        neg_V, neg_H, ccfg, epoch=epoch, step=step,
-                    )
-                    losses.append(result.loss)
-                    batch_grads.flat += (1.0 / len(batch)) * grads.flat
-                    step += 1
-                update_step(params, batch_grads, state, cfg)
-
-            mean_loss = float(np.mean(losses))
-            val_recall1 = val_medr = None
-            if val_records:
-                report = evaluate(params, val_records, skips_by_id, ccfg)
-                val_recall1 = report.recall_at[1]
-                val_medr = report.median_rank
-            record = {
-                "epoch": epoch,
-                "mean_loss": mean_loss,
-                "val_recall1": val_recall1,
-                "val_medr": val_medr,
-                "wall_ms": round((time.perf_counter() - t0) * 1000.0, 3),
-            }
-            history.append(record)
-            if log_file:
-                log_file.write(json.dumps(record, sort_keys=True) + "\n")
-                log_file.flush()
-
-            if (
-                checkpoint_dir is not None
-                and cfg.checkpoint_every > 0
-                and (epoch + 1) % cfg.checkpoint_every == 0
-            ):
-                _check_float32(params, rec.story_id, epoch, step - 1)
-                save_checkpoint(
-                    Path(checkpoint_dir) / f"epoch_{epoch:04d}.bin",
-                    Checkpoint(params=params, epoch=epoch, best_val_recall1=val_recall1,
-                               config=config),
+    for epoch in range(cfg.epochs):
+        t0 = time.perf_counter()
+        # stream-side negatives are refreshed here and held constant
+        # for the whole epoch
+        h_cache = {
+            sid: bmrnn_forward(params, by_id[sid].story, structures[sid][0]).merged
+            for sid in by_id
+        }
+        order = [train_records[i] for i in order_rng.permutation(len(train_records))]
+        losses: list[float] = []
+        step = 0
+        for start in range(0, len(order), cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            batch_grads = params.zeros_like()
+            for rec in batch:
+                skip_matrix, partition = structures[rec.story_id]
+                draw = sample_negatives(by_id, rec.story_id, ccfg.negatives_per_positive, neg_rng)
+                neg_V = [r.sentences for r in draw.neg_V]
+                neg_H = [h_cache[r.story_id] for r in draw.neg_H_sources]
+                result, grads, _ = story_loss_and_grads(
+                    params, rec.story, rec.sentences, skip_matrix, partition,
+                    neg_V, neg_H, ccfg, epoch=epoch, step=step,
                 )
+                losses.append(result.loss)
+                batch_grads.flat += (1.0 / len(batch)) * grads.flat
+                step += 1
+            update_step(params, batch_grads, state, cfg)
 
-            if val_records:
-                if best_recall1 is None or val_recall1 > best_recall1:
-                    best_recall1 = val_recall1
-                    best_params = params.copy()
-                    best_epoch = epoch
-                    epochs_since_best = 0
-                else:
-                    epochs_since_best += 1
-                    if epochs_since_best >= cfg.early_stop_patience:
-                        break
-            else:
+        mean_loss = float(np.mean(losses))
+        val_recall1 = val_medr = None
+        if val_records:
+            report = evaluate(params, val_records, skips_by_id, ccfg)
+            val_recall1 = report.recall_at[1]
+            val_medr = report.median_rank
+        record = {
+            "epoch": epoch,
+            "mean_loss": mean_loss,
+            "val_recall1": val_recall1,
+            "val_medr": val_medr,
+            "wall_ms": round((time.perf_counter() - t0) * 1000.0, 3),
+        }
+        history.append(record)
+        if log_path:     # rewritten whole, so it holds every finished epoch
+            write_file(log_path, "".join(json.dumps(r, sort_keys=True) + "\n"
+                                         for r in history), "training log")
+
+        if (
+            checkpoint_dir is not None
+            and cfg.checkpoint_every > 0
+            and (epoch + 1) % cfg.checkpoint_every == 0
+        ):
+            _check_float32(params, rec.story_id, epoch, step - 1)
+            save_checkpoint(
+                Path(checkpoint_dir) / f"epoch_{epoch:04d}.bin",
+                Checkpoint(params=params, epoch=epoch, best_val_recall1=val_recall1,
+                           config=config),
+            )
+
+        if val_records:
+            if best_recall1 is None or val_recall1 > best_recall1:
+                best_recall1 = val_recall1
                 best_params = params.copy()
                 best_epoch = epoch
-    finally:
-        if log_file:
-            log_file.close()
+                epochs_since_best = 0
+            else:
+                epochs_since_best += 1
+                if epochs_since_best >= cfg.early_stop_patience:
+                    break
+        else:
+            best_params = params.copy()
+            best_epoch = epoch
 
     for p in (params, best_params):
         _check_float32(p, rec.story_id, epoch, step - 1)

@@ -4,6 +4,7 @@ the end-to-end pipeline."""
 import json
 import re
 import struct
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -229,6 +230,102 @@ class TestDataErrors:
                     "--pool", "9"])
         assert code == 2
         assert "embed_dim" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A small corpus, its detected skips and a model trained on them."""
+    tmp = tmp_path_factory.mktemp("trained")
+    corpus = make_corpus(tmp, stories=6)
+    skips = detect(tmp, corpus)
+    return SimpleNamespace(manifest=str(corpus / "manifest.jsonl"), skips=str(skips),
+                           model=train_model(tmp, corpus, skips))
+
+
+def eval_argv(t, model, report):
+    return ["eval", "--manifest", t.manifest, "--skips", t.skips, "--model", str(model),
+            "--report", str(report)]
+
+
+def _not_utf8(path):
+    path.write_bytes(b"\xff\xfe" + "k = v\n".encode("utf-16-le"))
+    return path
+
+
+def _sidecar_case(make):
+    """eval with a copy of the trained model whose sidecar ``make`` creates."""
+    def case(t, d):
+        model = d / "model.bin"
+        model.write_bytes(Path(t.model).read_bytes())
+        return eval_argv(t, model, d / "r.json"), make(d / "model.bin.json")
+    return case
+
+
+def _directory(path):
+    path.mkdir()
+    return path
+
+
+def _regular_file(path):
+    path.write_text("")
+    return path
+
+
+# each case: (trained fixture, empty tmp_path) -> (argv, the path the error must name)
+FILE_BOUNDARY_CASES = {
+    "manifest-not-utf8": lambda t, d: (
+        ["detect-skips", "--manifest", str(_not_utf8(d / "m.jsonl")), "--out", str(d / "s")],
+        d / "m.jsonl"),
+    "skips-not-utf8": lambda t, d: (
+        ["train", "--manifest", t.manifest, "--skips", str(_not_utf8(d / "s.jsonl")),
+         "--out", str(d / "m.bin")], d / "s.jsonl"),
+    "config-not-utf8": lambda t, d: (
+        ["synth", "--out", str(d / "c"), "--config", str(_not_utf8(d / "run.cfg"))],
+        d / "run.cfg"),
+    "sidecar-not-utf8": _sidecar_case(_not_utf8),
+    "config-directory": lambda t, d: (
+        ["synth", "--out", str(d / "c"), "--config", str(_directory(d / "cfg"))], d / "cfg"),
+    "sidecar-directory": _sidecar_case(_directory),
+    "detect-out-missing-dir": lambda t, d: (
+        ["detect-skips", "--manifest", t.manifest, "--out", str(d / "no" / "s.jsonl")],
+        d / "no" / "s.jsonl"),
+    "detect-out-directory": lambda t, d: (
+        ["detect-skips", "--manifest", t.manifest, "--out", str(d)], d),
+    "eval-report-directory": lambda t, d: (eval_argv(t, t.model, d), d),
+    "train-log-missing-dir": lambda t, d: (
+        ["train", "--manifest", t.manifest, "--skips", t.skips, "--out", str(d / "m.bin"),
+         "--log", str(d / "no" / "log.jsonl")], d / "no"),
+    "synth-out-file": lambda t, d: (
+        ["synth", "--out", str(_regular_file(d / "c")), "--stories", "6"], d / "c"),
+}
+
+
+class TestFileBoundary:
+    @pytest.mark.parametrize("case", FILE_BOUNDARY_CASES)
+    def test_unusable_path_exits_2_naming_it(self, trained, tmp_path, capsys, case):
+        argv, path = FILE_BOUNDARY_CASES[case](trained, tmp_path)
+        capsys.readouterr()
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and str(path) in errors[0]
+        assert "Traceback" not in err
+
+    def test_train_checks_its_output_directory_first(self, trained, tmp_path, capsys):
+        out = tmp_path / "nodir" / "m.bin"
+        assert run(["train", "--manifest", trained.manifest, "--skips", trained.skips,
+                    "--out", str(out), "--epochs", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "trained" not in captured.out
+        assert f"--out {out}" in captured.err and not out.parent.exists()
+
+    def test_eval_names_a_model_of_other_dimensions(self, trained, tmp_path, capsys):
+        model = tmp_path / "m.bin"
+        save_model(model, init_bmrnn_params(8, 4, 16, SeededRng(0)))
+        assert run(eval_argv(trained, model, tmp_path / "r.json")) == 2
+        err = capsys.readouterr().err
+        assert str(model) in err and "model is 8 -> 16 dims, the corpus 16 -> 16" in err
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestNumericalFailures:

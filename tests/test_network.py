@@ -5,6 +5,8 @@ from types import SimpleNamespace
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bmrnn.cells import GRUParams, SGRUParams, gru_forward
 from bmrnn.errors import DataError, ShapeMismatchError
@@ -20,7 +22,7 @@ from bmrnn.network import (
     save_model,
 )
 from bmrnn.numeric import SeededRng
-from bmrnn.skips import SkipMatrix
+from bmrnn.skips import SkipMatrix, cluster_chains
 
 
 def sgru_from_scalars(vals):
@@ -148,6 +150,48 @@ class TestReduction:
         for t in range(6):
             want = p.merge_f @ hf[t] + p.merge_b @ hb[t] + p.b_merge
             npt.assert_array_equal(trace.merged[t], want)
+
+
+def plain_bigru(p, x):
+    """The merged outputs of a bidirectional GRU on the sGRUs' base parameters."""
+    n, hidden = len(x), p.hidden_dim
+    hf, hb, h = [None] * n, [None] * n, np.zeros(hidden)
+    for t in range(n):
+        hf[t] = h = gru_forward(p.fwd.base, x[t], h).h
+    h = np.zeros(hidden)
+    for t in range(n - 1, -1, -1):
+        hb[t] = h = gru_forward(p.bwd.base, x[t], h).h
+    return np.stack([p.merge_f @ hf[t] + p.merge_b @ hb[t] + p.b_merge for t in range(n)])
+
+
+@st.composite
+def skip_stories(draw):
+    """(n, clusters): a story length 1-8 and a random partition of its steps."""
+    n = draw(st.integers(1, 8))
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    return n, [[t for t in range(n) if labels[t] == c] for c in sorted(set(labels))]
+
+
+class TestProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(story=skip_stories(), in_dim=st.integers(1, 4), hidden=st.integers(1, 4),
+           out_dim=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_shapes_finiteness_and_skip_free_reduction(self, story, in_dim, hidden,
+                                                       out_dim, seed):
+        n, clusters = story
+        p = init_bmrnn_params(in_dim, hidden, out_dim, SeededRng(seed))
+        nrng = np.random.default_rng(seed)
+        stream = StoryStream(story_id="s", x=nrng.normal(size=(n, in_dim)))
+        sk = SkipMatrix(n=n, pairs=tuple(cluster_chains(clusters)))
+        trace = bmrnn_forward(p, stream, sk)
+        grads, dX = bmrnn_backward(p, stream, sk, trace, nrng.normal(size=(n, out_dim)))
+        assert trace.merged.shape == (n, out_dim) and dX.shape == (n, in_dim)
+        for (name, g), (_, t) in zip(grads.named_tensors(), p.named_tensors(), strict=True):
+            assert g.shape == t.shape, name
+        assert np.all(np.isfinite(grads.flat))
+        assert np.all(np.isfinite(trace.merged)) and np.all(np.isfinite(dX))
+        free = bmrnn_forward(p, stream, SkipMatrix(n=n, pairs=())).merged
+        npt.assert_array_equal(free, plain_bigru(p, stream.x))
 
 
 class TestTimeReversal:

@@ -1,12 +1,17 @@
+import ast
 import struct
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import bmrnn
 from bmrnn.cells import _sigmoid
 from bmrnn.errors import DataError
-from bmrnn.numeric import SeededRng, decode_tensor, encode_tensor, init_params
+from bmrnn.numeric import (
+    SeededRng, decode_tensor, encode_tensor, init_params, read_file, write_file,
+)
 
 
 class TestElementwise:
@@ -101,3 +106,61 @@ class TestTensorRecord:
         raw = encode_tensor(np.array([1.0, np.nan]))
         with pytest.raises(DataError, match="non-finite.*f.bmt.*story: s1"):
             decode_tensor(raw, 0, "f.bmt", story_id="s1")
+
+
+class TestFileBoundary:
+    """read_file/write_file: every file the package touches goes through them."""
+
+    def test_bytes_and_text_round_trip(self, tmp_path):
+        write_file(tmp_path / "b.bin", b"\x00\xff", "blob")
+        assert read_file(tmp_path / "b.bin", "blob") == b"\x00\xff"
+        write_file(tmp_path / "t.txt", "caf\u00e9\n", "note")
+        assert (tmp_path / "t.txt").read_bytes() == b"caf\xc3\xa9\n"
+        assert read_file(tmp_path / "t.txt", "note", text=True) == "caf\u00e9\n"
+
+    @pytest.mark.parametrize("name", ["ghost.txt", "."], ids=["missing", "directory"])
+    def test_unreadable_path_names_file_and_story(self, tmp_path, name):
+        path = tmp_path / name
+        with pytest.raises(DataError, match=r"^cannot read skip file \(") as e:
+            read_file(path, "skip file", text=True, story_id="s7")
+        assert str(path) in str(e.value) and "story: s7" in str(e.value)
+
+    def test_not_utf8_names_the_byte(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_bytes(b'{"a": 1}\n\xff\xfe')
+        assert read_file(path, "manifest") == b'{"a": 1}\n\xff\xfe'
+        with pytest.raises(DataError, match=r"manifest is not UTF-8 text \(byte 9\)") as e:
+            read_file(path, "manifest", text=True)
+        assert str(path) in str(e.value)
+
+    @pytest.mark.parametrize("name", ["nodir/out.json", "."], ids=["missing-dir", "directory"])
+    def test_unwritable_path_names_file(self, tmp_path, name):
+        path = tmp_path / name
+        with pytest.raises(DataError, match=r"^cannot write report \(") as e:
+            write_file(path, "{}\n", "report")
+        assert str(path) in str(e.value)
+
+
+FILE_CALLS = {"open", "read_text", "read_bytes", "write_text", "write_bytes"}
+
+
+def file_calls_outside_boundary(src_dir) -> list[str]:
+    """Calls that touch a file anywhere in ``src_dir`` but in numeric.read_file/write_file."""
+    found = []
+    for path in sorted(Path(src_dir).glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = set()
+        if path.name == "numeric.py":
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and node.name in ("read_file", "write_file"):
+                    inside.update(map(id, ast.walk(node)))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in inside:
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in FILE_CALLS:
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    return found
+
+
+def test_files_are_touched_only_at_the_boundary():
+    assert file_calls_outside_boundary(Path(bmrnn.__file__).parent) == []
