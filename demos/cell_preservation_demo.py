@@ -13,7 +13,7 @@ differences — once with a skip edge from step 1 to step 4, once without.
 
 import numpy as np
 
-from bmrnn.cells import SGRUParams, sgru_forward, sgru_layout
+from bmrnn.cells import SGRUParams, sgru_forward, sgru_inputs, sgru_layout
 
 
 def h4_sensitivity(seed: int, with_skip: bool) -> float:
@@ -35,11 +35,12 @@ def h4_sensitivity(seed: int, with_skip: bool) -> float:
     def h4(x1: float) -> float:
         seq = xs.copy()
         seq[0] = x1
+        xp = sgru_inputs(p, seq[:, None])
         h = np.zeros(1)
         states = []
         for t in range(4):
             h_skip = states[0] if (with_skip and t == 3) else None
-            h = sgru_forward(p, seq[t : t + 1], h, h_skip).h
+            h = sgru_forward(p, xp[t], h, h_skip).h
             states.append(h)
         return float(h[0])
 

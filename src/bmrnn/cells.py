@@ -1,4 +1,4 @@
-"""Single-timestep forward and gradient computation for the recurrent cells.
+"""Forward and gradient computation for the recurrent cells.
 
 Two cells live here. The baseline gated recurrent cell:
 
@@ -21,6 +21,9 @@ a skip gate decides how much of h_p to reinject into the candidate:
 With no ancestor the skip term vanishes and the cell is bit-identical to the
 baseline cell on the embedded base parameters.
 
+A sweep over a sequence takes its input products from ``sgru_inputs`` and
+its parameter gradients from ``sgru_param_grads``; the steps do the recurrence.
+
 Gradients are hand-written analytic derivatives of the above; they are
 checked against central finite differences in the test suite.
 """
@@ -39,13 +42,14 @@ __all__ = [
     "SGRUParams",
     "StepTrace",
     "GRUStepGrads",
-    "SGRUStepGrads",
     "init_gru_params",
     "init_sgru_params",
     "gru_forward",
     "gru_backward",
+    "sgru_inputs",
     "sgru_forward",
     "sgru_backward",
+    "sgru_param_grads",
     "sgru_layout",
 ]
 
@@ -140,14 +144,6 @@ class GRUStepGrads:
     dh_prev: Array
 
 
-@dataclass
-class SGRUStepGrads:
-    params: SGRUParams
-    dx: Array
-    dh_prev: Array
-    dh_skip: Array
-
-
 def init_gru_params(
     input_dim: int, hidden_dim: int, rng: SeededRng, scale: float | None = None
 ) -> GRUParams:
@@ -178,24 +174,17 @@ def init_sgru_params(
 
 
 def _sigmoid(x: Array) -> Array:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def _check_step_dims(params, x_t: Array, h_prev: Array) -> None:
-    if x_t.shape != (params.input_dim,):
-        raise ShapeMismatchError("cell input", x_t.shape, (params.input_dim,))
-    if h_prev.shape != (params.hidden_dim,):
-        raise ShapeMismatchError("cell hidden state", h_prev.shape, (params.hidden_dim,))
+    # exp(-|x|) never overflows: 1 / (1 + e) for x >= 0, e / (1 + e) below
+    e = np.exp(-np.abs(x))
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def gru_forward(params: GRUParams, x_t: Array, h_prev: Array) -> StepTrace:
     """One baseline-cell step."""
-    _check_step_dims(params, x_t, h_prev)
+    if x_t.shape != (params.input_dim,):
+        raise ShapeMismatchError("cell input", x_t.shape, (params.input_dim,))
+    if h_prev.shape != (params.hidden_dim,):
+        raise ShapeMismatchError("cell hidden state", h_prev.shape, (params.hidden_dim,))
     z = _sigmoid(params.W_zx @ x_t + params.W_zh @ h_prev + params.b_z)
     r = _sigmoid(params.W_rx @ x_t + params.W_rh @ h_prev + params.b_r)
     h_tilde = np.tanh(params.W_hx @ x_t + params.W_hh @ (r * h_prev) + params.b_h)
@@ -203,24 +192,40 @@ def gru_forward(params: GRUParams, x_t: Array, h_prev: Array) -> StepTrace:
     return StepTrace(z=z, r=r, s=None, h_tilde=h_tilde, h=h, had_skip=False)
 
 
+def sgru_inputs(params: SGRUParams, X: Array) -> Array:
+    """Input products of a whole (N, D) sequence: row t is
+    ``[W_zx, W_rx, W_hx, W_sx] @ x_t``, an (N, 4, H) array.
+
+    The batched product runs one matrix-vector product per (step, gate), so
+    each row has the bits of ``W @ x_t``; ``X @ W.T`` would round differently.
+    """
+    if X.ndim != 2 or X.shape[1] != params.input_dim:
+        raise ShapeMismatchError("cell input", X.shape, ("N", params.input_dim))
+    base = params.base
+    W = np.stack([base.W_zx, base.W_rx, base.W_hx, params.W_sx])
+    return (W @ X[:, None, :, None])[..., 0]
+
+
 def sgru_forward(
-    params: SGRUParams, x_t: Array, h_prev: Array, h_skip: Array | None = None
+    params: SGRUParams, xp_t: Array, h_prev: Array, h_skip: Array | None = None
 ) -> StepTrace:
-    """One skip-cell step; h_skip is the ancestor state, or None for skip-free steps.
+    """One skip-cell step on row t of ``sgru_inputs``; h_skip is the ancestor
+    state, or None for skip-free steps.
 
     The skip gate is only evaluated when an ancestor exists; without one the
     step computes exactly what ``gru_forward`` computes on ``params.base``.
     """
-    _check_step_dims(params, x_t, h_prev)
     base = params.base
-    z = _sigmoid(base.W_zx @ x_t + base.W_zh @ h_prev + base.b_z)
-    r = _sigmoid(base.W_rx @ x_t + base.W_rh @ h_prev + base.b_r)
-    a_h = base.W_hx @ x_t + base.W_hh @ (r * h_prev)
-    s = None
+    a = [xp_t[0] + base.W_zh @ h_prev + base.b_z, xp_t[1] + base.W_rh @ h_prev + base.b_r]
     if h_skip is not None:
         if h_skip.shape != h_prev.shape:
             raise ShapeMismatchError("skip-ancestor state", h_skip.shape, h_prev.shape)
-        s = _sigmoid(params.W_sx @ x_t + params.W_sh @ h_skip + params.b_s)
+        a.append(xp_t[3] + params.W_sh @ h_skip + params.b_s)
+    gates = _sigmoid(np.concatenate(a)).reshape(len(a), -1)   # elementwise: bits as per gate
+    z, r = gates[0], gates[1]
+    s = gates[2] if h_skip is not None else None
+    a_h = xp_t[2] + base.W_hh @ (r * h_prev)
+    if s is not None:
         a_h = a_h + params.W_hp @ (s * h_skip)
     h_tilde = np.tanh(a_h + base.b_h)
     h = z * h_tilde + (1.0 - z) * h_prev
@@ -270,22 +275,14 @@ def gru_backward(
 
 
 def sgru_backward(
-    params: SGRUParams,
-    x_t: Array,
-    h_prev: Array,
-    h_skip: Array | None,
-    trace: StepTrace,
-    dh_t: Array,
-    grads: SGRUParams | None = None,
-) -> SGRUStepGrads:
-    """Analytic gradients of one skip step; dh_skip is zero for skip-free steps.
+    params: SGRUParams, h_prev: Array, h_skip: Array | None, trace: StepTrace, dh_t: Array
+) -> tuple[Array, Array, Array]:
+    """One skip step's gradients given upstream dL/dh_t: (da, dh_prev, dh_skip).
 
-    Parameter gradients are added into ``grads`` (fresh zeros when None),
-    which is returned as the result's ``params``.
+    ``da`` (4, H) holds the pre-activation gradients of gates z, r, h, s, for
+    ``sgru_param_grads``; da_s and dh_skip are zero for skip-free steps.
     """
-    if grads is None:
-        grads = SGRUParams.from_named({n: np.zeros_like(t) for n, t in params.named_tensors()})
-    base, gb = params.base, grads.base
+    base = params.base
     z, r, s, h_tilde = trace.z, trace.r, trace.s, trace.h_tilde
 
     dz = dh_t * (h_tilde - h_prev)
@@ -293,43 +290,45 @@ def sgru_backward(
     dh_prev = dh_t * (1.0 - z)
 
     da_h = dh_tilde * (1.0 - h_tilde * h_tilde)
-    gb.W_hx += np.outer(da_h, x_t)
-    rh = r * h_prev
-    gb.W_hh += np.outer(da_h, rh)
-    gb.b_h += da_h
-    dx = base.W_hx.T @ da_h
     drh = base.W_hh.T @ da_h
     dr = drh * h_prev
     dh_prev = dh_prev + drh * r
 
-    dh_skip = np.zeros_like(dh_prev)
+    dh_skip = da_s = np.zeros_like(dh_prev)
     if trace.had_skip:
         # preservation term: W_hp (s * h_skip) inside the candidate
-        sh = s * h_skip
-        grads.W_hp += np.outer(da_h, sh)
         dsh = params.W_hp.T @ da_h
         ds = dsh * h_skip
-        dh_skip = dsh * s
-
         da_s = ds * s * (1.0 - s)
-        grads.W_sx += np.outer(da_s, x_t)
-        grads.W_sh += np.outer(da_s, h_skip)
-        grads.b_s += da_s
-        dx += params.W_sx.T @ da_s
-        dh_skip = dh_skip + params.W_sh.T @ da_s
+        dh_skip = dsh * s + params.W_sh.T @ da_s
 
     da_z = dz * z * (1.0 - z)
-    gb.W_zx += np.outer(da_z, x_t)
-    gb.W_zh += np.outer(da_z, h_prev)
-    gb.b_z += da_z
-    dx += base.W_zx.T @ da_z
     dh_prev = dh_prev + base.W_zh.T @ da_z
-
     da_r = dr * r * (1.0 - r)
-    gb.W_rx += np.outer(da_r, x_t)
-    gb.W_rh += np.outer(da_r, h_prev)
-    gb.b_r += da_r
-    dx += base.W_rx.T @ da_r
     dh_prev = dh_prev + base.W_rh.T @ da_r
+    return np.stack([da_z, da_r, da_h, da_s]), dh_prev, dh_skip
 
-    return SGRUStepGrads(params=grads, dx=dx, dh_prev=dh_prev, dh_skip=dh_skip)
+
+def sgru_param_grads(
+    params: SGRUParams, grads: SGRUParams,
+    X: Array, H_prev: Array, R: Array, H_skip: Array, S: Array, dA: Array,
+) -> Array:
+    """Parameter gradients of a sweep, added into ``grads``, and dL/dX.
+
+    Row t of each (N, ·) array is step t's input, previous state, reset gate,
+    skip-ancestor state and skip gate (both zero without a skip), and its
+    ``sgru_backward`` da in ``dA`` (N, 4, H).  Each gradient is one product.
+    """
+    dA_z, dA_r, dA_h, dA_s = dA.transpose(1, 0, 2)
+    d = {
+        "W_zx": dA_z.T @ X, "W_zh": dA_z.T @ H_prev, "b_z": dA_z.sum(axis=0),
+        "W_rx": dA_r.T @ X, "W_rh": dA_r.T @ H_prev, "b_r": dA_r.sum(axis=0),
+        "W_sx": dA_s.T @ X, "W_sh": dA_s.T @ H_skip, "b_s": dA_s.sum(axis=0),
+        "W_hx": dA_h.T @ X, "W_hh": dA_h.T @ (R * H_prev), "W_hp": dA_h.T @ (S * H_skip),
+        "b_h": dA_h.sum(axis=0),
+    }
+    for name, t in grads.named_tensors():
+        t += d[name]
+    # the terms in gru_backward's order, so a one-step sweep matches it bit for bit
+    base = params.base
+    return dA_h @ base.W_hx + dA_s @ params.W_sx + dA_z @ base.W_zx + dA_r @ base.W_rx

@@ -278,10 +278,6 @@ def _cmd_detect_skips(opts: dict) -> int:
 
 
 def _cmd_train(opts: dict) -> int:
-    for flag in ("out", "log"):      # fail before training, not after it
-        if opts[flag] is not None and not Path(opts[flag]).parent.is_dir():
-            raise DataError(f"cannot write --{flag} {opts[flag]}: no such directory",
-                            path=str(Path(opts[flag]).parent))
     dataset = load_manifest(opts["manifest"])
     skips = load_skips(opts["skips"])
     ccfg = CompatibilityConfig(
@@ -354,10 +350,17 @@ _COMMANDS = {
     "gradcheck": _cmd_gradcheck,
 }
 
+# the output files of each command, whose directories are checked before it loads anything
+_OUTPUT_FLAGS = {"detect-skips": ("out",), "train": ("out", "log"), "eval": ("report",)}
+
 
 def run(argv=None) -> int:
     try:
         command, opts = _resolve(argv)
+        for flag in _OUTPUT_FLAGS.get(command, ()):
+            if opts[flag] is not None and not Path(opts[flag]).parent.is_dir():
+                raise DataError(f"cannot write --{flag} {opts[flag]}: no such directory",
+                                path=str(Path(opts[flag]).parent))
         return _COMMANDS[command](opts)
     except SystemExit as e:      # --help
         return int(e.code or 0)

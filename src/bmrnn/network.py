@@ -27,7 +27,9 @@ from .cells import (
     init_sgru_params,
     sgru_backward,
     sgru_forward,
+    sgru_inputs,
     sgru_layout,
+    sgru_param_grads,
 )
 from .errors import DataError, ShapeMismatchError
 from .numeric import (
@@ -202,11 +204,12 @@ def _sweep(cell: SGRUParams, x: np.ndarray, skips: SkipMatrix, order) -> list[St
     first), and its skip ancestor, always visited earlier, comes from
     ``skips``."""
     traces: list[StepTrace | None] = [None] * len(x)
+    xp = sgru_inputs(cell, x)
     h_prev = np.zeros(cell.hidden_dim)
     for t in order:
         anc = skips.ancestor_of(t)
         h_skip = traces[anc].h if anc is not None else None
-        traces[t] = sgru_forward(cell, x[t], h_prev, h_skip)
+        traces[t] = sgru_forward(cell, xp[t], h_prev, h_skip)
         h_prev = traces[t].h
     return traces
 
@@ -214,21 +217,25 @@ def _sweep(cell: SGRUParams, x: np.ndarray, skips: SkipMatrix, order) -> list[St
 def _sweep_backward(cell, grads, x, skips, order, traces, dh, dX) -> None:
     """BPTT through one ``_sweep``: steps in reverse visiting order; dh_prev
     flows to the step visited before, dh_skip accumulates on the skip
-    ancestor.  Adds into ``grads`` and ``dX``."""
-    hidden = cell.hidden_dim
+    ancestor.  The loop collects the rows ``sgru_param_grads`` needs, which
+    then adds into ``grads`` and ``dX``."""
+    n, hidden = len(x), cell.hidden_dim
     carry = np.zeros(hidden)
-    skip_acc = np.zeros((len(x), hidden))
-    for i in reversed(range(len(order))):
+    skip_acc = np.zeros((n, hidden))
+    dA = np.empty((n, 4, hidden))
+    H_prev, R, H_skip, S = np.zeros((4, n, hidden))   # skip rows stay zero without a skip
+    for i in reversed(range(n)):
         t = order[i]
         upstream = dh[t] + carry + skip_acc[t]
         anc = skips.ancestor_of(t)
         h_prev = traces[order[i - 1]].h if i > 0 else np.zeros(hidden)
         h_skip = traces[anc].h if anc is not None else None
-        g = sgru_backward(cell, x[t], h_prev, h_skip, traces[t], upstream, grads)
-        dX[t] += g.dx
-        carry = g.dh_prev
+        dA[t], carry, dh_skip = sgru_backward(cell, h_prev, h_skip, traces[t], upstream)
+        H_prev[t], R[t] = h_prev, traces[t].r
         if anc is not None:
-            skip_acc[anc] += g.dh_skip
+            skip_acc[anc] += dh_skip
+            H_skip[t], S[t] = h_skip, traces[t].s
+    dX += sgru_param_grads(cell, grads, x, H_prev, R, H_skip, S, dA)
 
 
 def bmrnn_forward(params: BMRNNParams, story: StoryStream, skips: SkipMatrix) -> ForwardTrace:

@@ -195,9 +195,10 @@ def clip_gradients(grads: BMRNNParams, max_norm: float) -> float:
 
 def update_step(
     params: BMRNNParams, grads: BMRNNParams, state: OptimizerState, cfg: TrainConfig
-) -> None:
-    """One optimizer step, in place: clip globally, then Adam or SGD+momentum."""
-    clip_gradients(grads, cfg.grad_clip_norm)
+) -> float:
+    """One optimizer step, in place: clip globally, then Adam or SGD+momentum.
+    Returns the pre-clip gradient norm."""
+    norm = clip_gradients(grads, cfg.grad_clip_norm)
     if not cfg.update_merge_bias:
         grads.b_merge[:] = 0.0
     state.step += 1
@@ -214,6 +215,7 @@ def update_step(
         m *= cfg.momentum
         m += g
         p -= cfg.learning_rate * m
+    return norm
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +314,7 @@ def train(
         }
         order = [train_records[i] for i in order_rng.permutation(len(train_records))]
         losses: list[float] = []
+        norms: list[float] = []      # pre-clip gradient norm of each update
         step = 0
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
@@ -328,7 +331,7 @@ def train(
                 losses.append(result.loss)
                 batch_grads.flat += (1.0 / len(batch)) * grads.flat
                 step += 1
-            update_step(params, batch_grads, state, cfg)
+            norms.append(update_step(params, batch_grads, state, cfg))
 
         mean_loss = float(np.mean(losses))
         val_recall1 = val_medr = None
@@ -341,6 +344,8 @@ def train(
             "mean_loss": mean_loss,
             "val_recall1": val_recall1,
             "val_medr": val_medr,
+            "grad_norm_p50": float(np.median(norms)),
+            "clip_frac": float(np.mean(np.array(norms) > cfg.grad_clip_norm)),
             "wall_ms": round((time.perf_counter() - t0) * 1000.0, 3),
         }
         history.append(record)

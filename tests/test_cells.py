@@ -13,6 +13,8 @@ from bmrnn.cells import (
     init_sgru_params,
     sgru_backward,
     sgru_forward,
+    sgru_inputs,
+    sgru_param_grads,
 )
 from bmrnn.errors import ShapeMismatchError
 from bmrnn.numeric import SeededRng
@@ -52,6 +54,23 @@ def rel_err(a, f, floor=1e-5):
     return np.max(np.abs(a - f) / denom)
 
 
+def xp1(params, x):
+    """The ``sgru_inputs`` row of a one-step sequence x."""
+    return sgru_inputs(params, x[None])[0]
+
+
+def sgru_step_grads(p, x, h, hp, tr, g_up):
+    """One step's (param grads, dx, dh_prev, dh_skip): ``sgru_backward``,
+    then ``sgru_param_grads`` on a one-step sweep."""
+    da, dh_prev, dh_skip = sgru_backward(p, h, hp, tr, g_up)
+    grads = SGRUParams.from_named({n: np.zeros_like(t) for n, t in p.named_tensors()})
+    zero = np.zeros_like(h)
+    dx = sgru_param_grads(p, grads, x[None], h[None], tr.r[None],
+                          (zero if hp is None else hp)[None],
+                          (zero if tr.s is None else tr.s)[None], da[None])[0]
+    return grads, dx, dh_prev, dh_skip
+
+
 def fd_cell_grads(params, x, h_prev, h_skip, g):
     """Central-difference gradients of g . h_t for every tensor and input.
 
@@ -60,7 +79,7 @@ def fd_cell_grads(params, x, h_prev, h_skip, g):
     is_sgru = isinstance(params, SGRUParams)
 
     def loss(p, xv, hv, sv):
-        tr = sgru_forward(p, xv, hv, sv) if is_sgru else gru_forward(p, xv, hv)
+        tr = sgru_forward(p, xp1(p, xv), hv, sv) if is_sgru else gru_forward(p, xv, hv)
         return float(np.dot(g, tr.h))
 
     out = {}
@@ -151,7 +170,7 @@ class TestSgruForward:
         for _ in range(10):
             p = init_sgru_params(3, 4, rng)
             x, h = rng.normal(shape=3), rng.normal(shape=4)
-            a = sgru_forward(p, x, h, None)
+            a = sgru_forward(p, xp1(p, x), h, None)
             b = gru_forward(p.base, x, h)
             npt.assert_array_equal(a.h, b.h)
             npt.assert_array_equal(a.z, b.z)
@@ -161,7 +180,8 @@ class TestSgruForward:
 
     def test_zero_params_with_skip(self):
         v = np.array([1.0, -0.5])
-        tr = sgru_forward(zero_sgru(2, 2), np.zeros(2), v, np.array([3.0, 3.0]))
+        p = zero_sgru(2, 2)
+        tr = sgru_forward(p, xp1(p, np.zeros(2)), v, np.array([3.0, 3.0]))
         assert tr.had_skip and tr.s is not None
         npt.assert_array_equal(tr.s, 0.5)  # gate exists, W_hp = 0 annihilates it
         npt.assert_allclose(tr.h, 0.5 * v, atol=0)
@@ -171,7 +191,7 @@ class TestSgruForward:
         p = zero_sgru(1, 1)
         p.base.W_zx[:] = p.base.W_rx[:] = p.base.W_hx[:] = 1.0
         p.W_sx[:] = p.W_sh[:] = p.W_hp[:] = 1.0
-        tr = sgru_forward(p, np.array([1.0]), np.array([0.5]), np.array([1.0]))
+        tr = sgru_forward(p, xp1(p, np.array([1.0])), np.array([0.5]), np.array([1.0]))
         npt.assert_allclose(tr.s, 0.8807970779778823, atol=1e-12)
         npt.assert_allclose(tr.h_tilde, 0.9545629551086131, atol=1e-12)
         npt.assert_allclose(tr.h, 0.8323121478595574, atol=1e-12)
@@ -179,7 +199,7 @@ class TestSgruForward:
     def test_skip_dim_mismatch(self):
         p = zero_sgru(2, 3)
         with pytest.raises(ShapeMismatchError):
-            sgru_forward(p, np.zeros(2), np.zeros(3), np.zeros(2))
+            sgru_forward(p, xp1(p, np.zeros(2)), np.zeros(3), np.zeros(2))
 
 
 class TestGruBackward:
@@ -223,26 +243,26 @@ class TestSgruBackward:
         p = init_sgru_params(2, 3, rng)
         x, h = rng.normal(shape=2), rng.normal(shape=3)
         g_up = rng.normal(shape=3)
-        tr = sgru_forward(p, x, h, None)
-        got = sgru_backward(p, x, h, None, tr, g_up)
+        tr = sgru_forward(p, xp1(p, x), h, None)
+        grads, dx, dh_prev, dh_skip = sgru_step_grads(p, x, h, None, tr, g_up)
         want = gru_backward(p.base, x, h, tr, g_up)
-        for (name, a), (_, b) in zip(got.params.base.named_tensors(), want.params.named_tensors()):
+        for (name, a), (_, b) in zip(grads.base.named_tensors(), want.params.named_tensors()):
             npt.assert_array_equal(a, b, err_msg=name)
-        npt.assert_array_equal(got.dx, want.dx)
-        npt.assert_array_equal(got.dh_prev, want.dh_prev)
-        npt.assert_array_equal(got.dh_skip, 0.0)
-        npt.assert_array_equal(got.params.W_hp, 0.0)
-        npt.assert_array_equal(got.params.W_sx, 0.0)
+        npt.assert_array_equal(dx, want.dx)
+        npt.assert_array_equal(dh_prev, want.dh_prev)
+        npt.assert_array_equal(dh_skip, 0.0)
+        npt.assert_array_equal(grads.W_hp, 0.0)
+        npt.assert_array_equal(grads.W_sx, 0.0)
 
     def test_zero_upstream_zero_grads(self):
         rng = SeededRng(31)
         p = init_sgru_params(2, 3, rng)
         x, h, hp = rng.normal(shape=2), rng.normal(shape=3), rng.normal(shape=3)
-        tr = sgru_forward(p, x, h, hp)
-        g = sgru_backward(p, x, h, hp, tr, np.zeros(3))
-        for _, t in g.params.named_tensors():
+        tr = sgru_forward(p, xp1(p, x), h, hp)
+        grads, _, _, dh_skip = sgru_step_grads(p, x, h, hp, tr, np.zeros(3))
+        for _, t in grads.named_tensors():
             npt.assert_array_equal(t, 0.0)
-        npt.assert_array_equal(g.dh_skip, 0.0)
+        npt.assert_array_equal(dh_skip, 0.0)
 
     def test_three_dim_cell_finite_differences(self):
         rng = SeededRng(41)
@@ -250,14 +270,14 @@ class TestSgruBackward:
         p = init_sgru_params(3, 3, rng)
         x, h, hp = nrng.normal(size=3), nrng.normal(size=3), nrng.normal(size=3)
         g_up = nrng.normal(size=3)
-        tr = sgru_forward(p, x, h, hp)
-        back = sgru_backward(p, x, h, hp, tr, g_up)
+        tr = sgru_forward(p, xp1(p, x), h, hp)
+        grads, dx, dh_prev, dh_skip = sgru_step_grads(p, x, h, hp, tr, g_up)
         fd = fd_cell_grads(p, x, h, hp, g_up)
-        for name, t in back.params.named_tensors():
+        for name, t in grads.named_tensors():
             assert rel_err(t, fd[name]) < 1e-6, name
-        assert rel_err(back.dx, fd["x"]) < 1e-6
-        assert rel_err(back.dh_prev, fd["h_prev"]) < 1e-6
-        assert rel_err(back.dh_skip, fd["h_skip"]) < 1e-6
+        assert rel_err(dx, fd["x"]) < 1e-6
+        assert rel_err(dh_prev, fd["h_prev"]) < 1e-6
+        assert rel_err(dh_skip, fd["h_skip"]) < 1e-6
 
     def test_gradients_many_random_trials(self):
         # dims up to 8, with and without skip
@@ -272,15 +292,15 @@ class TestSgruBackward:
             h = nrng.normal(size=dh)
             hp = nrng.normal(size=dh) if trial % 2 == 0 else None
             g_up = nrng.normal(size=dh)
-            tr = sgru_forward(p, x, h, hp)
-            back = sgru_backward(p, x, h, hp, tr, g_up)
+            tr = sgru_forward(p, xp1(p, x), h, hp)
+            grads, dx, dh_prev, dh_skip = sgru_step_grads(p, x, h, hp, tr, g_up)
             fd = fd_cell_grads(p, x, h, hp, g_up)
-            for name, t in back.params.named_tensors():
+            for name, t in grads.named_tensors():
                 worst = max(worst, rel_err(t, fd[name]))
-            worst = max(worst, rel_err(back.dx, fd["x"]))
-            worst = max(worst, rel_err(back.dh_prev, fd["h_prev"]))
+            worst = max(worst, rel_err(dx, fd["x"]))
+            worst = max(worst, rel_err(dh_prev, fd["h_prev"]))
             if hp is not None:
-                worst = max(worst, rel_err(back.dh_skip, fd["h_skip"]))
+                worst = max(worst, rel_err(dh_skip, fd["h_skip"]))
         assert worst < 1e-5, worst
 
 
@@ -314,7 +334,7 @@ def skip_sensitivity(seed):
         states = []
         for t in range(4):
             h_skip = states[0] if (with_skip and t == 3) else None
-            tr = sgru_forward(p, seq[t : t + 1], h, h_skip)
+            tr = sgru_forward(p, xp1(p, seq[t : t + 1]), h, h_skip)
             h = tr.h
             states.append(h)
         return float(h[0])

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import bmrnn.cli
 from bmrnn.cli import _build_parser, _resolve, run
 from bmrnn.data import load_skips, read_tensor, write_tensor
 from bmrnn.network import init_bmrnn_params, save_model
@@ -299,6 +300,21 @@ FILE_BOUNDARY_CASES = {
         ["synth", "--out", str(_regular_file(d / "c")), "--stories", "6"], d / "c"),
 }
 
+# each case: (trained fixture, empty tmp_path) -> (argv with one output in a
+# missing directory, the summary line a finished run prints)
+MISSING_OUTPUT_DIR_CASES = {
+    "detect-skips --out": lambda t, d: (
+        ["detect-skips", "--manifest", t.manifest, "--out", str(d / "no" / "s.jsonl")],
+        "detected skip structures"),
+    "train --out": lambda t, d: (
+        ["train", "--manifest", t.manifest, "--skips", t.skips,
+         "--out", str(d / "no" / "m.bin"), "--epochs", "1"], "trained"),
+    "train --log": lambda t, d: (
+        ["train", "--manifest", t.manifest, "--skips", t.skips, "--out", str(d / "m.bin"),
+         "--log", str(d / "no" / "log.jsonl"), "--epochs", "1"], "trained"),
+    "eval --report": lambda t, d: (eval_argv(t, t.model, d / "no" / "r.json"), "report ->"),
+}
+
 
 class TestFileBoundary:
     @pytest.mark.parametrize("case", FILE_BOUNDARY_CASES)
@@ -318,6 +334,21 @@ class TestFileBoundary:
         captured = capsys.readouterr()
         assert "trained" not in captured.out
         assert f"--out {out}" in captured.err and not out.parent.exists()
+
+    @pytest.mark.parametrize("case", MISSING_OUTPUT_DIR_CASES)
+    def test_output_directory_checked_before_loading(self, trained, tmp_path, capsys,
+                                                      monkeypatch, case):
+        argv, summary = MISSING_OUTPUT_DIR_CASES[case](trained, tmp_path)
+
+        def no_loading(*args):
+            raise AssertionError("the manifest was loaded before the output was checked")
+
+        monkeypatch.setattr(bmrnn.cli, "load_manifest", no_loading)
+        capsys.readouterr()
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert summary not in captured.out
+        assert f"{tmp_path / 'no'}" in captured.err and "no such directory" in captured.err
 
     def test_eval_names_a_model_of_other_dimensions(self, trained, tmp_path, capsys):
         model = tmp_path / "m.bin"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmrnn.cells import GRUParams, SGRUParams, gru_forward
+from bmrnn.cells import GRUParams, SGRUParams, gru_backward, gru_forward
 from bmrnn.errors import DataError, ShapeMismatchError
 from bmrnn.network import (
     MODEL_MAGIC,
@@ -165,9 +165,9 @@ def plain_bigru(p, x):
 
 
 @st.composite
-def skip_stories(draw):
-    """(n, clusters): a story length 1-8 and a random partition of its steps."""
-    n = draw(st.integers(1, 8))
+def skip_stories(draw, max_n=8):
+    """(n, clusters): a story length 1-max_n and a random partition of its steps."""
+    n = draw(st.integers(1, max_n))
     labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
     return n, [[t for t in range(n) if labels[t] == c] for c in sorted(set(labels))]
 
@@ -325,6 +325,78 @@ class TestBackward:
             for name, t in grads.named_tensors():
                 worst = max(worst, rel_err(t, fd[name]))
         assert worst < 1e-5, worst
+
+
+def plain_bigru_grads(p, x, dH):
+    """Gradients of sum(dH * merged) for ``plain_bigru``, by BPTT through
+    per-step ``gru_backward`` calls: ({tensor name: gradient}, dL/dX)."""
+    n, hidden = len(x), p.hidden_dim
+    grads, dX, states = {}, np.zeros_like(x), {}
+    for d, cell, merge, order in (("fwd", p.fwd.base, p.merge_f, list(range(n))),
+                                  ("bwd", p.bwd.base, p.merge_b, list(range(n - 1, -1, -1)))):
+        h, prev, traces = np.zeros(hidden), {}, {}
+        for t in order:
+            prev[t], traces[t] = h, gru_forward(cell, x[t], h)
+            h = traces[t].h
+        for name, t in cell.named_tensors():
+            grads[f"{d}.{name}"] = np.zeros_like(t)
+        carry = np.zeros(hidden)
+        for t in reversed(order):
+            g = gru_backward(cell, x[t], prev[t], traces[t], merge.T @ dH[t] + carry)
+            for name, gt in g.params.named_tensors():
+                grads[f"{d}.{name}"] += gt
+            dX[t] += g.dx
+            carry = g.dh_prev
+        states[d] = np.stack([traces[t].h for t in range(n)])
+    grads.update(merge_f=dH.T @ states["fwd"], merge_b=dH.T @ states["bwd"],
+                 b_merge=dH.sum(axis=0))
+    return grads, dX
+
+
+class TestSequenceBackward:
+    """``bmrnn_backward`` at blog-long shapes: lengths up to 40, dims up to 32."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(story=skip_stories(max_n=40), in_dim=st.integers(1, 32), hidden=st.integers(1, 32),
+           out_dim=st.integers(1, 32), seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_step_bptt_and_finite_differences(self, story, in_dim, hidden,
+                                                          out_dim, seed):
+        n, clusters = story
+        p = init_bmrnn_params(in_dim, hidden, out_dim, SeededRng(seed))
+        nrng = np.random.default_rng(seed)
+        stream = StoryStream(story_id="s", x=nrng.normal(size=(n, in_dim)))
+        dH = nrng.normal(size=(n, out_dim))
+
+        # without skips: the per-step GRU oracle; the skip tensors get no gradient
+        free = SkipMatrix(n=n, pairs=())
+        grads, dX = bmrnn_backward(p, stream, free, bmrnn_forward(p, stream, free), dH)
+        want, want_dX = plain_bigru_grads(p, stream.x, dH)
+        for name, g in list(grads.named_tensors()) + [("dX", dX)]:
+            w = want_dX if name == "dX" else want.get(name, np.zeros_like(g))
+            npt.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.max(np.abs(w)), err_msg=name)
+
+        # with skips: central differences on sampled parameter and input entries
+        sk = SkipMatrix(n=n, pairs=tuple(cluster_chains(clusters)))
+        grads, dX = bmrnn_backward(p, stream, sk, bmrnn_forward(p, stream, sk), dH)
+        eps = 1e-5
+
+        def loss(x):
+            return float(np.sum(dH * bmrnn_forward(p, StoryStream(story_id="s", x=x), sk).merged))
+
+        for i in nrng.choice(p.flat.size, size=20, replace=False):
+            orig = p.flat[i]
+            p.flat[i] = orig + eps
+            up = loss(stream.x)
+            p.flat[i] = orig - eps
+            down = loss(stream.x)
+            p.flat[i] = orig
+            assert rel_err(grads.flat[i], (up - down) / (2 * eps)) < 1e-5, i
+        for _ in range(5):
+            t, j = int(nrng.integers(n)), int(nrng.integers(in_dim))
+            bump = np.zeros_like(stream.x)
+            bump[t, j] = eps
+            fd = (loss(stream.x + bump) - loss(stream.x - bump)) / (2 * eps)
+            assert rel_err(dX[t, j], fd) < 1e-5, (t, j)
 
 
 class TestStoryStream:

@@ -34,6 +34,23 @@ class TestElementwise:
         assert np.all(np.isfinite(s))
         npt.assert_allclose(s, [0.0, 1.0], atol=1e-12)
 
+    def test_sigmoid_bits_match_the_two_branch_form(self):
+        def two_branch(x):   # one exp per sign branch, each on its own subset
+            out = np.empty_like(x)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+
+        tiny = np.finfo(float).smallest_subnormal
+        edges = [0.0, tiny, 1e-310, 2.2e-308, 1e-16, 36.7, 709.0, 744.0, 745.0, 746.0, 1e4,
+                 np.inf, np.nan]
+        half = np.concatenate([np.linspace(0, 800, 100_001), np.geomspace(tiny, 1e4, 20_001),
+                               edges])
+        grid = np.concatenate([half, -half])     # -0.0 and negative subnormals too
+        npt.assert_array_equal(_sigmoid(grid), two_branch(grid))
+
 
 class TestInitParams:
     def test_deterministic_per_seed(self):

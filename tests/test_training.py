@@ -7,6 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import bmrnn.training
 from bmrnn.data import SynthConfig, generate_synthetic
 from bmrnn.errors import ConfigError, DataError, DivergenceError
 from bmrnn.network import init_bmrnn_params, load_model
@@ -260,9 +261,28 @@ class TestTrain:
         assert len(lines) == 2
         for i, rec in enumerate(lines):
             assert rec["epoch"] == i
-            assert set(rec) == {"epoch", "mean_loss", "val_recall1", "val_medr", "wall_ms"}
+            assert set(rec) == {"epoch", "mean_loss", "val_recall1", "val_medr", "wall_ms",
+                                "grad_norm_p50", "clip_frac"}
             assert rec["wall_ms"] > 0
         assert lines == ckpt.history
+
+    @pytest.mark.parametrize("clip, clip_frac", [(1e-12, 1.0), (1e12, 0.0)])
+    def test_log_records_gradient_norm_and_clip_rate(self, monkeypatch, clip, clip_frac):
+        corpus, tr, va = small_corpus(n=12, seed=6)
+        norms = []
+
+        def recording_clip(grads, max_norm):
+            norms.append(clip_gradients(grads, max_norm))
+            return norms[-1]
+
+        monkeypatch.setattr(bmrnn.training, "clip_gradients", recording_clip)
+        cfg = TrainConfig(epochs=1, seed=0, batch_size=2, grad_clip_norm=clip)
+        ckpt = train(tr, [], corpus.skips, cfg, CompatibilityConfig(negatives_per_positive=3),
+                     hidden_dim=4)
+        rec = ckpt.history[0]
+        assert len(norms) == -(-len(tr) // 2) and min(norms) > 0
+        assert rec["grad_norm_p50"] == float(np.median(norms))
+        assert rec["clip_frac"] == clip_frac
 
     def test_log_without_validation_has_nulls(self, tmp_path):
         corpus, tr, va = small_corpus(n=12, seed=6)
