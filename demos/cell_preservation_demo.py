@@ -19,12 +19,12 @@ from bmrnn.cells import SGRUParams, sgru_forward, sgru_inputs, sgru_layout
 def h4_sensitivity(seed: int, with_skip: bool) -> float:
     rng = np.random.default_rng(seed)
     p = SGRUParams.from_named({n: np.zeros(shape) for n, shape in sgru_layout(1, 1)})
-    p.base.W_zx[:] = rng.uniform(0.5, 1.5)    # large x opens the update gate
-    p.base.W_rx[:] = -rng.uniform(0.5, 1.5)   # ... and closes the reset gate
-    p.base.W_hx[:] = rng.uniform(-1, 1)
-    p.base.W_zh[:] = rng.uniform(-0.5, 0.5)
-    p.base.W_rh[:] = rng.uniform(-0.5, 0.5)
-    p.base.W_hh[:] = rng.uniform(-1, 1)
+    p.W_zx[:] = rng.uniform(0.5, 1.5)    # large x opens the update gate
+    p.W_rx[:] = -rng.uniform(0.5, 1.5)   # ... and closes the reset gate
+    p.W_hx[:] = rng.uniform(-1, 1)
+    p.W_zh[:] = rng.uniform(-0.5, 0.5)
+    p.W_rh[:] = rng.uniform(-0.5, 0.5)
+    p.W_hh[:] = rng.uniform(-1, 1)
     p.W_sx[:] = rng.uniform(-1, 1)
     p.W_sh[:] = rng.uniform(-1, 1)
     p.W_hp[:] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5)

@@ -19,7 +19,8 @@ a skip gate decides how much of h_p to reinject into the candidate:
     h~  = tanh(W_hx x_t + W_hh (r_t * h_prev) + W_hp (s_t * h_p) + b_h)
 
 With no ancestor the skip term vanishes and the cell is bit-identical to the
-baseline cell on the embedded base parameters.
+baseline cell on its first nine tensors: ``SGRUParams`` is ``GRUParams`` with
+the four skip tensors added.
 
 A sweep over a sequence takes its input products from ``sgru_inputs`` and
 its parameter gradients from ``sgru_param_grads``; the steps do the recurrence.
@@ -31,6 +32,7 @@ checked against central finite differences in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -41,11 +43,9 @@ __all__ = [
     "GRUParams",
     "SGRUParams",
     "StepTrace",
-    "GRUStepGrads",
     "init_gru_params",
     "init_sgru_params",
     "gru_forward",
-    "gru_backward",
     "sgru_inputs",
     "sgru_forward",
     "sgru_backward",
@@ -53,14 +53,14 @@ __all__ = [
     "sgru_layout",
 ]
 
-GRU_NAMES = ("W_zx", "W_zh", "W_rx", "W_rh", "W_hx", "W_hh", "b_z", "b_r", "b_h")
-SGRU_NAMES = ("W_zx", "W_zh", "W_rx", "W_rh", "W_sx", "W_sh", "W_hx", "W_hh", "W_hp",
-              "b_z", "b_r", "b_s", "b_h")
-
 
 @dataclass
 class GRUParams:
     """Weights of the baseline cell. Matrices are (hidden, input) or (hidden, hidden)."""
+
+    # the tensors in canonical order: the model file's
+    NAMES: ClassVar[tuple[str, ...]] = (
+        "W_zx", "W_zh", "W_rx", "W_rh", "W_hx", "W_hh", "b_z", "b_r", "b_h")
 
     W_zx: Array
     W_zh: Array
@@ -82,38 +82,32 @@ class GRUParams:
 
     def named_tensors(self):
         """Canonical (name, array) pairs, fixed order."""
-        for name in GRU_NAMES:
+        for name in self.NAMES:
             yield name, getattr(self, name)
+
+    @classmethod
+    def from_named(cls, tensors: dict, prefix: str = ""):
+        """Parameters from ``{prefix + name: array}``; the arrays are not copied."""
+        return cls(**{n: tensors[prefix + n] for n in cls.NAMES})
 
 
 @dataclass
-class SGRUParams:
+class SGRUParams(GRUParams):
     """Baseline weights plus the skip gate and preservation matrices."""
 
-    base: GRUParams
+    NAMES: ClassVar[tuple[str, ...]] = (
+        "W_zx", "W_zh", "W_rx", "W_rh", "W_sx", "W_sh", "W_hx", "W_hh", "W_hp",
+        "b_z", "b_r", "b_s", "b_h")
+
     W_sx: Array
     W_sh: Array
     W_hp: Array
     b_s: Array
 
     @property
-    def hidden_dim(self) -> int:
-        return self.base.hidden_dim
-
-    @property
-    def input_dim(self) -> int:
-        return self.base.input_dim
-
-    def named_tensors(self):
-        """Canonical (name, array) pairs: the order of the model file."""
-        for name in SGRU_NAMES:
-            yield name, getattr(self.base if name in GRU_NAMES else self, name)
-
-    @classmethod
-    def from_named(cls, tensors: dict, prefix: str = "") -> "SGRUParams":
-        """Parameters from ``{prefix + name: array}``; the arrays are not copied."""
-        t = {n: tensors[prefix + n] for n in SGRU_NAMES}
-        return cls(base=GRUParams(**{n: t.pop(n) for n in GRU_NAMES}), **t)
+    def base(self) -> GRUParams:
+        """The baseline weights, as views: what a skip-free step computes with."""
+        return GRUParams.from_named(vars(self))
 
 
 def sgru_layout(input_dim: int, hidden_dim: int) -> list[tuple[str, tuple[int, ...]]]:
@@ -121,27 +115,19 @@ def sgru_layout(input_dim: int, hidden_dim: int) -> list[tuple[str, tuple[int, .
     return [
         (n, (hidden_dim,) if n.startswith("b")
          else (hidden_dim, input_dim if n.endswith("x") else hidden_dim))
-        for n in SGRU_NAMES
+        for n in SGRUParams.NAMES
     ]
 
 
-@dataclass
-class StepTrace:
-    """Gate activations and states of one timestep, kept for the backward pass."""
+class StepTrace(NamedTuple):
+    """Gate activations and states of one timestep; s is None on a step
+    without a skip ancestor.  A sweep keeps the same five rows per step."""
 
     z: Array
     r: Array
     s: Array | None
     h_tilde: Array
     h: Array
-    had_skip: bool
-
-
-@dataclass
-class GRUStepGrads:
-    params: GRUParams
-    dx: Array
-    dh_prev: Array
 
 
 def init_gru_params(
@@ -165,7 +151,7 @@ def init_sgru_params(
     input_dim: int, hidden_dim: int, rng: SeededRng, scale: float | None = None
 ) -> SGRUParams:
     return SGRUParams(
-        base=init_gru_params(input_dim, hidden_dim, rng, scale=scale),
+        **vars(init_gru_params(input_dim, hidden_dim, rng, scale=scale)),
         W_sx=init_params(hidden_dim, input_dim, rng, scale=scale),
         W_sh=init_params(hidden_dim, hidden_dim, rng, scale=scale),
         W_hp=init_params(hidden_dim, hidden_dim, rng, scale=scale),
@@ -189,7 +175,7 @@ def gru_forward(params: GRUParams, x_t: Array, h_prev: Array) -> StepTrace:
     r = _sigmoid(params.W_rx @ x_t + params.W_rh @ h_prev + params.b_r)
     h_tilde = np.tanh(params.W_hx @ x_t + params.W_hh @ (r * h_prev) + params.b_h)
     h = z * h_tilde + (1.0 - z) * h_prev
-    return StepTrace(z=z, r=r, s=None, h_tilde=h_tilde, h=h, had_skip=False)
+    return StepTrace(z, r, None, h_tilde, h)
 
 
 def sgru_inputs(params: SGRUParams, X: Array) -> Array:
@@ -201,8 +187,7 @@ def sgru_inputs(params: SGRUParams, X: Array) -> Array:
     """
     if X.ndim != 2 or X.shape[1] != params.input_dim:
         raise ShapeMismatchError("cell input", X.shape, ("N", params.input_dim))
-    base = params.base
-    W = np.stack([base.W_zx, base.W_rx, base.W_hx, params.W_sx])
+    W = np.stack([params.W_zx, params.W_rx, params.W_hx, params.W_sx])
     return (W @ X[:, None, :, None])[..., 0]
 
 
@@ -215,8 +200,8 @@ def sgru_forward(
     The skip gate is only evaluated when an ancestor exists; without one the
     step computes exactly what ``gru_forward`` computes on ``params.base``.
     """
-    base = params.base
-    a = [xp_t[0] + base.W_zh @ h_prev + base.b_z, xp_t[1] + base.W_rh @ h_prev + base.b_r]
+    a = [xp_t[0] + params.W_zh @ h_prev + params.b_z,
+         xp_t[1] + params.W_rh @ h_prev + params.b_r]
     if h_skip is not None:
         if h_skip.shape != h_prev.shape:
             raise ShapeMismatchError("skip-ancestor state", h_skip.shape, h_prev.shape)
@@ -224,54 +209,12 @@ def sgru_forward(
     gates = _sigmoid(np.concatenate(a)).reshape(len(a), -1)   # elementwise: bits as per gate
     z, r = gates[0], gates[1]
     s = gates[2] if h_skip is not None else None
-    a_h = xp_t[2] + base.W_hh @ (r * h_prev)
+    a_h = xp_t[2] + params.W_hh @ (r * h_prev)
     if s is not None:
         a_h = a_h + params.W_hp @ (s * h_skip)
-    h_tilde = np.tanh(a_h + base.b_h)
+    h_tilde = np.tanh(a_h + params.b_h)
     h = z * h_tilde + (1.0 - z) * h_prev
-    return StepTrace(z=z, r=r, s=s, h_tilde=h_tilde, h=h, had_skip=s is not None)
-
-
-def gru_backward(
-    params: GRUParams,
-    x_t: Array,
-    h_prev: Array,
-    trace: StepTrace,
-    dh_t: Array,
-) -> GRUStepGrads:
-    """Analytic gradients of one baseline step given upstream dL/dh_t."""
-    z, r, h_tilde = trace.z, trace.r, trace.h_tilde
-    g = GRUParams(**{n: np.zeros_like(t) for n, t in params.named_tensors()})
-
-    dz = dh_t * (h_tilde - h_prev)
-    dh_tilde = dh_t * z
-    dh_prev = dh_t * (1.0 - z)
-
-    da_h = dh_tilde * (1.0 - h_tilde * h_tilde)
-    g.W_hx += np.outer(da_h, x_t)
-    rh = r * h_prev
-    g.W_hh += np.outer(da_h, rh)
-    g.b_h += da_h
-    dx = params.W_hx.T @ da_h
-    drh = params.W_hh.T @ da_h
-    dr = drh * h_prev
-    dh_prev = dh_prev + drh * r
-
-    da_z = dz * z * (1.0 - z)
-    g.W_zx += np.outer(da_z, x_t)
-    g.W_zh += np.outer(da_z, h_prev)
-    g.b_z += da_z
-    dx += params.W_zx.T @ da_z
-    dh_prev = dh_prev + params.W_zh.T @ da_z
-
-    da_r = dr * r * (1.0 - r)
-    g.W_rx += np.outer(da_r, x_t)
-    g.W_rh += np.outer(da_r, h_prev)
-    g.b_r += da_r
-    dx += params.W_rx.T @ da_r
-    dh_prev = dh_prev + params.W_rh.T @ da_r
-
-    return GRUStepGrads(params=g, dx=dx, dh_prev=dh_prev)
+    return StepTrace(z, r, s, h_tilde, h)
 
 
 def sgru_backward(
@@ -279,23 +222,24 @@ def sgru_backward(
 ) -> tuple[Array, Array, Array]:
     """One skip step's gradients given upstream dL/dh_t: (da, dh_prev, dh_skip).
 
-    ``da`` (4, H) holds the pre-activation gradients of gates z, r, h, s, for
-    ``sgru_param_grads``; da_s and dh_skip are zero for skip-free steps.
+    ``trace`` is the step's z, r, s, h~ and h: its ``StepTrace`` or its
+    (5, H) column of a sweep trace.  ``da`` (4, H) holds the pre-activation
+    gradients of gates z, r, h, s, for ``sgru_param_grads``; da_s and
+    dh_skip are zero for skip-free steps.
     """
-    base = params.base
-    z, r, s, h_tilde = trace.z, trace.r, trace.s, trace.h_tilde
+    z, r, s, h_tilde, _ = trace
 
     dz = dh_t * (h_tilde - h_prev)
     dh_tilde = dh_t * z
     dh_prev = dh_t * (1.0 - z)
 
     da_h = dh_tilde * (1.0 - h_tilde * h_tilde)
-    drh = base.W_hh.T @ da_h
+    drh = params.W_hh.T @ da_h
     dr = drh * h_prev
     dh_prev = dh_prev + drh * r
 
     dh_skip = da_s = np.zeros_like(dh_prev)
-    if trace.had_skip:
+    if h_skip is not None:
         # preservation term: W_hp (s * h_skip) inside the candidate
         dsh = params.W_hp.T @ da_h
         ds = dsh * h_skip
@@ -303,9 +247,9 @@ def sgru_backward(
         dh_skip = dsh * s + params.W_sh.T @ da_s
 
     da_z = dz * z * (1.0 - z)
-    dh_prev = dh_prev + base.W_zh.T @ da_z
+    dh_prev = dh_prev + params.W_zh.T @ da_z
     da_r = dr * r * (1.0 - r)
-    dh_prev = dh_prev + base.W_rh.T @ da_r
+    dh_prev = dh_prev + params.W_rh.T @ da_r
     return np.stack([da_z, da_r, da_h, da_s]), dh_prev, dh_skip
 
 
@@ -329,6 +273,6 @@ def sgru_param_grads(
     }
     for name, t in grads.named_tensors():
         t += d[name]
-    # the terms in gru_backward's order, so a one-step sweep matches it bit for bit
-    base = params.base
-    return dA_h @ base.W_hx + dA_s @ params.W_sx + dA_z @ base.W_zx + dA_r @ base.W_rx
+    # the terms in the GRU oracle's order (tests/gru_oracle.py), so a one-step
+    # skip-free sweep matches it bit for bit
+    return dA_h @ params.W_hx + dA_s @ params.W_sx + dA_z @ params.W_zx + dA_r @ params.W_rx

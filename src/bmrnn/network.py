@@ -18,12 +18,12 @@ import copy
 import math
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .cells import (
     SGRUParams,
-    StepTrace,
     init_sgru_params,
     sgru_backward,
     sgru_forward,
@@ -172,12 +172,14 @@ class StoryStream:
         return len(self.x)
 
 
-@dataclass
-class ForwardTrace:
-    """Everything the backward pass needs: per-step traces and the (N, D) merge."""
+class ForwardTrace(NamedTuple):
+    """Everything the backward pass needs.  ``fwd`` and ``bwd`` are each
+    direction's (5, N, H) sweep trace: rows z, r, s, h~ and h of every step
+    (s is zero on a step without a skip ancestor).  ``merged`` is the (N, D)
+    output."""
 
-    fwd_traces: list[StepTrace]
-    bwd_traces: list[StepTrace]
+    fwd: np.ndarray
+    bwd: np.ndarray
     merged: np.ndarray
 
 
@@ -198,44 +200,43 @@ def init_bmrnn_params(
     )
 
 
-def _sweep(cell: SGRUParams, x: np.ndarray, skips: SkipMatrix, order) -> list[StepTrace]:
-    """One directional pass visiting the steps in ``order``.  A step's
-    previous state is that of the step visited just before it (zero for the
-    first), and its skip ancestor, always visited earlier, comes from
-    ``skips``."""
-    traces: list[StepTrace | None] = [None] * len(x)
+def _sweep(cell: SGRUParams, x: np.ndarray, skips: SkipMatrix, order) -> np.ndarray:
+    """One directional pass visiting the steps in ``order``, as a (5, N, H)
+    trace.  A step's previous state is that of the step visited just before
+    it (zero for the first), and its skip ancestor, always visited earlier,
+    comes from ``skips``."""
+    T = np.zeros((5, len(x), cell.hidden_dim))
     xp = sgru_inputs(cell, x)
-    h_prev = np.zeros(cell.hidden_dim)
+    h_prev = zero = np.zeros(cell.hidden_dim)
     for t in order:
         anc = skips.ancestor_of(t)
-        h_skip = traces[anc].h if anc is not None else None
-        traces[t] = sgru_forward(cell, xp[t], h_prev, h_skip)
-        h_prev = traces[t].h
-    return traces
+        z, r, s, h_tilde, h_prev = sgru_forward(
+            cell, xp[t], h_prev, None if anc is None else T[4, anc])
+        T[:, t] = z, r, zero if s is None else s, h_tilde, h_prev
+    return T
 
 
-def _sweep_backward(cell, grads, x, skips, order, traces, dh, dX) -> None:
-    """BPTT through one ``_sweep``: steps in reverse visiting order; dh_prev
-    flows to the step visited before, dh_skip accumulates on the skip
-    ancestor.  The loop collects the rows ``sgru_param_grads`` needs, which
-    then adds into ``grads`` and ``dX``."""
+def _sweep_backward(cell, grads, x, skips, order, T, dh, dX) -> None:
+    """BPTT through one ``_sweep`` trace ``T``: steps in reverse visiting
+    order; dh_prev flows to the step visited before, dh_skip accumulates on
+    the skip ancestor.  ``sgru_param_grads`` then adds into ``grads`` and
+    ``dX``."""
     n, hidden = len(x), cell.hidden_dim
+    H_prev, H_skip = np.zeros((2, n, hidden))   # skip rows stay zero without a skip
+    H_prev[order[1:]] = T[4, order[:-1]]
+    anc, desc = np.array(skips.pairs, dtype=int).reshape(-1, 2).T
+    H_skip[desc] = T[4, anc]
     carry = np.zeros(hidden)
     skip_acc = np.zeros((n, hidden))
     dA = np.empty((n, 4, hidden))
-    H_prev, R, H_skip, S = np.zeros((4, n, hidden))   # skip rows stay zero without a skip
-    for i in reversed(range(n)):
-        t = order[i]
-        upstream = dh[t] + carry + skip_acc[t]
-        anc = skips.ancestor_of(t)
-        h_prev = traces[order[i - 1]].h if i > 0 else np.zeros(hidden)
-        h_skip = traces[anc].h if anc is not None else None
-        dA[t], carry, dh_skip = sgru_backward(cell, h_prev, h_skip, traces[t], upstream)
-        H_prev[t], R[t] = h_prev, traces[t].r
-        if anc is not None:
-            skip_acc[anc] += dh_skip
-            H_skip[t], S[t] = h_skip, traces[t].s
-    dX += sgru_param_grads(cell, grads, x, H_prev, R, H_skip, S, dA)
+    for t in reversed(order):
+        p = skips.ancestor_of(t)
+        dA[t], carry, dh_skip = sgru_backward(
+            cell, H_prev[t], None if p is None else H_skip[t], T[:, t],
+            dh[t] + carry + skip_acc[t])
+        if p is not None:
+            skip_acc[p] += dh_skip
+    dX += sgru_param_grads(cell, grads, x, H_prev, T[1], H_skip, T[2], dA)
 
 
 def bmrnn_forward(params: BMRNNParams, story: StoryStream, skips: SkipMatrix) -> ForwardTrace:
@@ -248,15 +249,15 @@ def bmrnn_forward(params: BMRNNParams, story: StoryStream, skips: SkipMatrix) ->
     n = story.N
     if skips.n != n:
         raise ShapeMismatchError("bmrnn_forward", (skips.n,), (n,))
-    fwd_traces = _sweep(params.fwd, story.x, skips, range(n))
-    bwd_traces = _sweep(params.bwd, story.x, transpose_skips(skips), range(n - 1, -1, -1))
+    fwd = _sweep(params.fwd, story.x, skips, range(n))
+    bwd = _sweep(params.bwd, story.x, transpose_skips(skips), range(n - 1, -1, -1))
     # per step, not one GEMM: the reduction to a plain bidirectional GRU is
     # compared bit for bit, and a batched product rounds differently
     merged = np.stack([
-        params.merge_f @ fwd_traces[t].h + params.merge_b @ bwd_traces[t].h + params.b_merge
+        params.merge_f @ fwd[4, t] + params.merge_b @ bwd[4, t] + params.b_merge
         for t in range(n)
     ])
-    return ForwardTrace(fwd_traces=fwd_traces, bwd_traces=bwd_traces, merged=merged)
+    return ForwardTrace(fwd, bwd, merged)
 
 
 def bmrnn_backward(
@@ -278,14 +279,14 @@ def bmrnn_backward(
     dX = np.zeros_like(story.x)
 
     # merge layer
-    grads.merge_f += dH.T @ np.stack([tr.h for tr in trace.fwd_traces])
-    grads.merge_b += dH.T @ np.stack([tr.h for tr in trace.bwd_traces])
+    grads.merge_f += dH.T @ trace.fwd[4]
+    grads.merge_b += dH.T @ trace.bwd[4]
     grads.b_merge += dH.sum(axis=0)
 
     _sweep_backward(params.fwd, grads.fwd, story.x, skips, range(n),
-                    trace.fwd_traces, dH @ params.merge_f, dX)
+                    trace.fwd, dH @ params.merge_f, dX)
     _sweep_backward(params.bwd, grads.bwd, story.x, transpose_skips(skips),
-                    range(n - 1, -1, -1), trace.bwd_traces, dH @ params.merge_b, dX)
+                    range(n - 1, -1, -1), trace.bwd, dH @ params.merge_b, dX)
     return grads, dX
 
 

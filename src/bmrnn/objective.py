@@ -33,7 +33,6 @@ __all__ = [
     "CompatibilityConfig",
     "SentenceSequence",
     "LossResult",
-    "NegativeDraw",
     "compatibility",
     "compatibility_grad",
     "contrastive_loss",
@@ -235,19 +234,11 @@ def contrastive_loss(
     return LossResult(loss=loss, dH=dH, active_v_hinges=active_v, active_h_hinges=active_h)
 
 
-@dataclass
-class NegativeDraw:
-    """Stories drawn as negatives; V' and H' come from the same draw."""
-
-    neg_V: list
-    neg_H_sources: list
-
-
-def sample_negatives(dataset, positive_id: str, count: int, rng: SeededRng) -> NegativeDraw:
+def sample_negatives(dataset, positive_id: str, count: int, rng: SeededRng) -> list:
     """Uniformly draw ``count`` distinct stories, never the positive one.
 
-    ``dataset`` maps story_id -> record; the same drawn records serve as
-    both the sentence-side and the stream-side negatives.  If fewer than
+    ``dataset`` maps story_id -> record; the drawn records, returned in draw
+    order, serve as both the sentence-side and the stream-side negatives.  If fewer than
     ``count`` other stories exist, sampling falls back to replacement with
     a warning.
     """
@@ -264,5 +255,4 @@ def sample_negatives(dataset, positive_id: str, count: int, rng: SeededRng) -> N
             stacklevel=2,
         )
         chosen = [others[rng.integers(0, len(others))] for _ in range(count)]
-    records = [dataset[sid] for sid in chosen]
-    return NegativeDraw(neg_V=records, neg_H_sources=list(records))
+    return [dataset[sid] for sid in chosen]

@@ -99,9 +99,6 @@ class SkipMatrix:
         """The step that additionally reads step p's hidden state, if any."""
         return self._desc.get(p)
 
-    def __len__(self) -> int:
-        return len(self.pairs)
-
 
 def similarity(features: np.ndarray, normalize: bool = False) -> SimilarityMatrix:
     """Pairwise inner products s[i][j] = fc_i . fc_j of the rows of an (n, D)

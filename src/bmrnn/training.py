@@ -322,8 +322,8 @@ def train(
             for rec in batch:
                 skip_matrix, partition = structures[rec.story_id]
                 draw = sample_negatives(by_id, rec.story_id, ccfg.negatives_per_positive, neg_rng)
-                neg_V = [r.sentences for r in draw.neg_V]
-                neg_H = [h_cache[r.story_id] for r in draw.neg_H_sources]
+                neg_V = [r.sentences for r in draw]
+                neg_H = [h_cache[r.story_id] for r in draw]
                 result, grads, _ = story_loss_and_grads(
                     params, rec.story, rec.sentences, skip_matrix, partition,
                     neg_V, neg_H, ccfg, epoch=epoch, step=step,

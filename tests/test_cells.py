@@ -7,7 +7,6 @@ import pytest
 from bmrnn.cells import (
     GRUParams,
     SGRUParams,
-    gru_backward,
     gru_forward,
     init_gru_params,
     init_sgru_params,
@@ -18,6 +17,7 @@ from bmrnn.cells import (
 )
 from bmrnn.errors import ShapeMismatchError
 from bmrnn.numeric import SeededRng
+from gru_oracle import gru_backward
 
 EPS = 1e-5
 
@@ -35,7 +35,7 @@ def zero_gru(input_dim, hidden_dim):
 def zero_sgru(input_dim, hidden_dim):
     z = lambda *s: np.zeros(s)
     return SGRUParams(
-        base=zero_gru(input_dim, hidden_dim),
+        **vars(zero_gru(input_dim, hidden_dim)),
         W_sx=z(hidden_dim, input_dim), W_sh=z(hidden_dim, hidden_dim),
         W_hp=z(hidden_dim, hidden_dim), b_s=z(hidden_dim),
     )
@@ -176,20 +176,20 @@ class TestSgruForward:
             npt.assert_array_equal(a.z, b.z)
             npt.assert_array_equal(a.r, b.r)
             npt.assert_array_equal(a.h_tilde, b.h_tilde)
-            assert a.s is None and not a.had_skip
+            assert a.s is None
 
     def test_zero_params_with_skip(self):
         v = np.array([1.0, -0.5])
         p = zero_sgru(2, 2)
         tr = sgru_forward(p, xp1(p, np.zeros(2)), v, np.array([3.0, 3.0]))
-        assert tr.had_skip and tr.s is not None
+        assert tr.s is not None
         npt.assert_array_equal(tr.s, 0.5)  # gate exists, W_hp = 0 annihilates it
         npt.assert_allclose(tr.h, 0.5 * v, atol=0)
 
     def test_scalar_hand_computed_with_skip(self):
         # s = sigmoid(2), h~ = tanh(1 + s), h = z*h~ + (1-z)*0.5; oracle values frozen
         p = zero_sgru(1, 1)
-        p.base.W_zx[:] = p.base.W_rx[:] = p.base.W_hx[:] = 1.0
+        p.W_zx[:] = p.W_rx[:] = p.W_hx[:] = 1.0
         p.W_sx[:] = p.W_sh[:] = p.W_hp[:] = 1.0
         tr = sgru_forward(p, xp1(p, np.array([1.0])), np.array([0.5]), np.array([1.0]))
         npt.assert_allclose(tr.s, 0.8807970779778823, atol=1e-12)
@@ -200,6 +200,11 @@ class TestSgruForward:
         p = zero_sgru(2, 3)
         with pytest.raises(ShapeMismatchError):
             sgru_forward(p, xp1(p, np.zeros(2)), np.zeros(3), np.zeros(2))
+
+    @pytest.mark.parametrize("shape", [(4, 3), (4, 1), (2,)])
+    def test_inputs_of_wrong_width(self, shape):
+        with pytest.raises(ShapeMismatchError, match="cell input"):
+            sgru_inputs(zero_sgru(2, 3), np.zeros(shape))
 
 
 class TestGruBackward:
@@ -313,12 +318,12 @@ def skip_sensitivity(seed):
     """
     nrng = np.random.default_rng(seed)
     p = zero_sgru(1, 1)
-    p.base.W_zx[:] = nrng.uniform(0.5, 1.5)    # adversarial x > 0 opens z
-    p.base.W_rx[:] = -nrng.uniform(0.5, 1.5)   # and closes r
-    p.base.W_hx[:] = nrng.uniform(-1, 1)
-    p.base.W_zh[:] = nrng.uniform(-0.5, 0.5)
-    p.base.W_rh[:] = nrng.uniform(-0.5, 0.5)
-    p.base.W_hh[:] = nrng.uniform(-1, 1)
+    p.W_zx[:] = nrng.uniform(0.5, 1.5)    # adversarial x > 0 opens z
+    p.W_rx[:] = -nrng.uniform(0.5, 1.5)   # and closes r
+    p.W_hx[:] = nrng.uniform(-1, 1)
+    p.W_zh[:] = nrng.uniform(-0.5, 0.5)
+    p.W_rh[:] = nrng.uniform(-0.5, 0.5)
+    p.W_hh[:] = nrng.uniform(-1, 1)
     sign = nrng.choice([-1.0, 1.0])
     p.W_sx[:] = nrng.uniform(-1, 1)
     p.W_sh[:] = nrng.uniform(-1, 1)

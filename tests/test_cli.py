@@ -78,6 +78,10 @@ class TestUsageErrors:
         assert run([*argv, *paths]) == 1
         assert "usage error" in capsys.readouterr().err
 
+    def test_non_numeric_float(self, capsys):
+        assert run(["train", "--lr", "abc", "--manifest", "m", "--skips", "s", "--out", "o"]) == 1
+        assert "expected a finite number, got 'abc'" in capsys.readouterr().err
+
     def test_window_beyond_max_iter(self, capsys):
         assert run(["detect-skips", "--manifest", "m", "--out", "o", "--window", "300"]) == 1
         assert "--window 300 exceeds --max-iter 200" in capsys.readouterr().err
@@ -140,6 +144,33 @@ class TestDataErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert str(victim) in err and "story_00002" in err and "non-finite" in err
+
+    def test_tensor_of_wrong_rank_names_file_and_story(self, tmp_path, capsys):
+        corpus = make_corpus(tmp_path, stories=6)
+        victim = corpus / "tensors" / "story_00002.emb.bmt"
+        write_tensor(victim, read_tensor(victim)[None])
+        code = run(["detect-skips", "--manifest", str(corpus / "manifest.jsonl"),
+                    "--out", str(tmp_path / "s.jsonl")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(victim) in err and "story_00002" in err and "rank 3" in err
+
+    def test_eval_of_an_empty_split_names_the_manifest(self, tmp_path, capsys):
+        corpus = make_corpus(tmp_path, stories=6)
+        manifest = corpus / "manifest.jsonl"
+        entries = [json.loads(line) for line in manifest.read_text().splitlines()]
+        assert any(e["split"] == "val" for e in entries)
+        manifest.write_text("".join(
+            json.dumps({**e, "split": "train" if e["split"] == "val" else e["split"]}) + "\n"
+            for e in entries))
+        model = tmp_path / "m.bin"
+        save_model(model, init_bmrnn_params(16, 6, 16, SeededRng(0)))
+        code = run(["eval", "--manifest", str(manifest),
+                    "--skips", str(corpus / "planted_skips.jsonl"), "--model", str(model),
+                    "--split", "val", "--report", str(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "no stories in split 'val'" in err and str(manifest) in err
 
     def test_eval_rejects_misshapen_model(self, tmp_path, capsys):
         corpus = make_corpus(tmp_path, stories=6)

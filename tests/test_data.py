@@ -115,6 +115,13 @@ class TestSkipRecordIO:
         part = rec.partition()
         assert sorted(map(sorted, part.groups)) == [[0, 2], [1]]
 
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "skips.jsonl"
+        write_skips(path, self.records())
+        path.write_text("\n" + path.read_text().replace("\n", "\n  \n"))
+        back = load_skips(path)
+        assert set(back) == {"a", "b"} and back["a"].pairs == [(0, 2)]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="skips.jsonl"):
             load_skips(tmp_path / "skips.jsonl")
@@ -365,6 +372,12 @@ class TestCorpusIO:
         for sid, rec in skips.items():
             assert rec.pairs == corpus.skips[sid].pairs
             assert rec.planted
+
+    def test_blank_lines_skipped(self, tmp_path):
+        corpus, manifest = self.small_corpus(tmp_path)
+        manifest.write_text("\n" + manifest.read_text().replace("\n", "\n \t\n"))
+        ds = load_manifest(manifest)
+        assert [r.story_id for r in ds.records] == [r.story_id for r in corpus.records]
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError, match="manifest.jsonl"):

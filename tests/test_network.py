@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bmrnn.cells import GRUParams, SGRUParams, gru_backward, gru_forward
+from bmrnn.cells import SGRUParams, gru_forward, sgru_forward, sgru_inputs
 from bmrnn.errors import DataError, ShapeMismatchError
 from bmrnn.network import (
     MODEL_MAGIC,
@@ -21,22 +21,15 @@ from bmrnn.network import (
     load_model,
     save_model,
 )
-from bmrnn.numeric import SeededRng
-from bmrnn.skips import SkipMatrix, cluster_chains
+from bmrnn.numeric import SeededRng, encode_tensor
+from bmrnn.skips import SkipMatrix, cluster_chains, transpose_skips
+from gru_oracle import gru_backward
 
 
 def sgru_from_scalars(vals):
-    arr = lambda v: np.array([[float(v)]])
-    vec = lambda v: np.array([float(v)])
-    return SGRUParams(
-        base=GRUParams(
-            W_zx=arr(vals["W_zx"]), W_zh=arr(vals["W_zh"]),
-            W_rx=arr(vals["W_rx"]), W_rh=arr(vals["W_rh"]),
-            W_hx=arr(vals["W_hx"]), W_hh=arr(vals["W_hh"]),
-            b_z=vec(vals["b_z"]), b_r=vec(vals["b_r"]), b_h=vec(vals["b_h"]),
-        ),
-        W_sx=arr(vals["W_sx"]), W_sh=arr(vals["W_sh"]),
-        W_hp=arr(vals["W_hp"]), b_s=vec(vals["b_s"]),
+    """1x1 weights and length-1 biases from {tensor name: value}."""
+    return SGRUParams.from_named(
+        {n: np.full((1,) if n.startswith("b") else (1, 1), float(v)) for n, v in vals.items()}
     )
 
 
@@ -117,6 +110,17 @@ class TestForward:
         with pytest.raises(ShapeMismatchError):
             bmrnn_forward(p, story, SkipMatrix(n=4, pairs=()))
 
+    @pytest.mark.parametrize("name", ["fwd.W_zx", "merge_f"])
+    def test_tensor_with_too_few_dims_rejected(self, name):
+        # the dims are read off these two tensors' shapes, so their rank comes first
+        p = init_bmrnn_params(2, 3, 2, SeededRng(4))
+        named = dict(p.named_tensors())
+        named[name] = named[name][0] if name == "fwd.W_zx" else np.zeros(())
+        with pytest.raises(ShapeMismatchError, match=name):
+            BMRNNParams(fwd=SGRUParams.from_named(named, "fwd."),
+                        bwd=SGRUParams.from_named(named, "bwd."), merge_f=named["merge_f"],
+                        merge_b=named["merge_b"], b_merge=named["b_merge"])
+
     def test_deterministic(self):
         rng = SeededRng(5)
         p = init_bmrnn_params(3, 4, 2, rng)
@@ -194,6 +198,39 @@ class TestProperties:
         npt.assert_array_equal(free, plain_bigru(p, stream.x))
 
 
+def per_step_sweep(cell, x, skips, order):
+    """{step: StepTrace} of one direction, by a per-step ``sgru_forward`` loop."""
+    xp, h, steps = sgru_inputs(cell, x), np.zeros(cell.hidden_dim), {}
+    for t in order:
+        anc = skips.ancestor_of(t)
+        steps[t] = sgru_forward(cell, xp[t], h, None if anc is None else steps[anc].h)
+        h = steps[t].h
+    return steps
+
+
+class TestSweepTrace:
+    @settings(max_examples=25, deadline=None)
+    @given(story=skip_stories(max_n=40), in_dim=st.integers(1, 32), hidden=st.integers(1, 32),
+           seed=st.integers(0, 2**32 - 1))
+    def test_rows_match_a_per_step_loop(self, story, in_dim, hidden, seed):
+        n, clusters = story
+        p = init_bmrnn_params(in_dim, hidden, 2, SeededRng(seed))
+        x = np.random.default_rng(seed).normal(size=(n, in_dim))
+        sk = SkipMatrix(n=n, pairs=tuple(cluster_chains(clusters)))
+        trace = bmrnn_forward(p, StoryStream(story_id="s", x=x), sk)
+        for T, cell, skips, order in ((trace.fwd, p.fwd, sk, range(n)),
+                                      (trace.bwd, p.bwd, transpose_skips(sk),
+                                       range(n - 1, -1, -1))):
+            assert T.shape == (5, n, hidden)
+            for t, (z, r, s, h_tilde, h) in per_step_sweep(cell, x, skips, order).items():
+                has_skip = skips.ancestor_of(t) is not None
+                assert (s is not None) == has_skip
+                want = np.stack([z, r, s if has_skip else np.zeros(hidden), h_tilde, h])
+                npt.assert_array_equal(T[:, t], want)
+                # the s row is zero exactly where the step has no skip ancestor
+                assert np.all(T[2, t] > 0) if has_skip else not T[2, t].any()
+
+
 class TestTimeReversal:
     def test_swap_and_reverse_is_exact(self):
         rng = SeededRng(9)
@@ -258,6 +295,15 @@ class TestBackward:
             npt.assert_array_equal(t, 0.0)
         for d in dX:
             npt.assert_array_equal(d, 0.0)
+
+    def test_upstream_length_mismatch(self):
+        p = init_bmrnn_params(2, 3, 2, SeededRng(10))
+        story = StoryStream(story_id="s", x=np.zeros((4, 2)))
+        sk = SkipMatrix(n=4, pairs=((0, 2),))
+        tr = bmrnn_forward(p, story, sk)
+        for rows in (3, 5):
+            with pytest.raises(ShapeMismatchError, match="bmrnn_backward"):
+                bmrnn_backward(p, story, sk, tr, np.zeros((rows, 2)))
 
     def test_no_skip_zeroes_skip_tensors(self):
         rng = SeededRng(11)
@@ -453,6 +499,21 @@ class TestModelFile:
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(DataError):
+            load_model(path)
+
+    def test_shorter_than_header(self, tmp_path):
+        path = tmp_path / "m.bmrn"
+        path.write_bytes(MODEL_MAGIC + struct.pack("<H", MODEL_VERSION))
+        with pytest.raises(DataError, match="truncated model file header"):
+            load_model(path)
+
+    def test_duplicate_tensor(self, tmp_path):
+        tensors = list(init_bmrnn_params(2, 2, 2, SeededRng(25)).named_tensors())
+        tensors.insert(1, tensors[0])
+        path = tmp_path / "m.bmrn"
+        path.write_bytes(MODEL_MAGIC + struct.pack("<HI", MODEL_VERSION, len(tensors)) + b"".join(
+            struct.pack("<H", len(name)) + name.encode() + encode_tensor(t) for name, t in tensors))
+        with pytest.raises(DataError, match="duplicate tensor 'fwd.W_zx'"):
             load_model(path)
 
     def test_trailing_bytes(self, tmp_path):

@@ -127,6 +127,11 @@ class TestCompatibility:
             compatibility([], seq("v", [[1.0]]), SubStoryPartition(groups=[[0]]),
                           CompatibilityConfig())
 
+    @pytest.mark.parametrize("v", [[], np.zeros((0, 4))], ids=["no-rows", "zero-rows"])
+    def test_empty_sentence_sequence_rejected(self, v):
+        with pytest.raises(DataError, match="v7"):
+            SentenceSequence(story_id="v7", v=v)
+
     def test_dim_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             compatibility(vecs([[1.0, 2.0]]), seq("v", [[1.0]]),
@@ -260,27 +265,26 @@ class TestSampleNegatives:
     def test_full_coverage_when_exact(self):
         ds = self.make_dataset(128)
         draw = sample_negatives(ds, "s000", 127, SeededRng(1))
-        assert sorted(draw.neg_V) == sorted(v for k, v in ds.items() if k != "s000")
-        assert draw.neg_H_sources == draw.neg_V
+        assert sorted(draw) == sorted(v for k, v in ds.items() if k != "s000")
 
     def test_same_seed_same_draw(self):
         ds = self.make_dataset(50)
         a = sample_negatives(ds, "s007", 10, SeededRng(42))
         b = sample_negatives(ds, "s007", 10, SeededRng(42))
-        assert a.neg_V == b.neg_V
+        assert a == b
 
     def test_excludes_positive(self):
         ds = self.make_dataset(30)
         for s in range(20):
             draw = sample_negatives(ds, "s004", 10, SeededRng(s))
-            assert "record-4" not in draw.neg_V
+            assert "record-4" not in draw
 
     def test_small_dataset_warns_and_fills(self):
         ds = self.make_dataset(5)
         with pytest.warns(UserWarning):
             draw = sample_negatives(ds, "s000", 10, SeededRng(3))
-        assert len(draw.neg_V) == 10
-        assert "record-0" not in draw.neg_V
+        assert len(draw) == 10
+        assert "record-0" not in draw
 
     def test_single_story_rejected(self):
         with pytest.raises(DataError):
@@ -293,7 +297,7 @@ class TestSampleNegatives:
         counts = {k: 0 for k in ds if k != "s005"}
         draws = 10_000
         for _ in range(draws):
-            for rec in sample_negatives(ds, "s005", 3, rng).neg_V:
+            for rec in sample_negatives(ds, "s005", 3, rng):
                 counts[rec] += 1
         p = 3 / 10
         sigma = (draws * p * (1 - p)) ** 0.5

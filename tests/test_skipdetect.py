@@ -7,6 +7,7 @@ import pytest
 from bmrnn.errors import ConfigError, DataError, ShapeMismatchError
 from bmrnn.skips import (
     ClusterAssignment,
+    SimilarityMatrix,
     SkipMatrix,
     affinity_propagation,
     build_skip_matrix,
@@ -151,6 +152,10 @@ class TestAffinityPropagation:
         pts, _ = two_blob_instance(5)
         with pytest.raises(ConfigError, match="must be >= 1"):
             affinity_propagation(similarity(pts), **kwargs)
+
+    def test_non_square_similarity(self):
+        with pytest.raises(ShapeMismatchError, match="affinity_propagation"):
+            affinity_propagation(SimilarityMatrix(s=np.zeros((3, 4))))
 
     def test_damping_out_of_range(self):
         sim = similarity([np.array([1.0, 0.0]), np.array([0.0, 1.0])])

@@ -360,6 +360,16 @@ class TestCheckpointIO:
             load_checkpoint(path)
         assert str(tmp_path / "model.bin.json") in str(err.value)
 
+    def test_config_not_an_object_names_file(self, tmp_path):
+        path, _ = self.roundtrip(tmp_path)
+        sidecar = tmp_path / "model.bin.json"
+        snapshot = json.loads(sidecar.read_text())
+        snapshot["config"] = [snapshot["config"]]
+        sidecar.write_text(json.dumps(snapshot))
+        with pytest.raises(DataError, match="malformed training sidecar") as err:
+            load_checkpoint(path)
+        assert str(sidecar) in str(err.value)
+
     def test_missing_sidecar(self, tmp_path):
         path, _ = self.roundtrip(tmp_path)
         (tmp_path / "model.bin.json").unlink()
