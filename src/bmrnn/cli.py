@@ -33,7 +33,7 @@ from .evaluation import evaluate
 from .network import load_model
 from .numeric import read_file, write_file
 from .objective import CompatibilityConfig
-from .skips import affinity_propagation, build_skip_matrix, similarity
+from .skips import affinity_propagation, build_skip_matrix, check_clustering, similarity
 from .training import TrainConfig, grad_check, read_sidecar, save_checkpoint, sidecar_path, train
 
 __all__ = ["run", "main"]
@@ -247,6 +247,7 @@ def _cmd_synth(opts: dict) -> int:
 
 
 def _cmd_detect_skips(opts: dict) -> int:
+    check_clustering(opts["damping"], opts["max_iter"], opts["window"])
     if opts["window"] > opts["max_iter"]:    # the convergence flag could never be set
         raise ConfigError(f"--window {opts['window']} exceeds --max-iter {opts['max_iter']}")
     dataset = load_manifest(opts["manifest"])

@@ -13,7 +13,6 @@ step has at most one skip ancestor and at most one skip descendant.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +26,7 @@ __all__ = [
     "SkipMatrix",
     "similarity",
     "affinity_propagation",
+    "check_clustering",
     "build_skip_matrix",
     "cluster_chains",
     "transpose_skips",
@@ -116,6 +116,16 @@ def similarity(features: np.ndarray, normalize: bool = False) -> SimilarityMatri
     return SimilarityMatrix(s=X @ X.T)
 
 
+def check_clustering(damping: float, max_iter: int, convergence_window: int) -> None:
+    """Raise ConfigError unless the affinity-propagation settings are usable."""
+    if not (0.5 <= damping < 1.0):
+        raise ConfigError(f"damping must be in [0.5, 1.0), got {damping}")
+    if max_iter < 1 or convergence_window < 1:
+        raise ConfigError(
+            f"max_iter and convergence_window must be >= 1, got {max_iter} and {convergence_window}"
+        )
+
+
 def affinity_propagation(
     sim: SimilarityMatrix,
     damping: float = 0.9,
@@ -125,24 +135,20 @@ def affinity_propagation(
 ) -> ClusterAssignment:
     """Affinity-propagation clustering by message passing.
 
-    Exchanges responsibility and availability messages until the exemplar
-    set (indices where the self-responsibility plus self-availability is
-    positive) is stable for ``convergence_window`` iterations.  Never
-    aborts: if max_iter is hit first, the current assignment is returned
-    with ``converged`` False so downstream skip detection degrades to
-    whatever clustering emerged.
+    Always runs ``max_iter`` iterations and reads the exemplars (indices
+    where self-responsibility plus self-availability is positive) from the
+    final messages.  ``converged`` says that exemplar set is non-empty and
+    was the same in each of the last ``convergence_window`` iterations (so
+    never when the window exceeds ``max_iter``); a run that did not converge
+    still returns its clustering, so skip detection degrades gracefully.
 
     ``preference`` (the self-similarity placed on the diagonal) defaults to
     the median of the off-diagonal similarities.  Assignment ties are broken
     toward the lowest exemplar index, so output is deterministic.
+    ``sim.s`` is left unchanged.
     """
-    if not (0.5 <= damping < 1.0):
-        raise ConfigError(f"damping must be in [0.5, 1.0), got {damping}")
-    if max_iter < 1 or convergence_window < 1:
-        raise ConfigError(
-            f"max_iter and convergence_window must be >= 1, got {max_iter} and {convergence_window}"
-        )
-    S = np.array(sim.s, dtype=float, copy=True)
+    check_clustering(damping, max_iter, convergence_window)
+    S = np.array(sim.s, dtype=float, order="C")
     n = S.shape[0]
     if S.shape != (n, n):
         raise ShapeMismatchError("affinity_propagation", S.shape, (n, n))
@@ -156,47 +162,55 @@ def affinity_propagation(
     # through long transients (e.g. two points with a deep preference sit
     # with both self-evidences slightly positive for dozens of iterations
     # before decaying to the correct tie at zero).
-    A = np.zeros((n, n))
-    R = np.zeros((n, n))
-    rows = np.arange(n)
-    history: deque[tuple[int, ...]] = deque(maxlen=convergence_window)
+    # Every buffer is allocated once and updated in place, in the operation
+    # order of the textbook update, so each message keeps its bits.
+    A, R, AS, T, Rp = (np.zeros((n, n)) for _ in range(5))
+    s_, as_, t_, rp_ = S.ravel(), AS.ravel(), T.ravel(), Rp.ravel()   # flat views
+    diag, offsets = slice(None, None, n + 1), np.arange(n) * n
+    r_diag, a_diag, keep = R.ravel()[diag], A.ravel()[diag], 1.0 - damping
+    first, second, col_pos = np.empty((n, 1)), np.empty(n), np.empty(n)
+    first_recorded = max_iter - convergence_window
+    # the exemplar masks of the last window; rows never written stay empty
+    ring = np.zeros((convergence_window, n), dtype=bool)
 
-    for _ in range(max_iter):
+    for it in range(max_iter):
         # r(i,k) = s(i,k) - max_{k' != k} [a(i,k') + s(i,k')]
-        AS = A + S
-        top = np.argmax(AS, axis=1)
-        first = AS[rows, top]
-        AS[rows, top] = -np.inf
-        second = np.max(AS, axis=1)
-        max_excl = np.broadcast_to(first[:, None], (n, n)).copy()
-        max_excl[rows, top] = second
-        R = damping * R + (1.0 - damping) * (S - max_excl)
+        np.add(A, S, out=AS)
+        top = AS.argmax(1)
+        top += offsets          # flat index of each row's maximum
+        first[:, 0] = as_[top]
+        as_[top] = -np.inf
+        AS.max(1, out=second)
+        np.subtract(S, first, out=T)
+        t_[top] = s_[top] - second
+        R *= damping
+        T *= keep
+        R += T
 
         # a(i,k) = min(0, r(k,k) + sum_{i' not in {i,k}} max(0, r(i',k)))
         # a(k,k) = sum_{i' != k} max(0, r(i',k))
-        Rp = np.maximum(R, 0.0)
-        np.fill_diagonal(Rp, 0.0)
-        col_pos = Rp.sum(axis=0)
-        A_new = np.minimum(0.0, np.diagonal(R)[None, :] + col_pos[None, :] - Rp)
-        np.fill_diagonal(A_new, col_pos)
-        A = damping * A + (1.0 - damping) * A_new
+        np.maximum(R, 0.0, out=Rp)
+        rp_[diag] = 0.0
+        Rp.sum(0, out=col_pos)
+        np.subtract(r_diag + col_pos, Rp, out=T)
+        np.minimum(0.0, T, out=T)
+        t_[diag] = col_pos
+        A *= damping
+        T *= keep
+        A += T
+        if it >= first_recorded:
+            np.greater(r_diag + a_diag, 0, out=ring[it - first_recorded])
 
-        history.append(tuple(np.flatnonzero(np.diagonal(R) + np.diagonal(A) > 0).tolist()))
-
-    exemplars = np.flatnonzero(np.diagonal(R) + np.diagonal(A) > 0)
-    converged = (
-        len(history) == convergence_window
-        and exemplars.size > 0
-        and len(set(history)) == 1
-    )
+    exemplars = np.flatnonzero(r_diag + a_diag > 0)
+    converged = bool(exemplars.size > 0 and (ring == ring[0]).all())
     if exemplars.size == 0:
         # degenerate run (e.g. heavy damping, tiny max_iter): fall back to
         # the single most self-confident point so the result is still usable
-        exemplars = np.array([int(np.argmax(np.diagonal(R) + np.diagonal(A)))])
+        exemplars = np.array([int(np.argmax(r_diag + a_diag))])
 
     # assign every point to the best exemplar by a+s; argmax over the
     # ascending exemplar list breaks ties toward the lowest index
-    AS = A + S
+    np.add(A, S, out=AS)
     best = np.argmax(AS[:, exemplars], axis=1)
     labels = exemplars[best]
     labels[exemplars] = exemplars

@@ -1,14 +1,17 @@
 """The benchmark's span tracer wraps program functions by module attribute
 (``bench/spans.py`` ``TARGETS``) and divides per-layer times by their call
-counts.  These checks catch a renamed target, or a sweep that no longer calls
-the per-step cell functions, without running the traced benchmark."""
+counts.  These checks catch a renamed target, a sweep that no longer calls
+the per-step cell functions, or a ``detect-skips`` that no longer clusters
+one story per call, without running the traced benchmark."""
 
 import importlib.util
 from pathlib import Path
 
 import numpy as np
 
+import bmrnn.cli
 import bmrnn.network
+from bmrnn.data import SynthConfig, SynthCorpus, generate_synthetic, write_corpus
 from bmrnn.network import StoryStream, bmrnn_backward, bmrnn_forward, init_bmrnn_params
 from bmrnn.numeric import SeededRng
 from bmrnn.skips import SkipMatrix
@@ -40,3 +43,30 @@ def test_each_sweep_calls_the_cell_once_per_step(monkeypatch):
     trace = bmrnn_forward(p, story, sk)
     bmrnn_backward(p, story, sk, trace, np.ones((n, 2)))
     assert calls == {"sgru_forward": 2 * n, "sgru_backward": 2 * n}
+
+
+def test_detect_skips_clusters_each_multi_photo_story_once(tmp_path, monkeypatch):
+    records, skips = [], {}
+    for length in (1, 4, 6):        # 1-photo stories are never clustered
+        corpus = generate_synthetic(SynthConfig(num_stories=3, story_len=length,
+                                                num_scenes=1, seed=length))
+        for rec in corpus.records:
+            skip = corpus.skips[rec.story_id]
+            sid = f"len{length}_{rec.story_id}"
+            rec.story_id = rec.story.story_id = rec.sentences.story_id = skip.story_id = sid
+            records.append(rec)
+            skips[sid] = skip
+    write_corpus(SynthCorpus(records=records, skips=skips, config=None), tmp_path / "c")
+
+    results = {"similarity": [], "affinity_propagation": [], "build_skip_matrix": []}
+    for name in results:
+        def recorded(*args, _fn=getattr(bmrnn.cli, name), _name=name, **kwargs):
+            results[_name].append(_fn(*args, **kwargs))
+            return results[_name][-1]
+        monkeypatch.setattr(bmrnn.cli, name, recorded)
+    code = bmrnn.cli.run(["detect-skips", "--manifest", str(tmp_path / "c" / "manifest.jsonl"),
+                          "--out", str(tmp_path / "skips.jsonl")])
+    assert code == 0
+    assert {name: len(r) for name, r in results.items()} == dict.fromkeys(results, 6)
+    # the traced benchmark notes each story's convergence flag
+    assert all(type(a.converged) is bool for a in results["affinity_propagation"])

@@ -86,6 +86,16 @@ class TestUsageErrors:
         assert run(["detect-skips", "--manifest", "m", "--out", "o", "--window", "300"]) == 1
         assert "--window 300 exceeds --max-iter 200" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [["--damping", "2.0"], ["--max-iter", "0", "--window", "0"]])
+    def test_clustering_settings_checked_before_loading(self, tmp_path, capsys, bad):
+        # a corpus of 1-photo stories never reaches affinity_propagation
+        corpus = make_corpus(tmp_path, stories=6, extra=["--length", "1", "--scenes", "1"])
+        out = tmp_path / "s.jsonl"
+        for manifest in (corpus / "manifest.jsonl", tmp_path / "missing.jsonl"):
+            assert run(["detect-skips", "--manifest", str(manifest), "--out", str(out), *bad]) == 1
+            assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gradcheck_needs_a_configuration(self, capsys):
         assert run(["gradcheck", "--configs", "0"]) == 1
         assert "n_configs must be >= 1" in capsys.readouterr().err

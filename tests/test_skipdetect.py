@@ -3,7 +3,10 @@ from itertools import combinations
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import ap_oracle
 from bmrnn.errors import ConfigError, DataError, ShapeMismatchError
 from bmrnn.skips import (
     ClusterAssignment,
@@ -29,6 +32,22 @@ def two_blob_instance(seed, n=None, noise=0.2):
     r.shuffle(order)
     pts = [centers[b] + r.normal(0, noise, dim) for b in order]
     return pts, order
+
+
+@st.composite
+def ap_similarities(draw):
+    """Similarities of 2-40 rows: real-valued, integer-valued or duplicated
+    (the last two give exact ties between messages)."""
+    n, dim = draw(st.integers(2, 40)), draw(st.integers(1, 6))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["real", "integer", "duplicated"]))
+    if kind == "integer":
+        X = r.integers(-2, 3, size=(n, dim)).astype(float)
+    else:
+        X = r.normal(size=(n, dim))
+        if kind == "duplicated":
+            X = X[r.integers(0, max(1, n // 3), size=n)]
+    return SimilarityMatrix(s=X @ X.T)
 
 
 def net_similarity(S, pref, exemplars):
@@ -146,6 +165,33 @@ class TestAffinityPropagation:
         a = affinity_propagation(similarity(pts), max_iter=3)
         assert not a.converged
         assert sorted(i for c in a.clusters for i in c) == list(range(len(pts)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(sim=ap_similarities(), damping=st.floats(0.5, 0.99),
+           preference=st.none() | st.floats(-20.0, 5.0) | st.integers(-3, 1).map(float),
+           max_iter=st.integers(1, 250), window=st.integers(1, 30))
+    @example(sim=SimilarityMatrix(s=np.ones((4, 4))), damping=0.5, preference=None,
+             max_iter=3, window=10)
+    def test_equals_allocating_oracle(self, sim, damping, preference, max_iter, window):
+        kwargs = dict(damping=damping, preference=preference, max_iter=max_iter,
+                      convergence_window=window)
+        got = affinity_propagation(sim, **kwargs)
+        want = ap_oracle.affinity_propagation(sim, **kwargs)
+        assert got.exemplar_of.dtype == want.exemplar_of.dtype
+        npt.assert_array_equal(got.exemplar_of, want.exemplar_of)
+        assert got.clusters == want.clusters
+        assert got.exemplars == want.exemplars
+        assert got.converged is want.converged
+
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+    def test_similarity_left_unchanged(self, layout):
+        # acceptance test 6 reads sim.s after clustering
+        pts, _ = two_blob_instance(11)
+        sim = SimilarityMatrix(s=layout(similarity(pts).s))
+        before = sim.s.copy()
+        for preference in (None, -3.0):
+            affinity_propagation(sim, preference=preference)
+            assert sim.s.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("kwargs", [{"max_iter": 0}, {"convergence_window": 0}])
     def test_iteration_settings_below_one(self, kwargs):
