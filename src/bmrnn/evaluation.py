@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .data import SkipRecord, StoryRecord, check_skip_records
 from .errors import DataError
 from .network import BMRNNParams, bmrnn_forward
-from .objective import CompatibilityConfig, SentenceSequence, compatibility
+from .objective import CompatibilityConfig, SentenceSequence, SequenceStack, compatibility
 
 __all__ = [
     "RetrievalReport",
@@ -97,13 +97,11 @@ def evaluate(
     if pool is None:
         pool = [rec.sentences for rec in records]
     check_skip_records(records, skips_by_id)
+    candidates, ids = SequenceStack.of(pool), [cand.story_id for cand in pool]
     per_story_ranks: list[tuple[str, int]] = []
     for rec in records:
         skip = skips_by_id[rec.story_id]
         h_seq = bmrnn_forward(params, rec.story, skip.matrix()).merged
-        partition = skip.partition()
-        scores = {
-            cand.story_id: compatibility(h_seq, cand, partition, ccfg) for cand in pool
-        }
-        per_story_ranks.append((rec.story_id, rank_of_truth(scores, rec.story_id)))
+        scores = compatibility(h_seq, candidates, skip.partition(), ccfg).tolist()
+        per_story_ranks.append((rec.story_id, rank_of_truth(dict(zip(ids, scores)), rec.story_id)))
     return summarize_ranks(per_story_ranks, pool_size=len(pool), ks=ks)

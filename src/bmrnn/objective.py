@@ -16,6 +16,8 @@ and both local-term modes differ only in M.  Sequences are (N, D) arrays.
 Sequences of different lengths (negatives usually differ) are scored over
 the common prefix.  The gradient is taken with respect to H only; negative
 photo-stream predictions are treated as cached constants by the caller.
+A call scores a whole SequenceStack of candidates, grouped by common-prefix
+length so that every score keeps the bits of a per-pair ``np.vdot``.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "SubStoryPartition",
     "CompatibilityConfig",
     "SentenceSequence",
+    "SequenceStack",
     "LossResult",
     "compatibility",
     "compatibility_grad",
@@ -138,42 +141,86 @@ class SentenceSequence:
         return len(self.v)
 
 
-def _prefix_kernel(H, V: SentenceSequence, partition: SubStoryPartition, cfg):
-    """H as an array, the common-prefix length L, and the kernel over it."""
-    H = np.asarray(H, dtype=float)
-    if len(H) < 1:
-        raise DataError("compatibility needs a non-empty predicted sequence")
-    if H.shape[1:] != V.v.shape[1:]:
-        raise ShapeMismatchError("compatibility", H.shape[1:], V.v.shape[1:])
+@dataclass
+class SequenceStack:
+    """C sequences of one width, zero-padded into one (C, N_max, D) float64
+    array, with their lengths as a (C,) int array."""
+
+    padded: np.ndarray
+    lengths: np.ndarray
+
+    @classmethod
+    def of(cls, seqs) -> "SequenceStack":
+        """Stack SentenceSequences or (N, D) arrays.  A single sequence is not
+        copied: its stack is a view of its rows."""
+        arrays = [s.v if isinstance(s, SentenceSequence) else stack_rows(s, "compatibility")
+                  for s in seqs]
+        if min(map(len, arrays), default=0) < 1:
+            raise DataError("cannot score an empty sequence or an empty stack")
+        if len(arrays) == 1:
+            return cls(arrays[0][None], np.array([len(arrays[0])]))
+        padded = np.zeros((len(arrays), max(map(len, arrays)), arrays[0].shape[1]))
+        for i, a in enumerate(arrays):
+            if a.shape[1:] != padded.shape[2:]:
+                raise ShapeMismatchError("sequence stack", padded.shape[2:], a.shape[1:])
+            padded[i, : len(a)] = a
+        return cls(padded, np.array([len(a) for a in arrays]))
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def take(self, idx) -> "SequenceStack":
+        """The sequences at ``idx`` (indices or a mask), in that order."""
+        return SequenceStack(self.padded[idx], self.lengths[idx])
+
+
+def _prefix_groups(H, V, partition: SubStoryPartition, cfg):
+    """The pair count, H as a stack, and per common-prefix length L its pairs'
+    indices, H rows and K_L V.  A single sequence is a stack of one, which
+    broadcasts against the other side."""
+    H, V = (s if isinstance(s, SequenceStack) else SequenceStack.of([s]) for s in (H, V))
+    if H.padded.shape[2:] != V.padded.shape[2:]:
+        raise ShapeMismatchError("compatibility", H.padded.shape[2:], V.padded.shape[2:])
     # mismatched lengths (negatives usually differ) score the common prefix;
     # partition members beyond it simply do not contribute
-    L = min(len(H), V.N)
-    return H, L, partition.kernel(L, cfg)
+    prefix = np.minimum(H.lengths, V.lengths)
+    order = np.argsort(prefix, kind="stable")
+    lengths = prefix[order].tolist()
+    groups, start = [], 0
+    for L in dict.fromkeys(lengths):            # ascending, each once
+        end = start + lengths.count(L)
+        idx, start = order[start:end], end
+        # a run of consecutive stack rows is sliced, not gathered
+        rows = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1 else idx
+        H_g, V_g = [a[rows, :L] if len(a) > 1 else a[:, :L] for a in (H.padded, V.padded)]
+        # one (L, D) block per pair keeps the bits of its own K @ V; padding
+        # the blocks to one length would not
+        groups.append((idx, H_g, partition.kernel(L, cfg) @ V_g))
+    return len(prefix), H, groups
 
 
-def compatibility(
-    H: np.ndarray,
-    V: SentenceSequence,
-    partition: SubStoryPartition,
-    cfg: CompatibilityConfig,
-) -> float:
+def compatibility(H, V, partition: SubStoryPartition, cfg: CompatibilityConfig):
     """c(H, V) = sum_{a,b<L} K_ab <H_a, V_b> over the common prefix L: the
-    alpha-weighted global term plus the per-sub-story local term."""
-    H, L, K = _prefix_kernel(H, V, partition, cfg)
-    return float(np.vdot(H[:L], K @ V.v[:L]))
+    alpha-weighted global term plus the per-sub-story local term.  With a
+    SequenceStack on either side, one score per pair, as a (C,) array."""
+    count, _, groups = _prefix_groups(H, V, partition, cfg)
+    scores = np.empty(count)
+    for idx, H_rows, KV in groups:
+        n = KV[0].size     # (1, n) @ (n, 1) is the dot product np.vdot takes
+        scores[idx] = (H_rows.reshape(-1, 1, n) @ KV.reshape(-1, n, 1))[:, 0, 0]
+    stacked = isinstance(H, SequenceStack) or isinstance(V, SequenceStack)
+    return scores if stacked else float(scores[0])
 
 
-def compatibility_grad(
-    H: np.ndarray,
-    V: SentenceSequence,
-    partition: SubStoryPartition,
-    cfg: CompatibilityConfig,
-) -> np.ndarray:
-    """d compatibility / dH, shaped like H: K V over the prefix, zero beyond."""
-    H, L, K = _prefix_kernel(H, V, partition, cfg)
-    grad = np.zeros_like(H)
-    grad[:L] = K @ V.v[:L]
-    return grad
+def compatibility_grad(H, V, partition: SubStoryPartition, cfg: CompatibilityConfig):
+    """d compatibility / dH, shaped like H: K V over the prefix, zero beyond;
+    with a stack on either side, a (C, N, D) array of them."""
+    count, H_stack, groups = _prefix_groups(H, V, partition, cfg)
+    grad = np.zeros((count, *H_stack.padded.shape[1:]))
+    for idx, _, KV in groups:
+        grad[idx, : KV.shape[1]] = KV
+    stacked = isinstance(H, SequenceStack) or isinstance(V, SequenceStack)
+    return grad if stacked else grad[0]
 
 
 @dataclass
@@ -187,8 +234,8 @@ class LossResult:
 def contrastive_loss(
     H: np.ndarray,
     V: SentenceSequence,
-    negatives_V: list[SentenceSequence],
-    negatives_H: list[np.ndarray],
+    negatives_V: list[SentenceSequence] | SequenceStack,
+    negatives_H: list[np.ndarray] | SequenceStack,
     partition: SubStoryPartition,
     cfg: CompatibilityConfig,
 ) -> LossResult:
@@ -206,32 +253,28 @@ def contrastive_loss(
             raise ConfigError(
                 f"expected {cfg.negatives_per_positive} {side} negatives, got {len(negatives)}"
             )
+    neg_V, neg_H = (n if isinstance(n, SequenceStack) else SequenceStack.of(n)
+                    for n in (negatives_V, negatives_H))
+    H, V = SequenceStack.of([H]), SequenceStack.of([V])    # stacked once for all five calls
 
-    base = compatibility(H, V, partition, cfg)
-    base_grad = compatibility_grad(H, V, partition, cfg)
+    base = compatibility(H, V, partition, cfg)[0]
+    base_grad = compatibility_grad(H, V, partition, cfg)[0]
+    # grouped so an equal-scoring negative cancels exactly (hinge == gamma);
+    # the sub-story structure lives on the positive pair's timeline, so
+    # c(H', V) reuses the same partition over the common prefix
+    hinge_v = cfg.gamma + (compatibility(H, neg_V, partition, cfg) - base)
+    hinge_h = cfg.gamma + (compatibility(neg_H, V, partition, cfg) - base)
+    active_v, active_h = hinge_v > 0.0, hinge_h > 0.0
 
-    loss = 0.0
+    # both sums add one term at a time to zero, in draw order: sum() and
+    # add.reduce may pair terms up (add.reduce does along one-element rows)
+    terms = np.concatenate(([0.0], hinge_v[active_v], hinge_h[active_h]))
     dH = np.zeros_like(base_grad)
-    active_v = active_h = 0
-
-    for Vp in negatives_V:
-        # grouped so an equal-scoring negative cancels exactly (hinge == gamma)
-        hinge = cfg.gamma + (compatibility(H, Vp, partition, cfg) - base)
-        if hinge > 0.0:
-            loss += hinge
-            active_v += 1
-            dH += compatibility_grad(H, Vp, partition, cfg) - base_grad
-
-    for Hp in negatives_H:
-        # the sub-story structure lives on the positive pair's timeline, so
-        # c(H', V) reuses the same partition over the common prefix
-        hinge = cfg.gamma + (compatibility(Hp, V, partition, cfg) - base)
-        if hinge > 0.0:
-            loss += hinge
-            active_h += 1
-    dH -= active_h * base_grad
-
-    return LossResult(loss=loss, dH=dH, active_v_hinges=active_v, active_h_hinges=active_h)
+    for grad in compatibility_grad(H, neg_V.take(active_v), partition, cfg):
+        dH += grad - base_grad
+    n_v, n_h = np.count_nonzero(active_v), np.count_nonzero(active_h)
+    dH -= n_h * base_grad
+    return LossResult(float(np.add.accumulate(terms)[-1]), dH, n_v, n_h)
 
 
 def sample_negatives(dataset, positive_id: str, count: int, rng: SeededRng) -> list:

@@ -36,6 +36,7 @@ from .numeric import SeededRng, read_file, write_file
 from .objective import (
     CompatibilityConfig,
     SentenceSequence,
+    SequenceStack,
     SubStoryPartition,
     contrastive_loss,
     sample_negatives,
@@ -229,8 +230,8 @@ def story_loss_and_grads(
     sentences: SentenceSequence,
     skip_matrix: SkipMatrix,
     partition: SubStoryPartition,
-    neg_V: list[SentenceSequence],
-    neg_H: list[np.ndarray],
+    neg_V: list[SentenceSequence] | SequenceStack,
+    neg_H: list[np.ndarray] | SequenceStack,
     ccfg: CompatibilityConfig,
     *,
     epoch: int = 0,
@@ -295,6 +296,8 @@ def train(
     structures = {
         sid: (skips_by_id[sid].matrix(), skips_by_id[sid].partition()) for sid in by_id
     }
+    row_of = {sid: i for i, sid in enumerate(by_id)}     # each story's row in both stacks
+    sentences = SequenceStack.of([rec.sentences for rec in by_id.values()])
 
     config = {"train": cfg.to_dict(), "compatibility": dataclasses.asdict(ccfg)}
     state = init_optimizer_state(params, cfg)
@@ -308,12 +311,11 @@ def train(
         t0 = time.perf_counter()
         # stream-side negatives are refreshed here and held constant
         # for the whole epoch
-        h_cache = {
-            sid: bmrnn_forward(params, by_id[sid].story, structures[sid][0]).merged
-            for sid in by_id
-        }
+        h_cache = SequenceStack.of([bmrnn_forward(params, rec.story, structures[sid][0]).merged
+                                    for sid, rec in by_id.items()])
         order = [train_records[i] for i in order_rng.permutation(len(train_records))]
         losses: list[float] = []
+        hinges = np.zeros(2)         # active sentence- and stream-side hinges
         norms: list[float] = []      # pre-clip gradient norm of each update
         step = 0
         for start in range(0, len(order), cfg.batch_size):
@@ -321,19 +323,20 @@ def train(
             batch_grads = params.zeros_like()
             for rec in batch:
                 skip_matrix, partition = structures[rec.story_id]
-                draw = sample_negatives(by_id, rec.story_id, ccfg.negatives_per_positive, neg_rng)
-                neg_V = [r.sentences for r in draw]
-                neg_H = [h_cache[r.story_id] for r in draw]
+                # drawn from row_of, the draw is the negatives' rows in the stacks
+                idx = sample_negatives(row_of, rec.story_id, ccfg.negatives_per_positive, neg_rng)
                 result, grads, _ = story_loss_and_grads(
                     params, rec.story, rec.sentences, skip_matrix, partition,
-                    neg_V, neg_H, ccfg, epoch=epoch, step=step,
+                    sentences.take(idx), h_cache.take(idx), ccfg, epoch=epoch, step=step,
                 )
                 losses.append(result.loss)
+                hinges += (result.active_v_hinges, result.active_h_hinges)
                 batch_grads.flat += (1.0 / len(batch)) * grads.flat
                 step += 1
             norms.append(update_step(params, batch_grads, state, cfg))
 
         mean_loss = float(np.mean(losses))
+        active_v_frac, active_h_frac = hinges / (len(losses) * ccfg.negatives_per_positive)
         val_recall1 = val_medr = None
         if val_records:
             report = evaluate(params, val_records, skips_by_id, ccfg)
@@ -346,6 +349,7 @@ def train(
             "val_medr": val_medr,
             "grad_norm_p50": float(np.median(norms)),
             "clip_frac": float(np.mean(np.array(norms) > cfg.grad_clip_norm)),
+            "active_v_frac": float(active_v_frac), "active_h_frac": float(active_h_frac),
             "wall_ms": round((time.perf_counter() - t0) * 1000.0, 3),
         }
         history.append(record)

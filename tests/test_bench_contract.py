@@ -1,8 +1,9 @@
 """The benchmark's span tracer wraps program functions by module attribute
 (``bench/spans.py`` ``TARGETS``) and divides per-layer times by their call
 counts.  These checks catch a renamed target, a sweep that no longer calls
-the per-step cell functions, or a ``detect-skips`` that no longer clusters
-one story per call, without running the traced benchmark."""
+the per-step cell functions, a ``detect-skips`` that no longer clusters
+one story per call, or scoring that no longer goes through the traced
+compatibility functions, without running the traced benchmark."""
 
 import importlib.util
 from pathlib import Path
@@ -10,11 +11,16 @@ from pathlib import Path
 import numpy as np
 
 import bmrnn.cli
+import bmrnn.evaluation
 import bmrnn.network
+import bmrnn.objective
+import bmrnn.training
 from bmrnn.data import SynthConfig, SynthCorpus, generate_synthetic, write_corpus
 from bmrnn.network import StoryStream, bmrnn_backward, bmrnn_forward, init_bmrnn_params
 from bmrnn.numeric import SeededRng
+from bmrnn.objective import CompatibilityConfig
 from bmrnn.skips import SkipMatrix
+from bmrnn.training import TrainConfig, train
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -70,3 +76,31 @@ def test_detect_skips_clusters_each_multi_photo_story_once(tmp_path, monkeypatch
     assert {name: len(r) for name, r in results.items()} == dict.fromkeys(results, 6)
     # the traced benchmark notes each story's convergence flag
     assert all(type(a.converged) is bool for a in results["affinity_propagation"])
+
+
+def test_scoring_goes_through_the_traced_functions(monkeypatch):
+    calls = {(bmrnn.evaluation, "compatibility"): 0, (bmrnn.objective, "compatibility"): 0,
+             (bmrnn.objective, "compatibility_grad"): 0}
+    for module, name in calls:
+        def counted(*args, _fn=getattr(module, name), _key=(module, name), **kwargs):
+            calls[_key] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    negatives = []
+
+    def loss(*args, _fn=bmrnn.training.contrastive_loss):
+        negatives.append(len(args[2]))      # the bench's hinge-fraction divisor
+        return _fn(*args)
+    monkeypatch.setattr(bmrnn.training, "contrastive_loss", loss)
+
+    corpus = generate_synthetic(SynthConfig(num_stories=24, seed=4))
+    split = {s: [r for r in corpus.records if r.split == s] for s in ("train", "val", "test")}
+    ckpt = train(split["train"], split["val"], corpus.skips, TrainConfig(epochs=1, seed=0),
+                 CompatibilityConfig(negatives_per_positive=5), hidden_dim=4)
+    assert negatives == [5] * len(split["train"])
+    assert calls[bmrnn.objective, "compatibility"] > 0
+    assert calls[bmrnn.objective, "compatibility_grad"] > 0
+    # validation during training, then one test-split evaluation: one call per query
+    assert calls[bmrnn.evaluation, "compatibility"] == len(split["val"])
+    bmrnn.evaluation.evaluate(ckpt.params, split["test"], corpus.skips, CompatibilityConfig())
+    assert calls[bmrnn.evaluation, "compatibility"] == len(split["val"]) + len(split["test"])

@@ -3,13 +3,16 @@ evaluation."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import objective_oracle
 from bmrnn.data import SynthConfig, generate_synthetic
 from bmrnn.errors import DataError
 from bmrnn.evaluation import evaluate, rank_of_truth, summarize_ranks
-from bmrnn.network import init_bmrnn_params
+from bmrnn.network import bmrnn_forward, init_bmrnn_params
 from bmrnn.numeric import SeededRng
-from bmrnn.objective import CompatibilityConfig
+from bmrnn.objective import CompatibilityConfig, SentenceSequence
 
 
 class TestRankOfTruth:
@@ -132,6 +135,11 @@ class TestEvaluate:
         with pytest.raises(DataError, match="absent"):
             evaluate(params, corpus.records, corpus.skips, ccfg, pool=pool)
 
+    def test_empty_pool_rejected(self):
+        corpus, params, ccfg = self.setup_eval()
+        with pytest.raises(DataError):
+            evaluate(params, corpus.records, corpus.skips, ccfg, pool=[])
+
     def test_missing_skip_record(self):
         corpus, params, ccfg = self.setup_eval()
         skips = dict(corpus.skips)
@@ -143,3 +151,48 @@ class TestEvaluate:
         corpus, params, ccfg = self.setup_eval()
         with pytest.raises(DataError):
             evaluate(params, [], corpus.skips, ccfg)
+
+
+def mixed_length_corpus(lengths, seed):
+    """Two stories of each length, with ids unique across the draws."""
+    records, skips = [], {}
+    for i, n in enumerate(lengths):
+        corpus = generate_synthetic(SynthConfig(num_stories=2, story_len=n, embed_dim=4,
+                                                num_scenes=1, scene_pool_size=2, seed=seed + i))
+        for rec in corpus.records:
+            skip = corpus.skips[rec.story_id]
+            sid = f"{i}_{rec.story_id}"
+            rec.story_id = rec.story.story_id = rec.sentences.story_id = skip.story_id = sid
+            records.append(rec)
+            skips[sid] = skip
+    return records, skips
+
+
+def oracle_ranks(params, records, skips, ccfg, pool):
+    """evaluate's ranks, scoring each (query, candidate) pair on its own."""
+    ranks = []
+    for rec in records:
+        skip = skips[rec.story_id]
+        h_seq = bmrnn_forward(params, rec.story, skip.matrix()).merged
+        scores = {c.story_id: objective_oracle.compatibility(h_seq, c, skip.partition(), ccfg)
+                  for c in pool}
+        ranks.append((rec.story_id, rank_of_truth(scores, rec.story_id)))
+    return ranks
+
+
+class TestEvaluateOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=4),
+           seed=st.integers(0, 1000), alpha=st.floats(0.0, 1.0),
+           mode=st.sampled_from(["aligned", "all-pairs"]), dups=st.integers(0, 3))
+    def test_ranks_equal_per_pair_oracle(self, lengths, seed, alpha, mode, dups):
+        records, skips = mixed_length_corpus(lengths, seed)
+        params = init_bmrnn_params(4, 3, 4, SeededRng(seed))
+        ccfg = CompatibilityConfig(alpha=alpha, local_term_mode=mode)
+        # copies of true sentence sequences tie with them exactly; their ids
+        # sort before ("0...") or after ("~...") the truth's
+        pool = [rec.sentences for rec in records] + [
+            SentenceSequence(f"{'0~'[k % 2]}dup{k}", records[k % len(records)].sentences.v.copy())
+            for k in range(dups)]
+        report = evaluate(params, records, skips, ccfg, pool=pool)
+        assert report.per_story_ranks == oracle_ranks(params, records, skips, ccfg, pool)

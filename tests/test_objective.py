@@ -4,11 +4,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import objective_oracle
 from bmrnn.errors import ConfigError, DataError, ShapeMismatchError
+from bmrnn.evaluation import rank_of_truth
 from bmrnn.numeric import SeededRng
 from bmrnn.objective import (
     CompatibilityConfig,
     SentenceSequence,
+    SequenceStack,
     SubStoryPartition,
     compatibility,
     compatibility_grad,
@@ -373,3 +376,119 @@ class TestBilinearForm:
         assert res.loss == cfg.gamma
         assert res.active_v_hinges == 1 and res.active_h_hinges == 0
         assert np.all(res.dH == 0.0)
+
+
+class TestSequenceStack:
+    def test_pads_and_takes(self):
+        st_ = SequenceStack.of([seq("a", [[1.0, 2.0]]), np.ones((3, 2)), [[5.0, 6.0], [7.0, 8.0]]])
+        assert len(st_) == 3 and st_.padded.shape == (3, 3, 2)
+        assert st_.lengths.tolist() == [1, 3, 2]
+        npt.assert_array_equal(st_.padded[0], [[1.0, 2.0], [0.0, 0.0], [0.0, 0.0]])
+        sub = st_.take([2, 0])
+        assert sub.lengths.tolist() == [2, 1]
+        npt.assert_array_equal(sub.padded[0, :2], [[5.0, 6.0], [7.0, 8.0]])
+        assert st_.take(np.array([False, True, False])).lengths.tolist() == [3]
+
+    def test_ragged_widths_rejected(self):
+        # a width-1 sequence would broadcast silently into the padded array
+        with pytest.raises(ShapeMismatchError):
+            SequenceStack.of([np.ones((2, 3)), np.ones((2, 1))])
+
+    @pytest.mark.parametrize("seqs", [[np.ones((2, 2)), np.zeros((0, 2))], []],
+                             ids=["empty-member", "no-members"])
+    def test_empty_rejected(self, seqs):
+        with pytest.raises(DataError):
+            SequenceStack.of(seqs)
+
+    @pytest.mark.parametrize("side", ["sentence", "stream"])
+    def test_candidate_width_mismatch_rejected(self, side):
+        part, cfg = SubStoryPartition(groups=[[0]]), CompatibilityConfig()
+        wide = SequenceStack.of([np.ones((2, 3)), np.ones((1, 3))])
+        with pytest.raises(ShapeMismatchError):
+            if side == "sentence":
+                compatibility(np.ones((2, 2)), wide, part, cfg)
+            else:
+                compatibility(wide, seq("v", np.ones((2, 2))), part, cfg)
+
+    def test_stack_results_have_one_row_per_candidate(self):
+        rng = np.random.default_rng(2)
+        part, cfg = SubStoryPartition(groups=[[0, 2], [1]]), CompatibilityConfig(alpha=0.3)
+        H, V = rng.normal(size=(3, 2)), seq("v", rng.normal(size=(3, 2)))
+        cands = SequenceStack.of([rng.normal(size=(n, 2)) for n in (1, 4, 3, 2)])
+        assert isinstance(compatibility(H, V, part, cfg), float)
+        assert compatibility(H, cands, part, cfg).shape == (4,)
+        assert compatibility(cands, V, part, cfg).shape == (4,)
+        assert compatibility_grad(H, cands, part, cfg).shape == (4, 3, 2)
+        assert compatibility_grad(cands, V, part, cfg).shape == (4, 4, 2)
+
+
+@st.composite
+def loss_instances(draw):
+    """A query of length 1-12, 1-8 negatives per side of lengths 1-12 (mostly
+    not the query's), a partition with uncovered steps, random alpha, gamma
+    and mode, and exact ties: negatives that repeat the positive pair or an
+    earlier negative, and small-integer values under which distinct pairs
+    can score the same."""
+    dim, n, count = draw(st.integers(1, 4)), draw(st.integers(1, 12)), draw(st.integers(1, 8))
+    lengths = draw(st.lists(st.integers(1, 12), min_size=2 * count, max_size=2 * count))
+    extent = draw(st.integers(1, 12))
+    labels = draw(st.lists(st.integers(-1, 3), min_size=extent, max_size=extent))
+    groups = [[t for t, lab in enumerate(labels) if lab == g] for g in range(4)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    integer = draw(st.booleans())
+
+    def rows(m):
+        if integer:
+            return rng.integers(-2, 3, size=(m, dim)).astype(float)
+        return rng.normal(size=(m, dim))
+
+    H, V = rows(n), seq("v", rows(n))
+    neg_V = [seq(f"nv{k}", rows(m)) for k, m in enumerate(lengths[:count])]
+    neg_H = [rows(m) for m in lengths[count:]]
+    for k in draw(st.lists(st.integers(0, count - 1), max_size=3)):
+        neg_V[k], neg_H[k] = seq("dup", V.v.copy()), H.copy()
+    for k in draw(st.lists(st.integers(0, count - 1), max_size=2)):
+        neg_V[k], neg_H[k] = neg_V[0], neg_H[0]
+    cfg = CompatibilityConfig(
+        alpha=draw(st.floats(0.0, 1.0)),
+        gamma=draw(st.floats(0.01, 5.0)),
+        negatives_per_positive=count,
+        local_term_mode=draw(st.sampled_from(["aligned", "all-pairs"])),
+    )
+    return H, V, neg_V, neg_H, SubStoryPartition(groups=[g for g in groups if g]), cfg
+
+
+class TestPerPairOracle:
+    """The stacked path against the per-pair loops it replaced, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(loss_instances())
+    def test_loss_equals_oracle(self, inst):
+        H, V, neg_V, neg_H, part, cfg = inst
+        want = objective_oracle.contrastive_loss(H, V, neg_V, neg_H, part, cfg)
+        for got in (contrastive_loss(H, V, neg_V, neg_H, part, cfg),
+                    contrastive_loss(H, V, SequenceStack.of(neg_V), SequenceStack.of(neg_H),
+                                     part, cfg)):
+            assert got.loss == want.loss
+            assert got.dH.tobytes() == want.dH.tobytes()
+            assert (got.active_v_hinges, got.active_h_hinges) == (
+                want.active_v_hinges, want.active_h_hinges)
+
+    @settings(max_examples=300, deadline=None)
+    @given(loss_instances())
+    def test_scores_and_ranks_equal_oracle(self, inst):
+        H, V, neg_V, neg_H, part, cfg = inst
+        pool = [V, *neg_V]
+        got = compatibility(H, SequenceStack.of(pool), part, cfg)
+        want = [objective_oracle.compatibility(H, c, part, cfg) for c in pool]
+        assert got.tobytes() == np.array(want).tobytes()
+        stream = compatibility(SequenceStack.of(neg_H), V, part, cfg)
+        assert stream.tobytes() == np.array(
+            [objective_oracle.compatibility(h, V, part, cfg) for h in neg_H]).tobytes()
+        grads = compatibility_grad(H, SequenceStack.of(pool), part, cfg)
+        for g, c in zip(grads, pool):
+            assert g.tobytes() == objective_oracle.compatibility_grad(H, c, part, cfg).tobytes()
+        ids = [f"c{i:02d}" for i in range(len(pool))]
+        for truth in ids:
+            assert (rank_of_truth(dict(zip(ids, got.tolist())), truth)
+                    == rank_of_truth(dict(zip(ids, want)), truth))

@@ -262,7 +262,8 @@ class TestTrain:
         for i, rec in enumerate(lines):
             assert rec["epoch"] == i
             assert set(rec) == {"epoch", "mean_loss", "val_recall1", "val_medr", "wall_ms",
-                                "grad_norm_p50", "clip_frac"}
+                                "grad_norm_p50", "clip_frac", "active_v_frac", "active_h_frac"}
+            assert 0.0 <= rec["active_v_frac"] <= 1.0 and 0.0 <= rec["active_h_frac"] <= 1.0
             assert rec["wall_ms"] > 0
         assert lines == ckpt.history
 
@@ -283,6 +284,27 @@ class TestTrain:
         assert len(norms) == -(-len(tr) // 2) and min(norms) > 0
         assert rec["grad_norm_p50"] == float(np.median(norms))
         assert rec["clip_frac"] == clip_frac
+
+    @pytest.mark.parametrize("gamma, frac", [(1e-9, 0.0), (20.0, 1.0)])
+    def test_log_records_active_hinge_fractions(self, gamma, frac):
+        # alpha 1 makes c(H, V) the plain inner product <H, V>; each story's
+        # sentences are 10x the dual basis of the (frozen, lr 0) network's
+        # outputs, so every true pair scores 10 and every negative pair 0:
+        # no hinge is active as gamma -> 0, and all are once gamma > 10
+        corpus, tr, _ = small_corpus(n=18, seed=6)
+        params = init_bmrnn_params(16, 4, 16, SeededRng(0))
+        from bmrnn.network import bmrnn_forward
+
+        H = np.stack([bmrnn_forward(params, rec.story, corpus.skips[rec.story_id].matrix())
+                      .merged.ravel() for rec in tr])
+        dual = 10.0 * np.linalg.pinv(H).T
+        for rec, v in zip(tr, dual):
+            rec.sentences = SentenceSequence(rec.story_id, v.reshape(rec.story.N, 16))
+        ccfg = CompatibilityConfig(alpha=1.0, gamma=gamma, negatives_per_positive=3)
+        ckpt = train(tr, [], corpus.skips, TrainConfig(epochs=1, seed=0, learning_rate=0.0),
+                     ccfg, params=params)
+        rec = ckpt.history[0]
+        assert rec["active_v_frac"] == frac and rec["active_h_frac"] == frac
 
     def test_log_without_validation_has_nulls(self, tmp_path):
         corpus, tr, va = small_corpus(n=12, seed=6)
