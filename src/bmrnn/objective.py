@@ -151,14 +151,11 @@ class SequenceStack:
 
     @classmethod
     def of(cls, seqs) -> "SequenceStack":
-        """Stack SentenceSequences or (N, D) arrays.  A single sequence is not
-        copied: its stack is a view of its rows."""
+        """Stack SentenceSequences or (N, D) arrays."""
         arrays = [s.v if isinstance(s, SentenceSequence) else stack_rows(s, "compatibility")
                   for s in seqs]
         if min(map(len, arrays), default=0) < 1:
             raise DataError("cannot score an empty sequence or an empty stack")
-        if len(arrays) == 1:
-            return cls(arrays[0][None], np.array([len(arrays[0])]))
         padded = np.zeros((len(arrays), max(map(len, arrays)), arrays[0].shape[1]))
         for i, a in enumerate(arrays):
             if a.shape[1:] != padded.shape[2:]:
@@ -170,56 +167,53 @@ class SequenceStack:
         return len(self.lengths)
 
     def take(self, idx) -> "SequenceStack":
-        """The sequences at ``idx`` (indices or a mask), in that order."""
+        """The sequences at the integer indices ``idx``, in that order."""
         return SequenceStack(self.padded[idx], self.lengths[idx])
 
 
 def _prefix_groups(H, V, partition: SubStoryPartition, cfg):
-    """The pair count, H as a stack, and per common-prefix length L its pairs'
-    indices, H rows and K_L V.  A single sequence is a stack of one, which
-    broadcasts against the other side."""
+    """Whether either side is a stack, the pair count, H as a stack, and per
+    common-prefix length L its pairs' indices, H rows and K_L V.  A single
+    sequence is a stack of one, which broadcasts against the other side."""
+    stacked = isinstance(H, SequenceStack) or isinstance(V, SequenceStack)
     H, V = (s if isinstance(s, SequenceStack) else SequenceStack.of([s]) for s in (H, V))
     if H.padded.shape[2:] != V.padded.shape[2:]:
         raise ShapeMismatchError("compatibility", H.padded.shape[2:], V.padded.shape[2:])
     # mismatched lengths (negatives usually differ) score the common prefix;
     # partition members beyond it simply do not contribute
     prefix = np.minimum(H.lengths, V.lengths)
-    order = np.argsort(prefix, kind="stable")
+    order = prefix.argsort(kind="stable")
     lengths = prefix[order].tolist()
     groups, start = [], 0
     for L in dict.fromkeys(lengths):            # ascending, each once
         end = start + lengths.count(L)
         idx, start = order[start:end], end
-        # a run of consecutive stack rows is sliced, not gathered
-        rows = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1 else idx
-        H_g, V_g = [a[rows, :L] if len(a) > 1 else a[:, :L] for a in (H.padded, V.padded)]
+        H_g, V_g = [a[idx, :L] if len(a) > 1 else a[:, :L] for a in (H.padded, V.padded)]
         # one (L, D) block per pair keeps the bits of its own K @ V; padding
         # the blocks to one length would not
         groups.append((idx, H_g, partition.kernel(L, cfg) @ V_g))
-    return len(prefix), H, groups
+    return stacked, len(prefix), H, groups
 
 
 def compatibility(H, V, partition: SubStoryPartition, cfg: CompatibilityConfig):
     """c(H, V) = sum_{a,b<L} K_ab <H_a, V_b> over the common prefix L: the
     alpha-weighted global term plus the per-sub-story local term.  With a
     SequenceStack on either side, one score per pair, as a (C,) array."""
-    count, _, groups = _prefix_groups(H, V, partition, cfg)
+    stacked, count, _, groups = _prefix_groups(H, V, partition, cfg)
     scores = np.empty(count)
     for idx, H_rows, KV in groups:
-        n = KV[0].size     # (1, n) @ (n, 1) is the dot product np.vdot takes
+        n = KV.shape[1] * KV.shape[2]     # (1, n) @ (n, 1) is the dot product np.vdot takes
         scores[idx] = (H_rows.reshape(-1, 1, n) @ KV.reshape(-1, n, 1))[:, 0, 0]
-    stacked = isinstance(H, SequenceStack) or isinstance(V, SequenceStack)
     return scores if stacked else float(scores[0])
 
 
 def compatibility_grad(H, V, partition: SubStoryPartition, cfg: CompatibilityConfig):
     """d compatibility / dH, shaped like H: K V over the prefix, zero beyond;
     with a stack on either side, a (C, N, D) array of them."""
-    count, H_stack, groups = _prefix_groups(H, V, partition, cfg)
+    stacked, count, H_stack, groups = _prefix_groups(H, V, partition, cfg)
     grad = np.zeros((count, *H_stack.padded.shape[1:]))
     for idx, _, KV in groups:
         grad[idx, : KV.shape[1]] = KV
-    stacked = isinstance(H, SequenceStack) or isinstance(V, SequenceStack)
     return grad if stacked else grad[0]
 
 
@@ -264,26 +258,25 @@ def contrastive_loss(
     # c(H', V) reuses the same partition over the common prefix
     hinge_v = cfg.gamma + (compatibility(H, neg_V, partition, cfg) - base)
     hinge_h = cfg.gamma + (compatibility(neg_H, V, partition, cfg) - base)
-    active_v, active_h = hinge_v > 0.0, hinge_h > 0.0
+    active_v, active_h = np.flatnonzero(hinge_v > 0.0), np.flatnonzero(hinge_h > 0.0)
 
-    # both sums add one term at a time to zero, in draw order: sum() and
-    # add.reduce may pair terms up (add.reduce does along one-element rows)
+    # both sums add one term at a time to zero, in draw order, as accumulate
+    # does; sum() and add.reduce may pair terms up (along one-element rows)
     terms = np.concatenate(([0.0], hinge_v[active_v], hinge_h[active_h]))
-    dH = np.zeros_like(base_grad)
-    for grad in compatibility_grad(H, neg_V.take(active_v), partition, cfg):
-        dH += grad - base_grad
-    n_v, n_h = np.count_nonzero(active_v), np.count_nonzero(active_h)
-    dH -= n_h * base_grad
-    return LossResult(float(np.add.accumulate(terms)[-1]), dH, n_v, n_h)
+    steps = compatibility_grad(H, neg_V.take(active_v), partition, cfg) - base_grad
+    dH = np.add.accumulate(np.concatenate((np.zeros((1, *base_grad.shape)), steps)))[-1]
+    dH -= len(active_h) * base_grad
+    return LossResult(float(np.add.accumulate(terms)[-1]), dH, len(active_v), len(active_h))
 
 
 def sample_negatives(dataset, positive_id: str, count: int, rng: SeededRng) -> list:
     """Uniformly draw ``count`` distinct stories, never the positive one.
 
-    ``dataset`` maps story_id -> record; the drawn records, returned in draw
-    order, serve as both the sentence-side and the stream-side negatives.  If fewer than
-    ``count`` other stories exist, sampling falls back to replacement with
-    a warning.
+    ``dataset`` is any mapping keyed by story_id; the values of the drawn
+    ids come back in draw order (``train`` passes story_id -> stack row and
+    gets the negatives' rows in its sentence and h_cache stacks).  If fewer
+    than ``count`` other stories exist, sampling falls back to replacement
+    with a warning.
     """
     others = [sid for sid in dataset if sid != positive_id]
     if not others:

@@ -387,7 +387,6 @@ class TestSequenceStack:
         sub = st_.take([2, 0])
         assert sub.lengths.tolist() == [2, 1]
         npt.assert_array_equal(sub.padded[0, :2], [[5.0, 6.0], [7.0, 8.0]])
-        assert st_.take(np.array([False, True, False])).lengths.tolist() == [3]
 
     def test_ragged_widths_rejected(self):
         # a width-1 sequence would broadcast silently into the padded array
@@ -473,6 +472,21 @@ class TestPerPairOracle:
             assert got.dH.tobytes() == want.dH.tobytes()
             assert (got.active_v_hinges, got.active_h_hinges) == (
                 want.active_v_hinges, want.active_h_hinges)
+
+    @pytest.mark.parametrize("n_dim", [(1, 1), (3, 2)], ids=["one-element", "3x2"])
+    def test_many_active_rows_add_in_draw_order(self, n_dim):
+        # add.reduce sums one-element rows pairwise once there are 8 or more;
+        # dH must add the active rows one at a time, as the oracle does
+        rng = np.random.default_rng(5)
+        H, V = rng.normal(size=n_dim), seq("v", rng.normal(size=n_dim) * 1e-3)
+        neg_V = [seq(f"n{k}", rng.normal(size=n_dim) * 10.0 ** rng.integers(-3, 4))
+                 for k in range(40)]
+        part = SubStoryPartition(groups=[[0]])
+        cfg = CompatibilityConfig(gamma=1e6, negatives_per_positive=40)
+        got = contrastive_loss(H, V, neg_V, [H] * 40, part, cfg)
+        want = objective_oracle.contrastive_loss(H, V, neg_V, [H] * 40, part, cfg)
+        assert got.active_v_hinges == 40
+        assert got.dH.tobytes() == want.dH.tobytes() and got.loss == want.loss
 
     @settings(max_examples=300, deadline=None)
     @given(loss_instances())
