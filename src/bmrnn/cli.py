@@ -19,6 +19,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .data import (
     SkipRecord,
     SynthConfig,
@@ -33,7 +35,8 @@ from .evaluation import evaluate
 from .network import load_model
 from .numeric import read_file, write_file
 from .objective import CompatibilityConfig
-from .skips import affinity_propagation, build_skip_matrix, check_clustering, similarity
+from .skips import (SimilarityMatrix, affinity_propagation, build_skip_matrix, check_clustering,
+                    similarity)
 from .training import TrainConfig, grad_check, read_sidecar, save_checkpoint, sidecar_path, train
 
 __all__ = ["run", "main"]
@@ -42,6 +45,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+
+AP_STACK_ENTRIES = 1 << 18   # B * n * n of a detect-skips stack: 2 MiB per float64 buffer
 
 
 class _Parser(argparse.ArgumentParser):
@@ -251,18 +256,26 @@ def _cmd_detect_skips(opts: dict) -> int:
     if opts["window"] > opts["max_iter"]:    # the convergence flag could never be set
         raise ConfigError(f"--window {opts['window']} exceeds --max-iter {opts['max_iter']}")
     dataset = load_manifest(opts["manifest"])
+    assignment_of = {}     # record index -> its ClusterAssignment
+    for n in {rec.N for rec in dataset.records} - {1}:
+        group = [i for i, rec in enumerate(dataset.records) if rec.N == n]
+        size = max(1, AP_STACK_ENTRIES // (n * n))   # stories per stack
+        for stack in (group[k:k + size] for k in range(0, len(group), size)):
+            sims = [similarity(dataset.records[i].story.raw_fc, normalize=opts["normalize"]).s
+                    for i in stack]
+            result = affinity_propagation(
+                SimilarityMatrix(s=np.stack(sims)), damping=opts["damping"],
+                preference=opts["preference"], max_iter=opts["max_iter"],
+                convergence_window=opts["window"])
+            assignment_of.update(zip(stack, result.assignments))
     records = []
     n_converged = n_pairs = 0
-    for rec in dataset.records:
+    for i, rec in enumerate(dataset.records):
         if rec.N == 1:   # nothing to cluster: one singleton, no skips
             records.append(SkipRecord(rec.story_id, clusters=[[0]], pairs=[], converged=True))
             n_converged += 1
             continue
-        sim = similarity(rec.story.raw_fc, normalize=opts["normalize"])
-        assignment = affinity_propagation(
-            sim, damping=opts["damping"], preference=opts["preference"],
-            max_iter=opts["max_iter"], convergence_window=opts["window"],
-        )
+        assignment = assignment_of[i]
         pairs = list(build_skip_matrix(assignment).pairs)
         records.append(SkipRecord(
             story_id=rec.story_id, clusters=sorted(sorted(c) for c in assignment.clusters),

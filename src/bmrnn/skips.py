@@ -23,6 +23,7 @@ from .numeric import stack_rows
 __all__ = [
     "SimilarityMatrix",
     "ClusterAssignment",
+    "ClusterStack",
     "SkipMatrix",
     "similarity",
     "affinity_propagation",
@@ -56,6 +57,14 @@ class ClusterAssignment:
     @property
     def n(self) -> int:
         return self.exemplar_of.shape[0]
+
+
+@dataclass
+class ClusterStack:
+    """Result of clustering a stack of same-length stories, in stack order."""
+
+    assignments: list[ClusterAssignment]
+    converged: bool                # every story in the stack converged
 
 
 @dataclass
@@ -132,8 +141,11 @@ def affinity_propagation(
     preference: float | None = None,
     max_iter: int = 200,
     convergence_window: int = 15,
-) -> ClusterAssignment:
+) -> ClusterAssignment | ClusterStack:
     """Affinity-propagation clustering by message passing.
+
+    ``sim.s`` is one (n, n) matrix or a (B, n, n) stack of them, which shares
+    one loop (a single matrix is its B = 1 case) and returns a ``ClusterStack``.
 
     Always runs ``max_iter`` iterations and reads the exemplars (indices
     where self-responsibility plus self-availability is positive) from the
@@ -143,18 +155,19 @@ def affinity_propagation(
     still returns its clustering, so skip detection degrades gracefully.
 
     ``preference`` (the self-similarity placed on the diagonal) defaults to
-    the median of the off-diagonal similarities.  Assignment ties are broken
-    toward the lowest exemplar index, so output is deterministic.
+    the median of each story's off-diagonal similarities.  Assignment ties
+    are broken toward the lowest exemplar index, so output is deterministic.
     ``sim.s`` is left unchanged.
     """
     check_clustering(damping, max_iter, convergence_window)
     S = np.array(sim.s, dtype=float, order="C")
-    n = S.shape[0]
-    if S.shape != (n, n):
-        raise ShapeMismatchError("affinity_propagation", S.shape, (n, n))
+    n = S.shape[-1]
+    if S.ndim not in (2, 3) or S.shape[-2] != n:
+        raise ShapeMismatchError("affinity_propagation", S.shape, (*S.shape[-3:-2], n, n))
+    single, S = S.ndim == 2, S.reshape(-1, n, n)
+    B = len(S)
     if preference is None:
-        preference = float(np.median(S[~np.eye(n, dtype=bool)]))
-    np.fill_diagonal(S, preference)
+        preference = np.median(S[:, ~np.eye(n, dtype=bool)], axis=1)[:, None]
 
     # The schedule always runs to max_iter and the exemplar decision reads
     # the *final* messages.  Stopping at the first window of set-stability
@@ -163,24 +176,27 @@ def affinity_propagation(
     # with both self-evidences slightly positive for dozens of iterations
     # before decaying to the correct tie at zero).
     # Every buffer is allocated once and updated in place, in the operation
-    # order of the textbook update, so each message keeps its bits.
-    A, R, AS, T, Rp = (np.zeros((n, n)) for _ in range(5))
-    s_, as_, t_, rp_ = S.ravel(), AS.ravel(), T.ravel(), Rp.ravel()   # flat views
-    diag, offsets = slice(None, None, n + 1), np.arange(n) * n
-    r_diag, a_diag, keep = R.ravel()[diag], A.ravel()[diag], 1.0 - damping
-    first, second, col_pos = np.empty((n, 1)), np.empty(n), np.empty(n)
+    # order of the textbook update, so each message keeps its bits; each
+    # story of the stack is a block of n rows, and no step mixes stories.
+    A, R, AS, T, Rp = (np.zeros((B, n, n)) for _ in range(5))
+    s_, as_, t_ = S.ravel(), AS.ravel(), T.ravel()      # flat views
+    s_diag, r_diag, a_diag, rp_diag, t_diag = (X.reshape(B, n * n)[:, :: n + 1]
+                                               for X in (S, R, A, Rp, T))   # (B, n) views
+    s_diag[:] = preference
+    rows, offsets, keep = AS.reshape(B * n, n), np.arange(B * n) * n, 1.0 - damping
+    first, second, col_pos = np.empty((B, n, 1)), np.empty(B * n), np.empty((B, n))
     first_recorded = max_iter - convergence_window
     # the exemplar masks of the last window; rows never written stay empty
-    ring = np.zeros((convergence_window, n), dtype=bool)
+    ring = np.zeros((convergence_window, B, n), dtype=bool)
 
     for it in range(max_iter):
         # r(i,k) = s(i,k) - max_{k' != k} [a(i,k') + s(i,k')]
         np.add(A, S, out=AS)
-        top = AS.argmax(1)
+        top = rows.argmax(1)
         top += offsets          # flat index of each row's maximum
-        first[:, 0] = as_[top]
+        np.take(as_, top, out=first.ravel())
         as_[top] = -np.inf
-        AS.max(1, out=second)
+        rows.max(1, out=second)
         np.subtract(S, first, out=T)
         t_[top] = s_[top] - second
         R *= damping
@@ -190,37 +206,37 @@ def affinity_propagation(
         # a(i,k) = min(0, r(k,k) + sum_{i' not in {i,k}} max(0, r(i',k)))
         # a(k,k) = sum_{i' != k} max(0, r(i',k))
         np.maximum(R, 0.0, out=Rp)
-        rp_[diag] = 0.0
-        Rp.sum(0, out=col_pos)
-        np.subtract(r_diag + col_pos, Rp, out=T)
+        rp_diag[:] = 0.0
+        Rp.sum(1, out=col_pos)
+        np.subtract((r_diag + col_pos)[:, None], Rp, out=T)
         np.minimum(0.0, T, out=T)
-        t_[diag] = col_pos
+        t_diag[:] = col_pos
         A *= damping
         T *= keep
         A += T
         if it >= first_recorded:
             np.greater(r_diag + a_diag, 0, out=ring[it - first_recorded])
 
-    exemplars = np.flatnonzero(r_diag + a_diag > 0)
-    converged = bool(exemplars.size > 0 and (ring == ring[0]).all())
-    if exemplars.size == 0:
-        # degenerate run (e.g. heavy damping, tiny max_iter): fall back to
-        # the single most self-confident point so the result is still usable
-        exemplars = np.array([int(np.argmax(r_diag + a_diag))])
-
-    # assign every point to the best exemplar by a+s; argmax over the
-    # ascending exemplar list breaks ties toward the lowest index
+    evidence, stable = r_diag + a_diag, (ring == ring[0]).all((0, 2))
     np.add(A, S, out=AS)
-    best = np.argmax(AS[:, exemplars], axis=1)
-    labels = exemplars[best]
-    labels[exemplars] = exemplars
-    clusters = [np.flatnonzero(labels == e).tolist() for e in exemplars]
-    return ClusterAssignment(
-        exemplar_of=labels,
-        clusters=clusters,
-        exemplars=exemplars.tolist(),
-        converged=converged,
-    )
+    assignments = []
+    for b in range(B):
+        exemplars = np.flatnonzero(evidence[b] > 0)
+        converged = bool(exemplars.size > 0 and stable[b])
+        if exemplars.size == 0:
+            # degenerate run (e.g. heavy damping, tiny max_iter): fall back to
+            # the single most self-confident point so the result is still usable
+            exemplars = np.array([int(np.argmax(evidence[b]))])
+        # assign every point to the best exemplar by a+s; argmax over the
+        # ascending exemplar list breaks ties toward the lowest index
+        best = np.argmax(AS[b][:, exemplars], axis=1)
+        labels = exemplars[best]
+        labels[exemplars] = exemplars
+        clusters = [np.flatnonzero(labels == e).tolist() for e in exemplars]
+        assignments.append(ClusterAssignment(labels, clusters, exemplars.tolist(), converged))
+    if single:
+        return assignments[0]
+    return ClusterStack(assignments, all(a.converged for a in assignments))
 
 
 def build_skip_matrix(assignment: ClusterAssignment) -> SkipMatrix:

@@ -2,8 +2,8 @@
 (``bench/spans.py`` ``TARGETS``) and divides per-layer times by their call
 counts.  These checks catch a renamed target, a sweep that no longer calls
 the per-step cell functions, a ``detect-skips`` that no longer clusters
-one story per call, or scoring that no longer goes through the traced
-compatibility functions, without running the traced benchmark."""
+each story length in one call, or scoring that no longer goes through the
+traced compatibility functions, without running the traced benchmark."""
 
 import importlib.util
 from pathlib import Path
@@ -15,12 +15,13 @@ import bmrnn.evaluation
 import bmrnn.network
 import bmrnn.objective
 import bmrnn.training
-from bmrnn.data import SynthConfig, SynthCorpus, generate_synthetic, write_corpus
+from bmrnn.data import SynthConfig, generate_synthetic
 from bmrnn.network import StoryStream, bmrnn_backward, bmrnn_forward, init_bmrnn_params
 from bmrnn.numeric import SeededRng
 from bmrnn.objective import CompatibilityConfig
 from bmrnn.skips import SkipMatrix
 from bmrnn.training import TrainConfig, train
+from mixed_corpus import write_mixed_corpus
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -51,30 +52,22 @@ def test_each_sweep_calls_the_cell_once_per_step(monkeypatch):
     assert calls == {"sgru_forward": 2 * n, "sgru_backward": 2 * n}
 
 
-def test_detect_skips_clusters_each_multi_photo_story_once(tmp_path, monkeypatch):
-    records, skips = [], {}
-    for length in (1, 4, 6):        # 1-photo stories are never clustered
-        corpus = generate_synthetic(SynthConfig(num_stories=3, story_len=length,
-                                                num_scenes=1, seed=length))
-        for rec in corpus.records:
-            skip = corpus.skips[rec.story_id]
-            sid = f"len{length}_{rec.story_id}"
-            rec.story_id = rec.story.story_id = rec.sentences.story_id = skip.story_id = sid
-            records.append(rec)
-            skips[sid] = skip
-    write_corpus(SynthCorpus(records=records, skips=skips, config=None), tmp_path / "c")
-
+def test_detect_skips_clusters_each_multi_photo_length_once(tmp_path, monkeypatch):
+    # three stories each of lengths 1, 4 and 6; 1-photo stories are never clustered
+    manifest = write_mixed_corpus(tmp_path / "c", lengths=(1, 4, 6), per_length=3)
     results = {"similarity": [], "affinity_propagation": [], "build_skip_matrix": []}
     for name in results:
         def recorded(*args, _fn=getattr(bmrnn.cli, name), _name=name, **kwargs):
             results[_name].append(_fn(*args, **kwargs))
             return results[_name][-1]
         monkeypatch.setattr(bmrnn.cli, name, recorded)
-    code = bmrnn.cli.run(["detect-skips", "--manifest", str(tmp_path / "c" / "manifest.jsonl"),
+    code = bmrnn.cli.run(["detect-skips", "--manifest", str(manifest),
                           "--out", str(tmp_path / "skips.jsonl")])
     assert code == 0
-    assert {name: len(r) for name, r in results.items()} == dict.fromkeys(results, 6)
-    # the traced benchmark notes each story's convergence flag
+    # one stack per length, but similarity and the skip chains stay per story
+    assert {name: len(r) for name, r in results.items()} == {
+        "similarity": 6, "affinity_propagation": 2, "build_skip_matrix": 6}
+    # the traced benchmark notes each call's convergence flag
     assert all(type(a.converged) is bool for a in results["affinity_propagation"])
 
 

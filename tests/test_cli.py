@@ -12,9 +12,11 @@ import pytest
 
 import bmrnn.cli
 from bmrnn.cli import _build_parser, _resolve, run
-from bmrnn.data import load_skips, read_tensor, write_tensor
+from bmrnn.data import SkipRecord, load_manifest, load_skips, read_tensor, write_skips, write_tensor
 from bmrnn.network import init_bmrnn_params, save_model
 from bmrnn.numeric import SeededRng
+from bmrnn.skips import affinity_propagation, build_skip_matrix, similarity
+from mixed_corpus import write_mixed_corpus
 
 
 def make_corpus(tmp_path, stories=18, seed=5, extra=()):
@@ -577,6 +579,44 @@ def test_config_key_resolves_like_its_flag(tmp_path, base, action):
     _, by_file = _resolve([*base, "--config", str(cfg)])
     assert by_file == by_flag and by_file != _resolve(base)[1]
     assert type(by_file[action.dest]) is type(by_flag[action.dest])
+
+
+class TestDetectSkipsStacks:
+    """``detect-skips`` clusters each story length as one stack, or as several
+    when a group exceeds ``AP_STACK_ENTRIES``; neither changes a byte."""
+
+    def test_records_in_manifest_order_as_if_clustered_one_by_one(self, tmp_path):
+        manifest = write_mixed_corpus(tmp_path / "c", lengths=(1, 3, 5, 8), per_length=3)
+        out = tmp_path / "skips.jsonl"
+        assert run(["detect-skips", "--manifest", str(manifest), "--out", str(out)]) == 0
+        records = load_manifest(manifest).records
+        want = []
+        for rec in records:
+            if rec.N == 1:
+                want.append(SkipRecord(rec.story_id, [[0]], [], True))
+                continue
+            a = affinity_propagation(similarity(rec.story.raw_fc))
+            want.append(SkipRecord(rec.story_id, sorted(sorted(c) for c in a.clusters),
+                                   list(build_skip_matrix(a).pairs), a.converged))
+        write_skips(tmp_path / "want.jsonl", want)
+        assert out.read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+
+    def test_group_split_into_bounded_stacks(self, tmp_path, monkeypatch):
+        manifest = write_mixed_corpus(tmp_path / "c", lengths=(1, 3, 5, 8), per_length=4)
+        one = tmp_path / "one.jsonl"
+        assert run(["detect-skips", "--manifest", str(manifest), "--out", str(one)]) == 0
+        stacks = []
+
+        def recorded(sim, **kwargs):
+            stacks.append(sim.s.shape)
+            return affinity_propagation(sim, **kwargs)
+        monkeypatch.setattr(bmrnn.cli, "affinity_propagation", recorded)
+        monkeypatch.setattr(bmrnn.cli, "AP_STACK_ENTRIES", 64)
+        split = tmp_path / "split.jsonl"
+        assert run(["detect-skips", "--manifest", str(manifest), "--out", str(split)]) == 0
+        # 64 entries hold 7 stories of length 3, 2 of length 5 and 1 of length 8
+        assert sorted(stacks) == sorted([(4, 3, 3), (2, 5, 5), (2, 5, 5)] + [(1, 8, 8)] * 4)
+        assert split.read_bytes() == one.read_bytes()
 
 
 class TestPipeline:

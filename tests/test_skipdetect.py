@@ -10,6 +10,7 @@ import ap_oracle
 from bmrnn.errors import ConfigError, DataError, ShapeMismatchError
 from bmrnn.skips import (
     ClusterAssignment,
+    ClusterStack,
     SimilarityMatrix,
     SkipMatrix,
     affinity_propagation,
@@ -48,6 +49,36 @@ def ap_similarities(draw):
         if kind == "duplicated":
             X = X[r.integers(0, max(1, n // 3), size=n)]
     return SimilarityMatrix(s=X @ X.T)
+
+
+@st.composite
+def ap_stacks(draw):
+    """(B, n, n) stacks of similarities, B 1-10 and n 2-24: real-valued or
+    integer-valued rows (exact ties), and at times one matrix repeated."""
+    B, n, dim = draw(st.integers(1, 10)), draw(st.integers(2, 24)), draw(st.integers(1, 6))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    integer = draw(st.booleans())
+    stack = np.empty((B, n, n))
+    for b in range(B):
+        X = r.integers(-2, 3, size=(n, dim)).astype(float) if integer else r.normal(size=(n, dim))
+        stack[b] = X @ X.T
+    if draw(st.booleans()):
+        stack[r.integers(B)] = stack[0]
+    return stack
+
+
+# n = 2 under heavy damping and preference 0: the first story keeps both
+# points as exemplars, the second ends with no positive self-evidence and
+# takes the single-exemplar fallback
+FALLBACK_MIX = np.array([[[9.0, -3.0], [-3.0, 9.0]], [[9.0, 1.0], [1.0, 9.0]]])
+
+
+def assert_same_assignment(got, want):
+    assert got.exemplar_of.dtype == want.exemplar_of.dtype
+    npt.assert_array_equal(got.exemplar_of, want.exemplar_of)
+    assert got.clusters == want.clusters
+    assert got.exemplars == want.exemplars
+    assert got.converged is want.converged
 
 
 def net_similarity(S, pref, exemplars):
@@ -176,12 +207,31 @@ class TestAffinityPropagation:
         kwargs = dict(damping=damping, preference=preference, max_iter=max_iter,
                       convergence_window=window)
         got = affinity_propagation(sim, **kwargs)
-        want = ap_oracle.affinity_propagation(sim, **kwargs)
-        assert got.exemplar_of.dtype == want.exemplar_of.dtype
-        npt.assert_array_equal(got.exemplar_of, want.exemplar_of)
-        assert got.clusters == want.clusters
-        assert got.exemplars == want.exemplars
-        assert got.converged is want.converged
+        assert type(got) is ClusterAssignment
+        assert_same_assignment(got, ap_oracle.affinity_propagation(sim, **kwargs))
+
+    @settings(max_examples=60, deadline=None)
+    @given(stack=ap_stacks(), damping=st.floats(0.5, 0.99),
+           preference=st.none() | st.floats(-20.0, 5.0) | st.integers(-3, 1).map(float),
+           max_iter=st.integers(1, 250), window=st.integers(1, 30))
+    @example(stack=np.ones((3, 5, 5)), damping=0.5, preference=None, max_iter=3, window=10)
+    @example(stack=FALLBACK_MIX, damping=0.99, preference=0.0, max_iter=5, window=2)
+    def test_stack_equals_oracle_per_story(self, stack, damping, preference, max_iter, window):
+        kwargs = dict(damping=damping, preference=preference, max_iter=max_iter,
+                      convergence_window=window)
+        got = affinity_propagation(SimilarityMatrix(s=stack), **kwargs)
+        assert type(got) is ClusterStack and len(got.assignments) == len(stack)
+        want = [ap_oracle.affinity_propagation(SimilarityMatrix(s=s), **kwargs) for s in stack]
+        for g, w in zip(got.assignments, want):
+            assert_same_assignment(g, w)
+        assert got.converged is all(w.converged for w in want)
+
+    def test_stack_mixes_fallback_and_regular_stories(self):
+        got = affinity_propagation(SimilarityMatrix(s=FALLBACK_MIX), damping=0.99, preference=0.0,
+                                   max_iter=5, convergence_window=2)
+        assert [(a.exemplars, a.converged) for a in got.assignments] == [([0, 1], True),
+                                                                         ([0], False)]
+        assert got.converged is False
 
     @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
     def test_similarity_left_unchanged(self, layout):
@@ -202,6 +252,18 @@ class TestAffinityPropagation:
     def test_non_square_similarity(self):
         with pytest.raises(ShapeMismatchError, match="affinity_propagation"):
             affinity_propagation(SimilarityMatrix(s=np.zeros((3, 4))))
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4), (5,), (2, 2, 3, 3)])
+    def test_non_square_stack(self, shape):
+        with pytest.raises(ShapeMismatchError, match="affinity_propagation"):
+            affinity_propagation(SimilarityMatrix(s=np.zeros(shape)))
+
+    def test_stack_left_unchanged(self):
+        stack = np.stack([similarity(two_blob_instance(seed, n=7)[0]).s for seed in (1, 2, 3)])
+        before = stack.copy()
+        for preference in (None, -3.0):
+            affinity_propagation(SimilarityMatrix(s=stack), preference=preference)
+            assert stack.tobytes() == before.tobytes()
 
     def test_damping_out_of_range(self):
         sim = similarity([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
