@@ -39,8 +39,8 @@ def h4_sensitivity(seed: int, with_skip: bool) -> float:
         h = np.zeros(1)
         states = []
         for t in range(4):
-            h_skip = states[0] if (with_skip and t == 3) else None
-            h = sgru_forward(p, xp[t], h, h_skip).h
+            skip = with_skip and t == 3
+            h = sgru_forward(p, xp[t], h, states[0] if skip else np.zeros(1), np.array(skip)).h
             states.append(h)
         return float(h[0])
 

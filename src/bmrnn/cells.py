@@ -22,8 +22,8 @@ With no ancestor the skip term vanishes and the cell is bit-identical to the
 baseline cell on its first nine tensors: ``SGRUParams`` is ``GRUParams`` with
 the four skip tensors added.
 
-A sweep over a sequence takes its input products from ``sgru_inputs`` and
-its parameter gradients from ``sgru_param_grads``; the steps do the recurrence.
+A sweep steps B same-length sequences as B rows at once; their input products
+come from ``sgru_inputs``, each sequence's gradients from ``sgru_param_grads``.
 
 Gradients are hand-written analytic derivatives of the above; they are
 checked against central finite differences in the test suite.
@@ -120,8 +120,8 @@ def sgru_layout(input_dim: int, hidden_dim: int) -> list[tuple[str, tuple[int, .
 
 
 class StepTrace(NamedTuple):
-    """Gate activations and states of one timestep; s is None on a step
-    without a skip ancestor.  A sweep keeps the same five rows per step."""
+    """Gate activations and states of one timestep, of one row or B rows; s
+    is None for the baseline cell and zero on a row without a skip ancestor."""
 
     z: Array
     r: Array
@@ -179,53 +179,58 @@ def gru_forward(params: GRUParams, x_t: Array, h_prev: Array) -> StepTrace:
 
 
 def sgru_inputs(params: SGRUParams, X: Array) -> Array:
-    """Input products of a whole (N, D) sequence: row t is
-    ``[W_zx, W_rx, W_hx, W_sx] @ x_t``, an (N, 4, H) array.
+    """Input products of (..., N, D) sequences: row t is
+    ``[W_zx, W_rx, W_hx, W_sx] @ x_t``, a (..., N, 4, H) array.
 
     The batched product runs one matrix-vector product per (step, gate), so
     each row has the bits of ``W @ x_t``; ``X @ W.T`` would round differently.
     """
-    if X.ndim != 2 or X.shape[1] != params.input_dim:
+    if X.ndim < 2 or X.shape[-1] != params.input_dim:
         raise ShapeMismatchError("cell input", X.shape, ("N", params.input_dim))
     W = np.stack([params.W_zx, params.W_rx, params.W_hx, params.W_sx])
-    return (W @ X[:, None, :, None])[..., 0]
+    return (W @ X[..., None, :, None])[..., 0]
+
+
+def matvecs(W: Array, h: Array) -> Array:
+    """``W @ h`` of every row of h, each with the bits of its own product
+    (a GEMM over the rows would round differently)."""
+    return (W @ h[..., None])[..., 0]
 
 
 def sgru_forward(
-    params: SGRUParams, xp_t: Array, h_prev: Array, h_skip: Array | None = None
+    params: SGRUParams, xp_t: Array, h_prev: Array, h_skip: Array, has_skip: Array
 ) -> StepTrace:
-    """One skip-cell step on row t of ``sgru_inputs``; h_skip is the ancestor
-    state, or None for skip-free steps.
+    """One skip-cell step of B rows: ``xp_t`` (B, 4, H) is row t of each
+    row's ``sgru_inputs``, ``h_prev`` and ``h_skip`` (B, H) its previous and
+    skip-ancestor states, ``has_skip`` (B, 1) whether it has an ancestor.
 
-    The skip gate is only evaluated when an ancestor exists; without one the
-    step computes exactly what ``gru_forward`` computes on ``params.base``.
+    A row without an ancestor gets s = 0 and exactly what ``gru_forward``
+    computes on ``params.base``: its skip terms are selected away with
+    ``np.where``, since adding them as zeros could flip a -0.0.
     """
-    a = [xp_t[0] + params.W_zh @ h_prev + params.b_z,
-         xp_t[1] + params.W_rh @ h_prev + params.b_r]
-    if h_skip is not None:
-        if h_skip.shape != h_prev.shape:
-            raise ShapeMismatchError("skip-ancestor state", h_skip.shape, h_prev.shape)
-        a.append(xp_t[3] + params.W_sh @ h_skip + params.b_s)
-    gates = _sigmoid(np.concatenate(a)).reshape(len(a), -1)   # elementwise: bits as per gate
-    z, r = gates[0], gates[1]
-    s = gates[2] if h_skip is not None else None
-    a_h = xp_t[2] + params.W_hh @ (r * h_prev)
-    if s is not None:
-        a_h = a_h + params.W_hp @ (s * h_skip)
+    if h_skip.shape != h_prev.shape:
+        raise ShapeMismatchError("skip-ancestor state", h_skip.shape, h_prev.shape)
+    gates = _sigmoid(np.stack([      # elementwise: bits as per gate
+        xp_t[..., 0, :] + matvecs(params.W_zh, h_prev) + params.b_z,
+        xp_t[..., 1, :] + matvecs(params.W_rh, h_prev) + params.b_r,
+        xp_t[..., 3, :] + matvecs(params.W_sh, h_skip) + params.b_s]))
+    z, r, s = gates[0], gates[1], np.where(has_skip, gates[2], 0.0)
+    a_h = xp_t[..., 2, :] + matvecs(params.W_hh, r * h_prev)
+    a_h = np.where(has_skip, a_h + matvecs(params.W_hp, s * h_skip), a_h)
     h_tilde = np.tanh(a_h + params.b_h)
     h = z * h_tilde + (1.0 - z) * h_prev
     return StepTrace(z, r, s, h_tilde, h)
 
 
 def sgru_backward(
-    params: SGRUParams, h_prev: Array, h_skip: Array | None, trace: StepTrace, dh_t: Array
+    params: SGRUParams, h_prev: Array, h_skip: Array, has_skip: Array,
+    trace: StepTrace, dh_t: Array,
 ) -> tuple[Array, Array, Array]:
-    """One skip step's gradients given upstream dL/dh_t: (da, dh_prev, dh_skip).
-
-    ``trace`` is the step's z, r, s, h~ and h: its ``StepTrace`` or its
-    (5, H) column of a sweep trace.  ``da`` (4, H) holds the pre-activation
-    gradients of gates z, r, h, s, for ``sgru_param_grads``; da_s and
-    dh_skip are zero for skip-free steps.
+    """One skip step's gradients of B rows given upstream dL/dh_t (B, H):
+    (da, dh_prev, dh_skip).  ``trace`` is the step's z, r, s, h~ and h: its
+    ``StepTrace`` or its (5, B, H) column of a sweep trace.  ``da`` (B, 4, H) holds the
+    pre-activation gradients of gates z, r, h, s, for ``sgru_param_grads``;
+    da_s and dh_skip are zero on rows without a skip ancestor.
     """
     z, r, s, h_tilde, _ = trace
 
@@ -234,23 +239,20 @@ def sgru_backward(
     dh_prev = dh_t * (1.0 - z)
 
     da_h = dh_tilde * (1.0 - h_tilde * h_tilde)
-    drh = params.W_hh.T @ da_h
+    drh = matvecs(params.W_hh.T, da_h)
     dr = drh * h_prev
     dh_prev = dh_prev + drh * r
 
-    dh_skip = da_s = np.zeros_like(dh_prev)
-    if h_skip is not None:
-        # preservation term: W_hp (s * h_skip) inside the candidate
-        dsh = params.W_hp.T @ da_h
-        ds = dsh * h_skip
-        da_s = ds * s * (1.0 - s)
-        dh_skip = dsh * s + params.W_sh.T @ da_s
+    # preservation term: W_hp (s * h_skip) inside the candidate
+    dsh = matvecs(params.W_hp.T, da_h)
+    da_s = np.where(has_skip, dsh * h_skip * s * (1.0 - s), 0.0)
+    dh_skip = np.where(has_skip, dsh * s + matvecs(params.W_sh.T, da_s), 0.0)
 
     da_z = dz * z * (1.0 - z)
-    dh_prev = dh_prev + params.W_zh.T @ da_z
+    dh_prev = dh_prev + matvecs(params.W_zh.T, da_z)
     da_r = dr * r * (1.0 - r)
-    dh_prev = dh_prev + params.W_rh.T @ da_r
-    return np.stack([da_z, da_r, da_h, da_s]), dh_prev, dh_skip
+    dh_prev = dh_prev + matvecs(params.W_rh.T, da_r)
+    return np.stack([da_z, da_r, da_h, da_s], axis=-2), dh_prev, dh_skip
 
 
 def sgru_param_grads(

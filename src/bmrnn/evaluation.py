@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .data import SkipRecord, StoryRecord, check_skip_records
 from .errors import DataError
-from .network import BMRNNParams, bmrnn_forward
+from .network import BMRNNParams, bmrnn_forward, story_groups, ungroup
 from .objective import CompatibilityConfig, SentenceSequence, SequenceStack, compatibility
 
 __all__ = [
@@ -98,10 +98,13 @@ def evaluate(
         pool = [rec.sentences for rec in records]
     check_skip_records(records, skips_by_id)
     candidates, ids = SequenceStack.of(pool), [cand.story_id for cand in pool]
+    # one forward per same-length group, then one scoring call per query
+    groups = story_groups([rec.story for rec in records],
+                          [skips_by_id[rec.story_id].matrix() for rec in records])
+    merged = ungroup(groups, [bmrnn_forward(params, group).merged for _, group in groups])
     per_story_ranks: list[tuple[str, int]] = []
-    for rec in records:
-        skip = skips_by_id[rec.story_id]
-        h_seq = bmrnn_forward(params, rec.story, skip.matrix()).merged
-        scores = compatibility(h_seq, candidates, skip.partition(), ccfg).tolist()
+    for rec, h_seq in zip(records, merged):
+        partition = skips_by_id[rec.story_id].partition()
+        scores = compatibility(h_seq, candidates, partition, ccfg).tolist()
         per_story_ranks.append((rec.story_id, rank_of_truth(dict(zip(ids, scores)), rec.story_id)))
     return summarize_ranks(per_story_ranks, pool_size=len(pool), ks=ks)

@@ -7,6 +7,8 @@ edges.  Neither pass sees the other's state; a linear merge combines the two
 hidden sequences into the output sequence H = {h_0..h_{N-1}} used to score
 sentence sequences.
 
+Stories of one length are swept together as a ``StoryGroup``, over one
+(B, H) state per direction; each story keeps the bits of a sweep of its own.
 Both passes start from zero initial state.  Full backpropagation through
 time is implemented, including gradient flow across skip edges (each edge
 carries gradient exactly once per pair).
@@ -25,6 +27,7 @@ import numpy as np
 from .cells import (
     SGRUParams,
     init_sgru_params,
+    matvecs,
     sgru_backward,
     sgru_forward,
     sgru_inputs,
@@ -40,7 +43,10 @@ from .skips import SkipMatrix, transpose_skips
 __all__ = [
     "BMRNNParams",
     "StoryStream",
+    "StoryGroup",
     "ForwardTrace",
+    "story_groups",
+    "ungroup",
     "init_bmrnn_params",
     "bmrnn_forward",
     "bmrnn_backward",
@@ -52,6 +58,7 @@ __all__ = [
 
 MODEL_MAGIC = b"BMRN"
 MODEL_VERSION = 1
+GROUP_STORIES = 32     # stories per sweep: a sind-short h' refresh holds 32 x 5 steps
 
 
 def bmrnn_layout(input_dim: int, hidden_dim: int, output_dim: int):
@@ -172,11 +179,33 @@ class StoryStream:
         return len(self.x)
 
 
+class StoryGroup(NamedTuple):
+    """B stories of one length N, swept together: their (B, N, D) inputs and
+    (2, B, N) skip ancestors, -1 for none; row 0 for the forward pass, row 1
+    (the transposed skips) for the backward pass."""
+
+    x: np.ndarray
+    skips: np.ndarray
+
+    @property
+    def N(self) -> int:
+        return self.x.shape[1]
+
+    @classmethod
+    def of(cls, stories: list[StoryStream], skip_matrices: list[SkipMatrix]) -> "StoryGroup":
+        lengths = [s.N for s in stories] + [m.n for m in skip_matrices]
+        if len(set(lengths)) != 1:
+            raise ShapeMismatchError("story group", lengths[: len(stories)], lengths[len(stories) :])
+        return cls(np.stack([s.x for s in stories]), np.array([
+            [m.ancestors for m in skip_matrices],
+            [transpose_skips(m).ancestors for m in skip_matrices]]))
+
+
 class ForwardTrace(NamedTuple):
     """Everything the backward pass needs.  ``fwd`` and ``bwd`` are each
-    direction's (5, N, H) sweep trace: rows z, r, s, h~ and h of every step
-    (s is zero on a step without a skip ancestor).  ``merged`` is the (N, D)
-    output."""
+    direction's (5, B, N, H) sweep trace: rows z, r, s, h~ and h of every step
+    (s is zero on a step without a skip ancestor); ``merged`` is the (B, N, D)
+    output.  One story's trace has no B axis."""
 
     fwd: np.ndarray
     bwd: np.ndarray
@@ -200,94 +229,114 @@ def init_bmrnn_params(
     )
 
 
-def _sweep(cell: SGRUParams, x: np.ndarray, skips: SkipMatrix, order) -> np.ndarray:
-    """One directional pass visiting the steps in ``order``, as a (5, N, H)
-    trace.  A step's previous state is that of the step visited just before
-    it (zero for the first), and its skip ancestor, always visited earlier,
-    comes from ``skips``."""
-    T = np.zeros((5, len(x), cell.hidden_dim))
-    xp = sgru_inputs(cell, x)
-    h_prev = zero = np.zeros(cell.hidden_dim)
+def story_groups(stories: list[StoryStream], skip_matrices: list[SkipMatrix]):
+    """[(positions, group)]: the stories in ``StoryGroup``s of one length and
+    at most ``GROUP_STORIES`` stories, with their positions in the input."""
+    by_length: dict[int, list[int]] = {}
+    for i, story in enumerate(stories):
+        by_length.setdefault(story.N, []).append(i)
+    return [(pos, StoryGroup.of([stories[i] for i in pos], [skip_matrices[i] for i in pos]))
+            for same in by_length.values()
+            for pos in (same[k : k + GROUP_STORIES] for k in range(0, len(same), GROUP_STORIES))]
+
+
+def ungroup(groups, per_group) -> list:
+    """Per-story items of each group's sequence, back in input order."""
+    placed = dict(zip((i for pos, _ in groups for i in pos), (x for xs in per_group for x in xs)))
+    return [placed[i] for i in range(len(placed))]
+
+
+def _sweep(cell: SGRUParams, X: np.ndarray, anc: np.ndarray, order) -> np.ndarray:
+    """One directional pass over a group's (B, N, D) inputs, visiting the
+    steps in ``order``, as a (5, B, N, H) trace.  A step's previous state is
+    that of the step visited just before it (zero for the first), and its
+    skip ancestor ``anc[:, t]`` (-1 for none) was visited earlier."""
+    B, n = anc.shape
+    T, h_prev = np.zeros((5, B, n, cell.hidden_dim)), np.zeros((B, cell.hidden_dim))
+    xp, rows, has = sgru_inputs(cell, X), np.arange(B), (anc >= 0)[..., None]
     for t in order:
-        anc = skips.ancestor_of(t)
-        z, r, s, h_tilde, h_prev = sgru_forward(
-            cell, xp[t], h_prev, None if anc is None else T[4, anc])
-        T[:, t] = z, r, zero if s is None else s, h_tilde, h_prev
+        # a row without an ancestor reads some state through -1; the cell ignores it
+        step = sgru_forward(cell, xp[:, t], h_prev, T[4, rows, anc[:, t]], has[:, t])
+        T[:, :, t] = step
+        h_prev = step.h
     return T
 
 
-def _sweep_backward(cell, grads, x, skips, order, T, dh, dX) -> None:
+def _sweep_backward(cell, grads, X, anc, order, T, dh, dX) -> None:
     """BPTT through one ``_sweep`` trace ``T``: steps in reverse visiting
     order; dh_prev flows to the step visited before, dh_skip accumulates on
-    the skip ancestor.  ``sgru_param_grads`` then adds into ``grads`` and
-    ``dX``."""
-    n, hidden = len(x), cell.hidden_dim
-    H_prev, H_skip = np.zeros((2, n, hidden))   # skip rows stay zero without a skip
-    H_prev[order[1:]] = T[4, order[:-1]]
-    anc, desc = np.array(skips.pairs, dtype=int).reshape(-1, 2).T
-    H_skip[desc] = T[4, anc]
-    carry = np.zeros(hidden)
-    skip_acc = np.zeros((n, hidden))
-    dA = np.empty((n, 4, hidden))
+    the skip ancestor.  ``sgru_param_grads`` then adds into story b's
+    ``grads[b]`` and ``dX[b]``."""
+    B, n = anc.shape
+    hidden, rows, has = cell.hidden_dim, np.arange(B), (anc >= 0)[..., None]
+    H_prev = np.zeros((B, n, hidden))
+    H_prev[:, order[1:]] = T[4][:, order[:-1]]
+    H_skip = np.where(has, T[4, rows[:, None], anc], 0.0)   # zero without a skip
+    carry, dA = np.zeros((B, hidden)), np.empty((B, n, 4, hidden))
+    skip_acc = np.zeros((B, n + 1, hidden))    # rows without a skip add their zeros at -1
     for t in reversed(order):
-        p = skips.ancestor_of(t)
-        dA[t], carry, dh_skip = sgru_backward(
-            cell, H_prev[t], None if p is None else H_skip[t], T[:, t],
-            dh[t] + carry + skip_acc[t])
-        if p is not None:
-            skip_acc[p] += dh_skip
-    dX += sgru_param_grads(cell, grads, x, H_prev, T[1], H_skip, T[2], dA)
+        dA[:, t], carry, dh_skip = sgru_backward(
+            cell, H_prev[:, t], H_skip[:, t], has[:, t], T[:, :, t],
+            dh[:, t] + carry + skip_acc[:, t])
+        skip_acc[rows, anc[:, t]] += dh_skip
+    for b, g in enumerate(grads):
+        dX[b] += sgru_param_grads(cell, g, X[b], H_prev[b], T[1, b], H_skip[b], T[2, b], dA[b])
 
 
-def bmrnn_forward(params: BMRNNParams, story: StoryStream, skips: SkipMatrix) -> ForwardTrace:
-    """Run both directional passes and merge their hidden sequences.
+def bmrnn_forward(params: BMRNNParams, stories, skips: SkipMatrix | None = None) -> ForwardTrace:
+    """Run both directional passes over a ``StoryGroup`` and merge their
+    hidden sequences.  One ``StoryStream`` with its ``SkipMatrix`` is a
+    group of one, whose trace comes back without the group axis.
 
     The forward pass walks t = 0..N-1 with skip ancestors p < t; the
     backward pass walks t = N-1..0 with the transposed skips, so its
     "previous" state at step t is that of step t+1.
     """
-    n = story.N
-    if skips.n != n:
-        raise ShapeMismatchError("bmrnn_forward", (skips.n,), (n,))
-    fwd = _sweep(params.fwd, story.x, skips, range(n))
-    bwd = _sweep(params.bwd, story.x, transpose_skips(skips), range(n - 1, -1, -1))
-    # per step, not one GEMM: the reduction to a plain bidirectional GRU is
-    # compared bit for bit, and a batched product rounds differently
-    merged = np.stack([
-        params.merge_f @ fwd[4, t] + params.merge_b @ bwd[4, t] + params.b_merge
-        for t in range(n)
-    ])
-    return ForwardTrace(fwd, bwd, merged)
+    group = stories if skips is None else StoryGroup.of([stories], [skips])
+    n = group.N
+    fwd = _sweep(params.fwd, group.x, group.skips[0], range(n))
+    bwd = _sweep(params.bwd, group.x, group.skips[1], range(n - 1, -1, -1))
+    # one matrix-vector product per step, not one GEMM: the reduction to a
+    # plain bidirectional GRU is compared bit for bit, and a GEMM rounds differently
+    merged = matvecs(params.merge_f, fwd[4]) + matvecs(params.merge_b, bwd[4]) + params.b_merge
+    return ForwardTrace(fwd, bwd, merged) if skips is None else ForwardTrace(
+        fwd[:, 0], bwd[:, 0], merged[0])
 
 
 def bmrnn_backward(
     params: BMRNNParams,
-    story: StoryStream,
-    skips: SkipMatrix,
+    stories,
+    skips: SkipMatrix | None,
     trace: ForwardTrace,
     dH: np.ndarray,
-) -> tuple[BMRNNParams, np.ndarray]:
+):
     """Backpropagate dL/dH, one row per merged output, back to params and x.
 
-    Returns (gradients shaped like params, dL/dx as an (N, input_dim) array).
+    ``stories`` and ``skips`` are as in ``bmrnn_forward``.  Returns a group's
+    B gradients shaped like params and its (B, N, input_dim) dL/dx, or one
+    story's gradient and (N, input_dim) dL/dx.
     """
-    n = story.N
-    dH = np.asarray(dH, dtype=float)
-    if len(dH) != n:
-        raise ShapeMismatchError("bmrnn_backward", (len(dH),), (n,))
-    grads = params.zeros_like()
-    dX = np.zeros_like(story.x)
+    dH, group = np.asarray(dH, dtype=float), stories
+    if skips is not None:
+        group, dH = StoryGroup.of([stories], [skips]), dH[None]
+        trace = ForwardTrace(trace.fwd[:, None], trace.bwd[:, None], trace.merged[None])
+    B, n = group.skips.shape[1:]
+    if dH.shape[:2] != (B, n):
+        raise ShapeMismatchError("bmrnn_backward", dH.shape[:2], (B, n))
+    grads = [params.zeros_like() for _ in range(B)]
+    dX = np.zeros_like(group.x)
 
-    # merge layer
-    grads.merge_f += dH.T @ trace.fwd[4]
-    grads.merge_b += dH.T @ trace.bwd[4]
-    grads.b_merge += dH.sum(axis=0)
+    # merge layer, one product per story
+    for g, d, h_fwd, h_bwd in zip(grads, dH, trace.fwd[4], trace.bwd[4]):
+        g.merge_f += d.T @ h_fwd
+        g.merge_b += d.T @ h_bwd
+        g.b_merge += d.sum(axis=0)
 
-    _sweep_backward(params.fwd, grads.fwd, story.x, skips, range(n),
+    _sweep_backward(params.fwd, [g.fwd for g in grads], group.x, group.skips[0], range(n),
                     trace.fwd, dH @ params.merge_f, dX)
-    _sweep_backward(params.bwd, grads.bwd, story.x, transpose_skips(skips),
+    _sweep_backward(params.bwd, [g.bwd for g in grads], group.x, group.skips[1],
                     range(n - 1, -1, -1), trace.bwd, dH @ params.merge_b, dX)
-    return grads, dX
+    return (grads, dX) if skips is None else (grads[0], dX[0])
 
 
 # ---------------------------------------------------------------------------

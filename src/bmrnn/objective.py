@@ -166,9 +166,11 @@ class SequenceStack:
     def __len__(self) -> int:
         return len(self.lengths)
 
-    def take(self, idx) -> "SequenceStack":
-        """The sequences at the integer indices ``idx``, in that order."""
-        return SequenceStack(self.padded[idx], self.lengths[idx])
+    def take(self, idx, width: int | None = None) -> "SequenceStack":
+        """The sequences at the integer indices ``idx``, in that order, cut to
+        ``width`` steps: all a score against a ``width``-step query reads."""
+        padded = self.padded[idx, :width]
+        return SequenceStack(padded, np.minimum(self.lengths[idx], padded.shape[1]))
 
 
 def _prefix_groups(H, V, partition: SubStoryPartition, cfg):

@@ -79,34 +79,24 @@ class SkipMatrix:
 
     n: int
     pairs: tuple[tuple[int, int], ...]
-    _anc: dict[int, int] = field(init=False, repr=False)
-    _desc: dict[int, int] = field(init=False, repr=False)
+    # ancestors[t]: the step whose hidden state step t additionally reads, -1 for none
+    ancestors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.pairs = tuple(sorted(tuple(p) for p in self.pairs))
-        anc: dict[int, int] = {}
-        desc: dict[int, int] = {}
+        self.ancestors = np.full(self.n, -1)
+        read: set[int] = set()
         for a, d in self.pairs:
             if not (0 <= a < self.n and 0 <= d < self.n):
                 raise DataError(f"skip pair ({a}, {d}) out of range for length {self.n}")
             if a == d:
                 raise DataError(f"skip pair ({a}, {d}) is a self-loop")
-            if d in anc:
+            if self.ancestors[d] >= 0:
                 raise DataError(f"step {d} has more than one skip ancestor")
-            if a in desc:
+            if a in read:
                 raise DataError(f"step {a} has more than one skip descendant")
-            anc[d] = a
-            desc[a] = d
-        self._anc = anc
-        self._desc = desc
-
-    def ancestor_of(self, t: int) -> int | None:
-        """The step whose hidden state step t additionally reads, if any."""
-        return self._anc.get(t)
-
-    def descendant_of(self, p: int) -> int | None:
-        """The step that additionally reads step p's hidden state, if any."""
-        return self._desc.get(p)
+            self.ancestors[d] = a
+            read.add(a)
 
 
 def similarity(features: np.ndarray, normalize: bool = False) -> SimilarityMatrix:

@@ -31,6 +31,8 @@ from .network import (
     init_bmrnn_params,
     load_model,
     save_model,
+    story_groups,
+    ungroup,
 )
 from .numeric import SeededRng, read_file, write_file
 from .objective import (
@@ -226,31 +228,39 @@ def update_step(
 
 def story_loss_and_grads(
     params: BMRNNParams,
-    story: StoryStream,
-    sentences: SentenceSequence,
-    skip_matrix: SkipMatrix,
-    partition: SubStoryPartition,
-    neg_V: list[SentenceSequence] | SequenceStack,
-    neg_H: list[np.ndarray] | SequenceStack,
+    stories: list[StoryStream],
+    skip_matrices: list[SkipMatrix],
+    targets,
     ccfg: CompatibilityConfig,
     *,
     epoch: int = 0,
     step: int = 0,
 ):
-    """Forward, loss, and parameter/input gradients for one training story.
+    """Forward, loss, and parameter/input gradients for a minibatch of
+    training stories: one (LossResult, grads, dL/dx) per story, in order.
+
+    Same-length stories share one forward and one backward.  The losses
+    run per story, in order, on the (sentences, negatives_V, negatives_H,
+    partition) that ``targets`` yields; story i is step ``step + i``.
 
     Divergence is detected on the merged hidden states, not just the loss:
     NaN scores make every hinge comparison false, which would silently
     produce a clean-looking zero loss.
     """
-    trace = bmrnn_forward(params, story, skip_matrix)
-    if not np.all(np.isfinite(trace.merged)):
-        raise DivergenceError(story.story_id, epoch, step)
-    result = contrastive_loss(trace.merged, sentences, neg_V, neg_H, partition, ccfg)
-    if not np.isfinite(result.loss):
-        raise DivergenceError(story.story_id, epoch, step)
-    grads, d_inputs = bmrnn_backward(params, story, skip_matrix, trace, result.dH)
-    return result, grads, d_inputs
+    groups = story_groups(stories, skip_matrices)
+    traces = [bmrnn_forward(params, group) for _, group in groups]
+    results = []
+    for i, (merged, target) in enumerate(zip(ungroup(groups, [t.merged for t in traces]),
+                                             targets, strict=True)):
+        if not np.all(np.isfinite(merged)):
+            raise DivergenceError(stories[i].story_id, epoch, step + i)
+        results.append(contrastive_loss(merged, *target, ccfg))
+        if not np.isfinite(results[i].loss):
+            raise DivergenceError(stories[i].story_id, epoch, step + i)
+    backward = [bmrnn_backward(params, group, None, trace, np.stack([results[i].dH for i in pos]))
+                for (pos, group), trace in zip(groups, traces)]
+    return list(zip(results, ungroup(groups, [grads for grads, _ in backward]),
+                    ungroup(groups, [dX for _, dX in backward])))
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +307,8 @@ def train(
         sid: (skips_by_id[sid].matrix(), skips_by_id[sid].partition()) for sid in by_id
     }
     row_of = {sid: i for i, sid in enumerate(by_id)}     # each story's row in both stacks
+    groups = story_groups([rec.story for rec in by_id.values()],
+                          [structures[sid][0] for sid in by_id])
     sentences = SequenceStack.of([rec.sentences for rec in by_id.values()])
 
     config = {"train": cfg.to_dict(), "compatibility": dataclasses.asdict(ccfg)}
@@ -311,8 +323,8 @@ def train(
         t0 = time.perf_counter()
         # stream-side negatives are refreshed here and held constant
         # for the whole epoch
-        h_cache = SequenceStack.of([bmrnn_forward(params, rec.story, structures[sid][0]).merged
-                                    for sid, rec in by_id.items()])
+        h_cache = SequenceStack.of(
+            ungroup(groups, [bmrnn_forward(params, group).merged for _, group in groups]))
         order = [train_records[i] for i in order_rng.permutation(len(train_records))]
         losses: list[float] = []
         hinges = np.zeros(2)         # active sentence- and stream-side hinges
@@ -320,19 +332,21 @@ def train(
         step = 0
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
+            # drawn from row_of, each draw is the negatives' rows in the stacks
+            draws = [sample_negatives(row_of, rec.story_id, ccfg.negatives_per_positive, neg_rng)
+                     for rec in batch]
+            # the loss reads only the query's N steps of each negative
+            targets = ((rec.sentences, sentences.take(idx, rec.N), h_cache.take(idx, rec.N),
+                        structures[rec.story_id][1]) for rec, idx in zip(batch, draws))
             batch_grads = params.zeros_like()
-            for rec in batch:
-                skip_matrix, partition = structures[rec.story_id]
-                # drawn from row_of, the draw is the negatives' rows in the stacks
-                idx = sample_negatives(row_of, rec.story_id, ccfg.negatives_per_positive, neg_rng)
-                result, grads, _ = story_loss_and_grads(
-                    params, rec.story, rec.sentences, skip_matrix, partition,
-                    sentences.take(idx), h_cache.take(idx), ccfg, epoch=epoch, step=step,
-                )
+            for result, grads, _ in story_loss_and_grads(
+                    params, [rec.story for rec in batch],
+                    [structures[rec.story_id][0] for rec in batch], targets, ccfg,
+                    epoch=epoch, step=step):
                 losses.append(result.loss)
                 hinges += (result.active_v_hinges, result.active_h_hinges)
                 batch_grads.flat += (1.0 / len(batch)) * grads.flat
-                step += 1
+            step += len(batch)
             norms.append(update_step(params, batch_grads, state, cfg))
 
         mean_loss = float(np.mean(losses))
@@ -362,7 +376,7 @@ def train(
             and cfg.checkpoint_every > 0
             and (epoch + 1) % cfg.checkpoint_every == 0
         ):
-            _check_float32(params, rec.story_id, epoch, step - 1)
+            _check_float32(params, order[-1].story_id, epoch, step - 1)
             save_checkpoint(
                 Path(checkpoint_dir) / f"epoch_{epoch:04d}.bin",
                 Checkpoint(params=params, epoch=epoch, best_val_recall1=val_recall1,
@@ -384,7 +398,7 @@ def train(
             best_epoch = epoch
 
     for p in (params, best_params):
-        _check_float32(p, rec.story_id, epoch, step - 1)
+        _check_float32(p, order[-1].story_id, epoch, step - 1)
     return Checkpoint(
         params=best_params,
         epoch=best_epoch,
@@ -480,8 +494,8 @@ def grad_check(
         (params, story, sentences, skip_matrix, partition,
          neg_V, neg_H, ccfg) = _random_check_instance(rng)
 
-        result, grads, d_inputs = story_loss_and_grads(
-            params, story, sentences, skip_matrix, partition, neg_V, neg_H, ccfg
+        [(result, grads, d_inputs)] = story_loss_and_grads(
+            params, [story], [skip_matrix], [(sentences, neg_V, neg_H, partition)], ccfg
         )
         if corrupt_tensor is not None:
             for name, g in grads.named_tensors():

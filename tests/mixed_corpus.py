@@ -1,12 +1,12 @@
 """A corpus whose stories differ in length, for the tests of how
-``detect-skips`` groups stories."""
+``detect-skips``, training and evaluation group stories."""
 
 from bmrnn.data import SynthConfig, SynthCorpus, generate_synthetic, write_corpus
 
 
-def write_mixed_corpus(out, lengths, per_length):
-    """Write ``per_length`` one-scene synthetic stories of each length, the
-    lengths taking turns in the manifest, and return the manifest's path."""
+def mixed_corpus(lengths, per_length) -> SynthCorpus:
+    """``per_length`` one-scene synthetic stories of each length, the lengths
+    taking turns in the record order."""
     groups, skips = [], {}
     for length in lengths:
         corpus = generate_synthetic(SynthConfig(num_stories=per_length, story_len=length,
@@ -18,4 +18,9 @@ def write_mixed_corpus(out, lengths, per_length):
             skips[sid] = skip
         groups.append(corpus.records)
     records = [rec for turn in zip(*groups) for rec in turn]
-    return write_corpus(SynthCorpus(records=records, skips=skips, config=None), out)
+    return SynthCorpus(records=records, skips=skips, config=None)
+
+
+def write_mixed_corpus(out, lengths, per_length):
+    """Write ``mixed_corpus(lengths, per_length)`` and return the manifest's path."""
+    return write_corpus(mixed_corpus(lengths, per_length), out)

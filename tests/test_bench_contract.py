@@ -1,11 +1,14 @@
 """The benchmark's span tracer wraps program functions by module attribute
-(``bench/spans.py`` ``TARGETS``) and divides per-layer times by their call
-counts.  These checks catch a renamed target, a sweep that no longer calls
-the per-step cell functions, a ``detect-skips`` that no longer clusters
-each story length in one call, or scoring that no longer goes through the
-traced compatibility functions, without running the traced benchmark."""
+(``bench/spans.py`` ``TARGETS``), reads notes from their arguments and
+results (``NOTES``) and divides per-layer times by their call counts.  These
+checks catch a renamed target, a note that no longer applies, a divisor
+that would be zero, a sweep that no longer calls the per-step cell
+functions, a ``detect-skips`` that no longer clusters each story length in
+one call, or scoring that no longer goes through the traced compatibility
+functions, without running the traced benchmark."""
 
 import importlib.util
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -16,21 +19,31 @@ import bmrnn.network
 import bmrnn.objective
 import bmrnn.training
 from bmrnn.data import SynthConfig, generate_synthetic
-from bmrnn.network import StoryStream, bmrnn_backward, bmrnn_forward, init_bmrnn_params
+from bmrnn.network import (
+    StoryGroup,
+    StoryStream,
+    bmrnn_backward,
+    bmrnn_forward,
+    init_bmrnn_params,
+)
 from bmrnn.numeric import SeededRng
 from bmrnn.objective import CompatibilityConfig
 from bmrnn.skips import SkipMatrix
 from bmrnn.training import TrainConfig, train
-from mixed_corpus import write_mixed_corpus
+from mixed_corpus import mixed_corpus, write_mixed_corpus
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
 
-def test_every_traced_attribute_exists():
+def load_spans():
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    for module, attr, span in spans.TARGETS:
+    return spans
+
+
+def test_every_traced_attribute_exists():
+    for module, attr, span in load_spans().TARGETS:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr} ({span})"
 
 
@@ -45,11 +58,69 @@ def test_each_sweep_calls_the_cell_once_per_step(monkeypatch):
         monkeypatch.setattr(bmrnn.network, name, counted)
     n = 7
     p = init_bmrnn_params(3, 4, 2, SeededRng(0))
-    story = StoryStream(story_id="s", x=np.random.default_rng(0).normal(size=(n, 3)))
+    rng = np.random.default_rng(0)
+    story = StoryStream(story_id="s", x=rng.normal(size=(n, 3)))
     sk = SkipMatrix(n=n, pairs=((0, 3), (1, 5), (3, 6)))
     trace = bmrnn_forward(p, story, sk)
     bmrnn_backward(p, story, sk, trace, np.ones((n, 2)))
     assert calls == {"sgru_forward": 2 * n, "sgru_backward": 2 * n}
+
+    # a group of B stories of length n steps them together: still 2n calls each way
+    calls.update(sgru_forward=0, sgru_backward=0)
+    stories = [StoryStream(story_id=f"s{b}", x=rng.normal(size=(n, 3))) for b in range(5)]
+    group = StoryGroup.of(stories, [sk, SkipMatrix(n=n, pairs=())] * 2 + [sk])
+    trace = bmrnn_forward(p, group)
+    bmrnn_backward(p, group, None, trace, np.ones((5, n, 2)))
+    assert calls == {"sgru_forward": 2 * n, "sgru_backward": 2 * n}
+
+
+def test_every_note_applies_and_every_divisor_is_counted(monkeypatch):
+    spans = load_spans()
+    calls = defaultdict(list)      # span name -> [(enclosing span name, note)]
+    stack = []
+    for module, attr, name in spans.TARGETS:
+        def recorded(*args, _fn=getattr(module, attr), _name=name, **kwargs):
+            parent = stack[-1] if stack else None
+            stack.append(_name)
+            try:
+                result = _fn(*args, **kwargs)
+            finally:
+                stack.pop()
+            note = spans.NOTES.get(_name)
+            calls[_name].append((parent, note(args, result) if note else None))
+            return result
+        monkeypatch.setattr(module, attr, recorded)
+
+    # four lengths taking turns: minibatches and the h' refresh hold groups
+    # of several stories, and 1-step stories sweep too
+    corpus = mixed_corpus(lengths=(1, 3, 4, 7), per_length=8)
+    split = {s: [r for r in corpus.records if r.split == s] for s in ("train", "val", "test")}
+    assert all(split.values())
+    ckpt = bmrnn.cli.train(split["train"], split["val"], corpus.skips,
+                           TrainConfig(epochs=2, seed=0),
+                           CompatibilityConfig(negatives_per_positive=5), hidden_dim=4)
+    bmrnn.cli.evaluate(ckpt.params, split["test"], corpus.skips, CompatibilityConfig())
+
+    def under(name, parent):
+        return [note for p, note in calls[name] if p == parent]
+
+    # the notes the per-layer metrics read
+    for name in ("network.bmrnn_forward", "network.bmrnn_backward"):
+        assert all(type(n) is int and n > 0 for _, n in calls[name]), name
+    assert all(k == 5 for _, (_, _, k) in calls["objective.contrastive_loss"])
+    assert len(calls["objective.contrastive_loss"]) == 2 * len(split["train"])
+    assert all(limit == 5.0 for _, (_, limit) in calls["training.clip_gradients"])
+    # every count a per-layer metric divides by
+    for name in ("cells.sgru_forward", "cells.sgru_backward", "network.bmrnn_forward",
+                 "network.bmrnn_backward", "objective.contrastive_loss",
+                 "objective.sample_negatives", "objective.compatibility",
+                 "training.story_loss_and_grads", "training.update_step",
+                 "training.clip_gradients", "training.train", "evaluation.evaluate"):
+        assert calls[name], name
+    assert under("network.bmrnn_forward", "training.train")        # the h' refresh
+    assert under("evaluation.evaluate", "training.train")          # validation
+    assert under("network.bmrnn_forward", "evaluation.evaluate")
+    assert under("objective.compatibility", "evaluation.evaluate")
 
 
 def test_detect_skips_clusters_each_multi_photo_length_once(tmp_path, monkeypatch):

@@ -59,15 +59,23 @@ def xp1(params, x):
     return sgru_inputs(params, x[None])[0]
 
 
+def sgru_step(p, x, h, hp):
+    """``sgru_forward`` on one row: input x, previous state h and skip
+    ancestor state hp (None on a step without one)."""
+    return sgru_forward(p, xp1(p, x), h, np.zeros_like(h) if hp is None else hp,
+                        np.array(hp is not None))
+
+
 def sgru_step_grads(p, x, h, hp, tr, g_up):
     """One step's (param grads, dx, dh_prev, dh_skip): ``sgru_backward``,
     then ``sgru_param_grads`` on a one-step sweep."""
-    da, dh_prev, dh_skip = sgru_backward(p, h, hp, tr, g_up)
+    da, dh_prev, dh_skip = sgru_backward(p, h, np.zeros_like(h) if hp is None else hp,
+                                         np.array(hp is not None), tr, g_up)
     grads = SGRUParams.from_named({n: np.zeros_like(t) for n, t in p.named_tensors()})
     zero = np.zeros_like(h)
     dx = sgru_param_grads(p, grads, x[None], h[None], tr.r[None],
                           (zero if hp is None else hp)[None],
-                          (zero if tr.s is None else tr.s)[None], da[None])[0]
+                          tr.s[None], da[None])[0]
     return grads, dx, dh_prev, dh_skip
 
 
@@ -79,7 +87,7 @@ def fd_cell_grads(params, x, h_prev, h_skip, g):
     is_sgru = isinstance(params, SGRUParams)
 
     def loss(p, xv, hv, sv):
-        tr = sgru_forward(p, xp1(p, xv), hv, sv) if is_sgru else gru_forward(p, xv, hv)
+        tr = sgru_step(p, xv, hv, sv) if is_sgru else gru_forward(p, xv, hv)
         return float(np.dot(g, tr.h))
 
     out = {}
@@ -170,18 +178,18 @@ class TestSgruForward:
         for _ in range(10):
             p = init_sgru_params(3, 4, rng)
             x, h = rng.normal(shape=3), rng.normal(shape=4)
-            a = sgru_forward(p, xp1(p, x), h, None)
+            a = sgru_step(p, x, h, None)
             b = gru_forward(p.base, x, h)
             npt.assert_array_equal(a.h, b.h)
             npt.assert_array_equal(a.z, b.z)
             npt.assert_array_equal(a.r, b.r)
             npt.assert_array_equal(a.h_tilde, b.h_tilde)
-            assert a.s is None
+            npt.assert_array_equal(a.s, 0.0)
 
     def test_zero_params_with_skip(self):
         v = np.array([1.0, -0.5])
         p = zero_sgru(2, 2)
-        tr = sgru_forward(p, xp1(p, np.zeros(2)), v, np.array([3.0, 3.0]))
+        tr = sgru_step(p, np.zeros(2), v, np.array([3.0, 3.0]))
         assert tr.s is not None
         npt.assert_array_equal(tr.s, 0.5)  # gate exists, W_hp = 0 annihilates it
         npt.assert_allclose(tr.h, 0.5 * v, atol=0)
@@ -191,7 +199,7 @@ class TestSgruForward:
         p = zero_sgru(1, 1)
         p.W_zx[:] = p.W_rx[:] = p.W_hx[:] = 1.0
         p.W_sx[:] = p.W_sh[:] = p.W_hp[:] = 1.0
-        tr = sgru_forward(p, xp1(p, np.array([1.0])), np.array([0.5]), np.array([1.0]))
+        tr = sgru_step(p, np.array([1.0]), np.array([0.5]), np.array([1.0]))
         npt.assert_allclose(tr.s, 0.8807970779778823, atol=1e-12)
         npt.assert_allclose(tr.h_tilde, 0.9545629551086131, atol=1e-12)
         npt.assert_allclose(tr.h, 0.8323121478595574, atol=1e-12)
@@ -199,7 +207,7 @@ class TestSgruForward:
     def test_skip_dim_mismatch(self):
         p = zero_sgru(2, 3)
         with pytest.raises(ShapeMismatchError):
-            sgru_forward(p, xp1(p, np.zeros(2)), np.zeros(3), np.zeros(2))
+            sgru_step(p, np.zeros(2), np.zeros(3), np.zeros(2))
 
     @pytest.mark.parametrize("shape", [(4, 3), (4, 1), (2,)])
     def test_inputs_of_wrong_width(self, shape):
@@ -248,7 +256,7 @@ class TestSgruBackward:
         p = init_sgru_params(2, 3, rng)
         x, h = rng.normal(shape=2), rng.normal(shape=3)
         g_up = rng.normal(shape=3)
-        tr = sgru_forward(p, xp1(p, x), h, None)
+        tr = sgru_step(p, x, h, None)
         grads, dx, dh_prev, dh_skip = sgru_step_grads(p, x, h, None, tr, g_up)
         want = gru_backward(p.base, x, h, tr, g_up)
         for (name, a), (_, b) in zip(grads.base.named_tensors(), want.params.named_tensors()):
@@ -263,7 +271,7 @@ class TestSgruBackward:
         rng = SeededRng(31)
         p = init_sgru_params(2, 3, rng)
         x, h, hp = rng.normal(shape=2), rng.normal(shape=3), rng.normal(shape=3)
-        tr = sgru_forward(p, xp1(p, x), h, hp)
+        tr = sgru_step(p, x, h, hp)
         grads, _, _, dh_skip = sgru_step_grads(p, x, h, hp, tr, np.zeros(3))
         for _, t in grads.named_tensors():
             npt.assert_array_equal(t, 0.0)
@@ -275,7 +283,7 @@ class TestSgruBackward:
         p = init_sgru_params(3, 3, rng)
         x, h, hp = nrng.normal(size=3), nrng.normal(size=3), nrng.normal(size=3)
         g_up = nrng.normal(size=3)
-        tr = sgru_forward(p, xp1(p, x), h, hp)
+        tr = sgru_step(p, x, h, hp)
         grads, dx, dh_prev, dh_skip = sgru_step_grads(p, x, h, hp, tr, g_up)
         fd = fd_cell_grads(p, x, h, hp, g_up)
         for name, t in grads.named_tensors():
@@ -297,7 +305,7 @@ class TestSgruBackward:
             h = nrng.normal(size=dh)
             hp = nrng.normal(size=dh) if trial % 2 == 0 else None
             g_up = nrng.normal(size=dh)
-            tr = sgru_forward(p, xp1(p, x), h, hp)
+            tr = sgru_step(p, x, h, hp)
             grads, dx, dh_prev, dh_skip = sgru_step_grads(p, x, h, hp, tr, g_up)
             fd = fd_cell_grads(p, x, h, hp, g_up)
             for name, t in grads.named_tensors():
@@ -339,7 +347,7 @@ def skip_sensitivity(seed):
         states = []
         for t in range(4):
             h_skip = states[0] if (with_skip and t == 3) else None
-            tr = sgru_forward(p, xp1(p, seq[t : t + 1]), h, h_skip)
+            tr = sgru_step(p, seq[t : t + 1], h, h_skip)
             h = tr.h
             states.append(h)
         return float(h[0])

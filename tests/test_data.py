@@ -111,7 +111,7 @@ class TestSkipRecordIO:
         rec = self.records()[0]
         assert rec.n == 3
         m = rec.matrix()
-        assert m.ancestor_of(2) == 0
+        assert m.ancestors.tolist() == [-1, -1, 0]
         part = rec.partition()
         assert sorted(map(sorted, part.groups)) == [[0, 2], [1]]
 

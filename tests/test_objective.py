@@ -387,6 +387,10 @@ class TestSequenceStack:
         sub = st_.take([2, 0])
         assert sub.lengths.tolist() == [2, 1]
         npt.assert_array_equal(sub.padded[0, :2], [[5.0, 6.0], [7.0, 8.0]])
+        # cut to a width: the first steps of each, lengths clipped to it
+        cut = st_.take([1, 2, 0], width=2)
+        assert cut.padded.shape == (3, 2, 2) and cut.lengths.tolist() == [2, 2, 1]
+        npt.assert_array_equal(cut.padded[0], np.ones((2, 2)))
 
     def test_ragged_widths_rejected(self):
         # a width-1 sequence would broadcast silently into the padded array

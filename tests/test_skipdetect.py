@@ -293,8 +293,8 @@ class TestBuildSkipMatrix:
         # five photos, scenes recurring as A B C A B: clusters {0,3},{1,4},{2}
         sk = build_skip_matrix(manual_assignment([[0, 3], [1, 4], [2]], 5))
         assert set(sk.pairs) == {(0, 3), (1, 4)}
-        assert sk.ancestor_of(3) == 0 and sk.ancestor_of(4) == 1
-        assert sk.ancestor_of(2) is None and sk.descendant_of(2) is None
+        assert sk.ancestors.tolist() == [-1, -1, -1, 0, 1]
+        assert all(2 not in pair for pair in sk.pairs)
 
     def test_all_singletons(self):
         sk = build_skip_matrix(manual_assignment([[0], [1], [2]], 3))
@@ -347,8 +347,7 @@ class TestTransposeSkips:
     def test_single_pair(self):
         t = transpose_skips(SkipMatrix(n=5, pairs=((0, 3),)))
         assert set(t.pairs) == {(3, 0)}
-        assert t.ancestor_of(0) == 3
-        assert t.descendant_of(3) == 0
+        assert t.ancestors.tolist() == [3, -1, -1, -1, -1]
 
     def test_empty(self):
         t = transpose_skips(SkipMatrix(n=4, pairs=()))

@@ -8,11 +8,18 @@ import numpy.testing as npt
 import pytest
 
 import bmrnn.training
+import network_oracle
 from bmrnn.data import SynthConfig, generate_synthetic
 from bmrnn.errors import ConfigError, DataError, DivergenceError
-from bmrnn.network import init_bmrnn_params, load_model
+from bmrnn.network import init_bmrnn_params, load_model, save_model
 from bmrnn.numeric import SeededRng
-from bmrnn.objective import CompatibilityConfig, SentenceSequence
+from bmrnn.objective import (
+    CompatibilityConfig,
+    SentenceSequence,
+    SequenceStack,
+    contrastive_loss,
+    sample_negatives,
+)
 from bmrnn.training import (
     Checkpoint,
     TrainConfig,
@@ -26,6 +33,7 @@ from bmrnn.training import (
     train,
     update_step,
 )
+from mixed_corpus import mixed_corpus
 
 
 def tiny_params(seed=0, input_dim=3, hidden=4, out=3):
@@ -341,6 +349,52 @@ class TestTrain:
                   CompatibilityConfig(negatives_per_positive=3))
 
 
+def per_story_train(records, skips_by_id, cfg, ccfg, hidden_dim):
+    """The final parameters of ``train`` without a validation set, by the
+    loop that ran one story at a time: the network oracle's forward and
+    backward per story, negatives gathered at their full width."""
+    rng = SeededRng(cfg.seed)
+    params = init_bmrnn_params(records[0].story.x.shape[1], hidden_dim,
+                               records[0].sentences.v.shape[1], rng.spawn(0))
+    order_rng, neg_rng = rng.spawn(1), rng.spawn(2)
+    row_of = {rec.story_id: i for i, rec in enumerate(records)}
+    sentences = SequenceStack.of([rec.sentences for rec in records])
+    state = init_optimizer_state(params, cfg)
+    for _ in range(cfg.epochs):
+        h_cache = SequenceStack.of([
+            network_oracle.forward(params, rec.story, skips_by_id[rec.story_id].matrix()).merged
+            for rec in records])
+        order = [records[i] for i in order_rng.permutation(len(records))]
+        for start in range(0, len(order), cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            batch_grads = params.zeros_like()
+            for rec in batch:
+                skip = skips_by_id[rec.story_id]
+                idx = sample_negatives(row_of, rec.story_id, ccfg.negatives_per_positive, neg_rng)
+                trace = network_oracle.forward(params, rec.story, skip.matrix())
+                result = contrastive_loss(trace.merged, rec.sentences, sentences.take(idx),
+                                          h_cache.take(idx), skip.partition(), ccfg)
+                grads, _ = network_oracle.backward(params, rec.story, skip.matrix(), trace,
+                                                   result.dH)
+                batch_grads.flat += (1.0 / len(batch)) * grads.flat
+            update_step(params, batch_grads, state, cfg)
+    return params
+
+
+class TestGroupedTraining:
+    def test_mixed_lengths_write_the_per_story_loops_model(self, tmp_path):
+        # lengths take turns, so each minibatch of 8 holds several groups of
+        # several stories each, and the last batch is short
+        corpus = mixed_corpus(lengths=(1, 3, 4, 7), per_length=7)
+        cfg, ccfg = TrainConfig(epochs=2, seed=3), CompatibilityConfig(negatives_per_positive=5)
+        ckpt = train(corpus.records, [], corpus.skips, cfg, ccfg, hidden_dim=6)
+        want = per_story_train(corpus.records, corpus.skips, cfg, ccfg, hidden_dim=6)
+        npt.assert_array_equal(ckpt.params.flat, want.flat)
+        save_model(tmp_path / "grouped.bin", ckpt.params)
+        save_model(tmp_path / "per_story.bin", want)
+        assert (tmp_path / "grouped.bin").read_bytes() == (tmp_path / "per_story.bin").read_bytes()
+
+
 class TestCheckpointIO:
     def roundtrip(self, tmp_path):
         params = tiny_params(seed=11)
@@ -435,9 +489,9 @@ class TestGradCheck:
         neg_v = SentenceSequence("neg", [-10.0 * h for h in merged])
         neg_h = [[np.zeros(3) for _ in merged]]
         ccfg = CompatibilityConfig(negatives_per_positive=1)
-        result, grads, d_inputs = story_loss_and_grads(
-            params, rec.story, sentences, skip.matrix(), skip.partition(),
-            [neg_v], neg_h, ccfg,
+        [(result, grads, d_inputs)] = story_loss_and_grads(
+            params, [rec.story], [skip.matrix()], [(sentences, [neg_v], neg_h, skip.partition())],
+            ccfg,
         )
         assert result.loss == 0.0
         assert result.active_v_hinges == 0 and result.active_h_hinges == 0
