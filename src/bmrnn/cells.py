@@ -23,7 +23,7 @@ baseline cell on its first nine tensors: ``SGRUParams`` is ``GRUParams`` with
 the four skip tensors added.
 
 A sweep steps B same-length sequences as B rows at once; their input products
-come from ``sgru_inputs``, each sequence's gradients from ``sgru_param_grads``.
+come from ``sgru_inputs``, their parameter gradients from ``sgru_param_grads``.
 
 Gradients are hand-written analytic derivatives of the above; they are
 checked against central finite differences in the test suite.
@@ -74,11 +74,11 @@ class GRUParams:
 
     @property
     def hidden_dim(self) -> int:
-        return self.W_zh.shape[0]
+        return self.W_zh.shape[-2]
 
     @property
     def input_dim(self) -> int:
-        return self.W_zx.shape[1]
+        return self.W_zx.shape[-1]
 
     def named_tensors(self):
         """Canonical (name, array) pairs, fixed order."""
@@ -130,31 +130,27 @@ class StepTrace(NamedTuple):
     h: Array
 
 
-def init_gru_params(
-    input_dim: int, hidden_dim: int, rng: SeededRng, scale: float | None = None
-) -> GRUParams:
+def init_gru_params(input_dim: int, hidden_dim: int, rng: SeededRng) -> GRUParams:
     """Uniform fan-in-scaled weights, zero biases."""
     return GRUParams(
-        W_zx=init_params(hidden_dim, input_dim, rng, scale=scale),
-        W_zh=init_params(hidden_dim, hidden_dim, rng, scale=scale),
-        W_rx=init_params(hidden_dim, input_dim, rng, scale=scale),
-        W_rh=init_params(hidden_dim, hidden_dim, rng, scale=scale),
-        W_hx=init_params(hidden_dim, input_dim, rng, scale=scale),
-        W_hh=init_params(hidden_dim, hidden_dim, rng, scale=scale),
+        W_zx=init_params(hidden_dim, input_dim, rng),
+        W_zh=init_params(hidden_dim, hidden_dim, rng),
+        W_rx=init_params(hidden_dim, input_dim, rng),
+        W_rh=init_params(hidden_dim, hidden_dim, rng),
+        W_hx=init_params(hidden_dim, input_dim, rng),
+        W_hh=init_params(hidden_dim, hidden_dim, rng),
         b_z=np.zeros(hidden_dim),
         b_r=np.zeros(hidden_dim),
         b_h=np.zeros(hidden_dim),
     )
 
 
-def init_sgru_params(
-    input_dim: int, hidden_dim: int, rng: SeededRng, scale: float | None = None
-) -> SGRUParams:
+def init_sgru_params(input_dim: int, hidden_dim: int, rng: SeededRng) -> SGRUParams:
     return SGRUParams(
-        **vars(init_gru_params(input_dim, hidden_dim, rng, scale=scale)),
-        W_sx=init_params(hidden_dim, input_dim, rng, scale=scale),
-        W_sh=init_params(hidden_dim, hidden_dim, rng, scale=scale),
-        W_hp=init_params(hidden_dim, hidden_dim, rng, scale=scale),
+        **vars(init_gru_params(input_dim, hidden_dim, rng)),
+        W_sx=init_params(hidden_dim, input_dim, rng),
+        W_sh=init_params(hidden_dim, hidden_dim, rng),
+        W_hp=init_params(hidden_dim, hidden_dim, rng),
         b_s=np.zeros(hidden_dim),
     )
 
@@ -259,19 +255,22 @@ def sgru_param_grads(
     params: SGRUParams, grads: SGRUParams,
     X: Array, H_prev: Array, R: Array, H_skip: Array, S: Array, dA: Array,
 ) -> Array:
-    """Parameter gradients of a sweep, added into ``grads``, and dL/dX.
+    """Parameter gradients of one or B sweeps, added into ``grads``, and dL/dX.
 
-    Row t of each (N, ·) array is step t's input, previous state, reset gate,
-    skip-ancestor state and skip gate (both zero without a skip), and its
-    ``sgru_backward`` da in ``dA`` (N, 4, H).  Each gradient is one product.
+    Row t of each (N, ·) or (B, N, ·) array is step t's input, previous
+    state, reset gate, skip-ancestor state and skip gate (both zero without
+    a skip), and its ``sgru_backward`` da in ``dA`` (..., N, 4, H); the
+    tensors of ``grads`` lead with the same B axis.  Each gradient is one
+    stacked product, which numpy runs as one GEMM per sweep; a single
+    (B·N, ·) GEMM would sum across the sweeps.
     """
-    dA_z, dA_r, dA_h, dA_s = dA.transpose(1, 0, 2)
+    dA_z, dA_r, dA_h, dA_s = (dA[..., k, :] for k in range(4))
     d = {
-        "W_zx": dA_z.T @ X, "W_zh": dA_z.T @ H_prev, "b_z": dA_z.sum(axis=0),
-        "W_rx": dA_r.T @ X, "W_rh": dA_r.T @ H_prev, "b_r": dA_r.sum(axis=0),
-        "W_sx": dA_s.T @ X, "W_sh": dA_s.T @ H_skip, "b_s": dA_s.sum(axis=0),
-        "W_hx": dA_h.T @ X, "W_hh": dA_h.T @ (R * H_prev), "W_hp": dA_h.T @ (S * H_skip),
-        "b_h": dA_h.sum(axis=0),
+        "W_zx": dA_z.mT @ X, "W_zh": dA_z.mT @ H_prev, "b_z": dA_z.sum(axis=-2),
+        "W_rx": dA_r.mT @ X, "W_rh": dA_r.mT @ H_prev, "b_r": dA_r.sum(axis=-2),
+        "W_sx": dA_s.mT @ X, "W_sh": dA_s.mT @ H_skip, "b_s": dA_s.sum(axis=-2),
+        "W_hx": dA_h.mT @ X, "W_hh": dA_h.mT @ (R * H_prev), "W_hp": dA_h.mT @ (S * H_skip),
+        "b_h": dA_h.sum(axis=-2),
     }
     for name, t in grads.named_tensors():
         t += d[name]

@@ -36,7 +36,7 @@ from .network import load_model
 from .numeric import read_file, write_file
 from .objective import CompatibilityConfig
 from .skips import (SimilarityMatrix, affinity_propagation, build_skip_matrix, check_clustering,
-                    similarity)
+                    cluster_chains, similarity)
 from .training import TrainConfig, grad_check, read_sidecar, save_checkpoint, sidecar_path, train
 
 __all__ = ["run", "main"]
@@ -256,8 +256,13 @@ def _cmd_detect_skips(opts: dict) -> int:
     if opts["window"] > opts["max_iter"]:    # the convergence flag could never be set
         raise ConfigError(f"--window {opts['window']} exceeds --max-iter {opts['max_iter']}")
     dataset = load_manifest(opts["manifest"])
+    # Stories too short to cluster get a fixed clustering: a 1-photo story is
+    # one singleton and, without --preference, a 2-photo story one cluster.
+    # The default preference is then the pair's one similarity, on which AP
+    # ties exactly and, unconverged, keeps exemplar 0 whatever the similarity.
+    fixed = {1: [[0]], 2: [[0, 1]]} if opts["preference"] is None else {1: [[0]]}
     assignment_of = {}     # record index -> its ClusterAssignment
-    for n in {rec.N for rec in dataset.records} - {1}:
+    for n in {rec.N for rec in dataset.records} - fixed.keys():
         group = [i for i, rec in enumerate(dataset.records) if rec.N == n]
         size = max(1, AP_STACK_ENTRIES // (n * n))   # stories per stack
         for stack in (group[k:k + size] for k in range(0, len(group), size)):
@@ -271,17 +276,16 @@ def _cmd_detect_skips(opts: dict) -> int:
     records = []
     n_converged = n_pairs = 0
     for i, rec in enumerate(dataset.records):
-        if rec.N == 1:   # nothing to cluster: one singleton, no skips
-            records.append(SkipRecord(rec.story_id, clusters=[[0]], pairs=[], converged=True))
-            n_converged += 1
-            continue
-        assignment = assignment_of[i]
-        pairs = list(build_skip_matrix(assignment).pairs)
-        records.append(SkipRecord(
-            story_id=rec.story_id, clusters=sorted(sorted(c) for c in assignment.clusters),
-            pairs=pairs, converged=assignment.converged,
-        ))
-        n_converged += assignment.converged
+        if rec.N in fixed:
+            clusters, converged = fixed[rec.N], True
+            pairs = cluster_chains(clusters)
+        else:
+            assignment = assignment_of[i]
+            clusters = sorted(sorted(c) for c in assignment.clusters)
+            pairs, converged = list(build_skip_matrix(assignment).pairs), assignment.converged
+        records.append(SkipRecord(rec.story_id, clusters=clusters, pairs=pairs,
+                                  converged=converged))
+        n_converged += converged
         n_pairs += len(pairs)
     write_skips(opts["out"], records)
     print(

@@ -38,7 +38,7 @@ from .errors import DataError, ShapeMismatchError
 from .numeric import (
     SeededRng, decode_tensor, encode_tensor, init_params, read_file, stack_rows, write_file,
 )
-from .skips import SkipMatrix, transpose_skips
+from .skips import SkipMatrix
 
 __all__ = [
     "BMRNNParams",
@@ -100,11 +100,12 @@ class BMRNNParams:
         self._bind(np.concatenate([np.ravel(named[n]) for n, _ in layout], dtype=float))
 
     def _bind(self, flat: np.ndarray) -> None:
-        """Make ``flat`` the buffer and every field a view into it."""
+        """Make ``flat`` the buffer and every field a view into it; the leading
+        axes of a (..., P) buffer lead every field too."""
         views, start = {}, 0
         for name, shape in self.layout():
             end = start + math.prod(shape)
-            views[name] = flat[start:end].reshape(shape)
+            views[name] = flat[..., start:end].reshape(*flat.shape[:-1], *shape)
             start = end
         self.flat = flat
         self.fwd = SGRUParams.from_named(views, "fwd.")
@@ -113,7 +114,9 @@ class BMRNNParams:
             views["merge_f"], views["merge_b"], views["b_merge"]
         )
 
-    def _with_flat(self, flat: np.ndarray) -> "BMRNNParams":
+    def with_flat(self, flat: np.ndarray) -> "BMRNNParams":
+        """Tensors of this model's shapes over ``flat``: one (P,) parameter
+        vector, or a (B, P) buffer whose fields carry the B axis first."""
         out = copy.copy(self)
         out._bind(flat)
         return out
@@ -128,7 +131,7 @@ class BMRNNParams:
 
     @property
     def output_dim(self) -> int:
-        return self.merge_f.shape[0]
+        return self.merge_f.shape[-2]
 
     def layout(self):
         return bmrnn_layout(self.input_dim, self.hidden_dim, self.output_dim)
@@ -143,10 +146,11 @@ class BMRNNParams:
         yield "b_merge", self.b_merge
 
     def copy(self) -> "BMRNNParams":
-        return self._with_flat(self.flat.copy())
+        return self.with_flat(self.flat.copy())
 
-    def zeros_like(self) -> "BMRNNParams":
-        return self._with_flat(np.zeros_like(self.flat))
+    def zeros_like(self, *batch: int) -> "BMRNNParams":
+        """Zeros of this model's shapes; ``zeros_like(B)`` has a (B, P) buffer."""
+        return self.with_flat(np.zeros((*batch, self.flat.shape[-1])))
 
 
 @dataclass
@@ -182,7 +186,7 @@ class StoryStream:
 class StoryGroup(NamedTuple):
     """B stories of one length N, swept together: their (B, N, D) inputs and
     (2, B, N) skip ancestors, -1 for none; row 0 for the forward pass, row 1
-    (the transposed skips) for the backward pass."""
+    (each step's skip descendant, whose state it reads) for the backward pass."""
 
     x: np.ndarray
     skips: np.ndarray
@@ -198,7 +202,7 @@ class StoryGroup(NamedTuple):
             raise ShapeMismatchError("story group", lengths[: len(stories)], lengths[len(stories) :])
         return cls(np.stack([s.x for s in stories]), np.array([
             [m.ancestors for m in skip_matrices],
-            [transpose_skips(m).ancestors for m in skip_matrices]]))
+            [m.descendants for m in skip_matrices]]))
 
 
 class ForwardTrace(NamedTuple):
@@ -213,18 +217,14 @@ class ForwardTrace(NamedTuple):
 
 
 def init_bmrnn_params(
-    input_dim: int,
-    hidden_dim: int,
-    output_dim: int,
-    rng: SeededRng,
-    scale: float | None = None,
+    input_dim: int, hidden_dim: int, output_dim: int, rng: SeededRng
 ) -> BMRNNParams:
     """Random init for both passes and the merge; biases (incl. merge) zero."""
     return BMRNNParams(
-        fwd=init_sgru_params(input_dim, hidden_dim, rng, scale=scale),
-        bwd=init_sgru_params(input_dim, hidden_dim, rng, scale=scale),
-        merge_f=init_params(output_dim, hidden_dim, rng, scale=scale),
-        merge_b=init_params(output_dim, hidden_dim, rng, scale=scale),
+        fwd=init_sgru_params(input_dim, hidden_dim, rng),
+        bwd=init_sgru_params(input_dim, hidden_dim, rng),
+        merge_f=init_params(output_dim, hidden_dim, rng),
+        merge_b=init_params(output_dim, hidden_dim, rng),
         b_merge=np.zeros(output_dim),
     )
 
@@ -265,8 +265,8 @@ def _sweep(cell: SGRUParams, X: np.ndarray, anc: np.ndarray, order) -> np.ndarra
 def _sweep_backward(cell, grads, X, anc, order, T, dh, dX) -> None:
     """BPTT through one ``_sweep`` trace ``T``: steps in reverse visiting
     order; dh_prev flows to the step visited before, dh_skip accumulates on
-    the skip ancestor.  ``sgru_param_grads`` then adds into story b's
-    ``grads[b]`` and ``dX[b]``."""
+    the skip ancestor.  ``sgru_param_grads`` then adds into the group's
+    ``grads``, whose tensors lead with the B axis, and into ``dX``."""
     B, n = anc.shape
     hidden, rows, has = cell.hidden_dim, np.arange(B), (anc >= 0)[..., None]
     H_prev = np.zeros((B, n, hidden))
@@ -279,8 +279,7 @@ def _sweep_backward(cell, grads, X, anc, order, T, dh, dX) -> None:
             cell, H_prev[:, t], H_skip[:, t], has[:, t], T[:, :, t],
             dh[:, t] + carry + skip_acc[:, t])
         skip_acc[rows, anc[:, t]] += dh_skip
-    for b, g in enumerate(grads):
-        dX[b] += sgru_param_grads(cell, g, X[b], H_prev[b], T[1, b], H_skip[b], T[2, b], dA[b])
+    dX += sgru_param_grads(cell, grads, X, H_prev, T[1], H_skip, T[2], dA)
 
 
 def bmrnn_forward(params: BMRNNParams, stories, skips: SkipMatrix | None = None) -> ForwardTrace:
@@ -313,8 +312,9 @@ def bmrnn_backward(
     """Backpropagate dL/dH, one row per merged output, back to params and x.
 
     ``stories`` and ``skips`` are as in ``bmrnn_forward``.  Returns a group's
-    B gradients shaped like params and its (B, N, input_dim) dL/dx, or one
-    story's gradient and (N, input_dim) dL/dx.
+    gradients, shaped like params with the B axis first (one (B, P) buffer),
+    and its (B, N, input_dim) dL/dx, or one story's gradient and
+    (N, input_dim) dL/dx.
     """
     dH, group = np.asarray(dH, dtype=float), stories
     if skips is not None:
@@ -323,20 +323,18 @@ def bmrnn_backward(
     B, n = group.skips.shape[1:]
     if dH.shape[:2] != (B, n):
         raise ShapeMismatchError("bmrnn_backward", dH.shape[:2], (B, n))
-    grads = [params.zeros_like() for _ in range(B)]
-    dX = np.zeros_like(group.x)
+    grads, dX = params.zeros_like(B), np.zeros_like(group.x)
 
-    # merge layer, one product per story
-    for g, d, h_fwd, h_bwd in zip(grads, dH, trace.fwd[4], trace.bwd[4]):
-        g.merge_f += d.T @ h_fwd
-        g.merge_b += d.T @ h_bwd
-        g.b_merge += d.sum(axis=0)
+    # merge layer: numpy runs each stacked product as one GEMM per story
+    grads.merge_f += dH.mT @ trace.fwd[4]
+    grads.merge_b += dH.mT @ trace.bwd[4]
+    grads.b_merge += dH.sum(axis=-2)
 
-    _sweep_backward(params.fwd, [g.fwd for g in grads], group.x, group.skips[0], range(n),
+    _sweep_backward(params.fwd, grads.fwd, group.x, group.skips[0], range(n),
                     trace.fwd, dH @ params.merge_f, dX)
-    _sweep_backward(params.bwd, [g.bwd for g in grads], group.x, group.skips[1],
+    _sweep_backward(params.bwd, grads.bwd, group.x, group.skips[1],
                     range(n - 1, -1, -1), trace.bwd, dH @ params.merge_b, dX)
-    return (grads, dX) if skips is None else (grads[0], dX[0])
+    return (grads, dX) if skips is None else (params.with_flat(grads.flat[0]), dX[0])
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ __all__ = [
     "check_clustering",
     "build_skip_matrix",
     "cluster_chains",
-    "transpose_skips",
 ]
 
 
@@ -71,21 +70,22 @@ class ClusterStack:
 class SkipMatrix:
     """Sparse skip structure: pairs (ancestor, descendant).
 
-    Forward matrices have ancestor < descendant (the descendant additionally
-    reads an earlier state).  Transposed matrices, used by the backward
-    sweep, have ancestor > descendant.  Each index appears at most once as
-    an ancestor and at most once as a descendant.
+    The descendant additionally reads the ancestor's state in the forward
+    sweep; the backward sweep reads each edge the other way, so there the
+    ancestor reads its descendant's state.  Each index appears at most once
+    as an ancestor and at most once as a descendant.
     """
 
     n: int
     pairs: tuple[tuple[int, int], ...]
-    # ancestors[t]: the step whose hidden state step t additionally reads, -1 for none
+    # ancestors[t]: the step whose hidden state step t additionally reads, -1 for none;
+    # descendants[t]: the step that reads step t's state, -1 for none
     ancestors: np.ndarray = field(init=False, repr=False, compare=False)
+    descendants: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.pairs = tuple(sorted(tuple(p) for p in self.pairs))
-        self.ancestors = np.full(self.n, -1)
-        read: set[int] = set()
+        self.ancestors, self.descendants = np.full((2, self.n), -1)
         for a, d in self.pairs:
             if not (0 <= a < self.n and 0 <= d < self.n):
                 raise DataError(f"skip pair ({a}, {d}) out of range for length {self.n}")
@@ -93,10 +93,9 @@ class SkipMatrix:
                 raise DataError(f"skip pair ({a}, {d}) is a self-loop")
             if self.ancestors[d] >= 0:
                 raise DataError(f"step {d} has more than one skip ancestor")
-            if a in read:
+            if self.descendants[a] >= 0:
                 raise DataError(f"step {a} has more than one skip descendant")
-            self.ancestors[d] = a
-            read.add(a)
+            self.ancestors[d], self.descendants[a] = a, d
 
 
 def similarity(features: np.ndarray, normalize: bool = False) -> SimilarityMatrix:
@@ -247,13 +246,3 @@ def cluster_chains(clusters) -> list[tuple[int, int]]:
         ordered = sorted(members)
         pairs.extend(zip(ordered, ordered[1:]))
     return pairs
-
-
-def transpose_skips(r: SkipMatrix) -> SkipMatrix:
-    """Reverse every edge: the backward sweep reads skips in the other direction.
-
-    If the forward pass lets step t read step p's state (pair (p, t)), the
-    backward pass lets step p read step t's backward state, which that sweep
-    computes first.  So (p, t) becomes (t, p).
-    """
-    return SkipMatrix(n=r.n, pairs=tuple((t, p) for (p, t) in r.pairs))

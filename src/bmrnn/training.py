@@ -237,7 +237,9 @@ def story_loss_and_grads(
     step: int = 0,
 ):
     """Forward, loss, and parameter/input gradients for a minibatch of
-    training stories: one (LossResult, grads, dL/dx) per story, in order.
+    training stories: one (LossResult, gradient, dL/dx) per story, in order,
+    the gradient a (P,) row of its group's gradient buffer, in the order of
+    ``BMRNNParams.flat``.
 
     Same-length stories share one forward and one backward.  The losses
     run per story, in order, on the (sentences, negatives_V, negatives_H,
@@ -259,7 +261,7 @@ def story_loss_and_grads(
             raise DivergenceError(stories[i].story_id, epoch, step + i)
     backward = [bmrnn_backward(params, group, None, trace, np.stack([results[i].dH for i in pos]))
                 for (pos, group), trace in zip(groups, traces)]
-    return list(zip(results, ungroup(groups, [grads for grads, _ in backward]),
+    return list(zip(results, ungroup(groups, [grads.flat for grads, _ in backward]),
                     ungroup(groups, [dX for _, dX in backward])))
 
 
@@ -339,13 +341,13 @@ def train(
             targets = ((rec.sentences, sentences.take(idx, rec.N), h_cache.take(idx, rec.N),
                         structures[rec.story_id][1]) for rec, idx in zip(batch, draws))
             batch_grads = params.zeros_like()
-            for result, grads, _ in story_loss_and_grads(
+            for result, grad, _ in story_loss_and_grads(
                     params, [rec.story for rec in batch],
                     [structures[rec.story_id][0] for rec in batch], targets, ccfg,
                     epoch=epoch, step=step):
                 losses.append(result.loss)
                 hinges += (result.active_v_hinges, result.active_h_hinges)
-                batch_grads.flat += (1.0 / len(batch)) * grads.flat
+                batch_grads.flat += (1.0 / len(batch)) * grad
             step += len(batch)
             norms.append(update_step(params, batch_grads, state, cfg))
 
@@ -494,9 +496,10 @@ def grad_check(
         (params, story, sentences, skip_matrix, partition,
          neg_V, neg_H, ccfg) = _random_check_instance(rng)
 
-        [(result, grads, d_inputs)] = story_loss_and_grads(
+        [(result, grad, d_inputs)] = story_loss_and_grads(
             params, [story], [skip_matrix], [(sentences, neg_V, neg_H, partition)], ccfg
         )
+        grads = params.with_flat(grad)
         if corrupt_tensor is not None:
             for name, g in grads.named_tensors():
                 if name == corrupt_tensor:

@@ -11,7 +11,7 @@ import numpy as np
 
 from bmrnn.cells import StepTrace, _sigmoid, sgru_inputs, sgru_param_grads
 from bmrnn.network import ForwardTrace
-from bmrnn.skips import transpose_skips
+from bmrnn.skips import SkipMatrix
 
 
 def step_forward(params, xp_t, h_prev, h_skip=None):
@@ -59,6 +59,12 @@ def _ancestors(skips):
     return {d: a for a, d in skips.pairs}
 
 
+def transposed(skips):
+    """Every edge reversed: the backward sweep lets step p read the state of
+    step t for each pair (p, t), which that sweep computes first."""
+    return SkipMatrix(n=skips.n, pairs=tuple((t, p) for p, t in skips.pairs))
+
+
 def sweep(cell, x, skips, order):
     """One directional pass over one story, as a (5, N, H) trace."""
     T = np.zeros((5, len(x), cell.hidden_dim))
@@ -93,7 +99,7 @@ def sweep_backward(cell, grads, x, skips, order, T, dh, dX):
 def forward(params, story, skips) -> ForwardTrace:
     n = story.N
     fwd = sweep(params.fwd, story.x, skips, range(n))
-    bwd = sweep(params.bwd, story.x, transpose_skips(skips), range(n - 1, -1, -1))
+    bwd = sweep(params.bwd, story.x, transposed(skips), range(n - 1, -1, -1))
     merged = np.stack([params.merge_f @ fwd[4, t] + params.merge_b @ bwd[4, t] + params.b_merge
                        for t in range(n)])
     return ForwardTrace(fwd, bwd, merged)
@@ -108,6 +114,6 @@ def backward(params, story, skips, trace, dH):
     grads.b_merge += dH.sum(axis=0)
     sweep_backward(params.fwd, grads.fwd, story.x, skips, range(n), trace.fwd,
                    dH @ params.merge_f, dX)
-    sweep_backward(params.bwd, grads.bwd, story.x, transpose_skips(skips),
+    sweep_backward(params.bwd, grads.bwd, story.x, transposed(skips),
                    range(n - 1, -1, -1), trace.bwd, dH @ params.merge_b, dX)
     return grads, dX

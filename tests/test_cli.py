@@ -618,6 +618,36 @@ class TestDetectSkipsStacks:
         assert sorted(stacks) == sorted([(4, 3, 3), (2, 5, 5), (2, 5, 5)] + [(1, 8, 8)] * 4)
         assert split.read_bytes() == one.read_bytes()
 
+    def test_two_photo_stories_are_one_cluster_unless_a_preference_is_given(
+            self, tmp_path, monkeypatch):
+        manifest = write_mixed_corpus(tmp_path / "c", lengths=(2, 3), per_length=3)
+        two = [rec for rec in load_manifest(manifest).records if rec.N == 2]
+        for rec in two:
+            # AP at the default preference ties the two points: one cluster, unconverged
+            a = affinity_propagation(similarity(rec.story.raw_fc))
+            assert (a.clusters, a.converged) == ([[0, 1]], False)
+        stacks = []
+
+        def recorded(sim, **kwargs):
+            stacks.append(sim.s.shape)
+            return affinity_propagation(sim, **kwargs)
+        monkeypatch.setattr(bmrnn.cli, "affinity_propagation", recorded)
+        out = tmp_path / "skips.jsonl"
+        assert run(["detect-skips", "--manifest", str(manifest), "--out", str(out)]) == 0
+        assert stacks == [(3, 3, 3)]     # the 2-photo stories never reach AP
+        for rec in two:
+            r = load_skips(out)[rec.story_id]
+            assert (r.clusters, r.pairs, r.converged) == ([[0, 1]], [(0, 1)], True)
+
+        # an explicit preference clusters them; one this high makes singletons
+        stacks.clear()
+        assert run(["detect-skips", "--manifest", str(manifest), "--out", str(out),
+                    "--preference", "1e6"]) == 0
+        assert sorted(stacks) == [(3, 2, 2), (3, 3, 3)]
+        for rec in two:
+            r = load_skips(out)[rec.story_id]
+            assert (r.clusters, r.pairs, r.converged) == ([[0], [1]], [], True)
+
 
 class TestPipeline:
     def test_end_to_end_report_has_all_metrics(self, tmp_path):

@@ -22,9 +22,10 @@ from bmrnn.network import (
     init_bmrnn_params,
     load_model,
     save_model,
+    story_groups,
 )
 from bmrnn.numeric import SeededRng, encode_tensor
-from bmrnn.skips import SkipMatrix, cluster_chains, transpose_skips
+from bmrnn.skips import SkipMatrix, cluster_chains
 from gru_oracle import gru_backward
 
 
@@ -223,7 +224,7 @@ class TestSweepTrace:
         sk = SkipMatrix(n=n, pairs=tuple(cluster_chains(clusters)))
         trace = bmrnn_forward(p, StoryStream(story_id="s", x=x), sk)
         for T, cell, skips, order in ((trace.fwd, p.fwd, sk, range(n)),
-                                      (trace.bwd, p.bwd, transpose_skips(sk),
+                                      (trace.bwd, p.bwd, network_oracle.transposed(sk),
                                        range(n - 1, -1, -1))):
             assert T.shape == (5, n, hidden)
             for t, (z, r, s, h_tilde, h) in per_step_sweep(cell, x, skips, order).items():
@@ -264,26 +265,65 @@ class TestGroupSweep:
         trace = bmrnn_forward(p, group)
         dH = rng.normal(size=(B, n, out_dim))
         grads, dX = bmrnn_backward(p, group, None, trace, dH)
-        assert trace.merged.shape == (B, n, out_dim) and len(grads) == B
+        assert trace.merged.shape == (B, n, out_dim) and grads.flat.shape == (B, p.flat.size)
         for b, (story, sk) in enumerate(zip(stories, matrices)):
             want = network_oracle.forward(p, story, sk)
             npt.assert_array_equal(trace.fwd[:, b], want.fwd)
             npt.assert_array_equal(trace.bwd[:, b], want.bwd)
             npt.assert_array_equal(trace.merged[b], want.merged)
             want_grads, want_dX = network_oracle.backward(p, story, sk, want, dH[b])
-            for (name, g), (_, w) in zip(grads[b].named_tensors(), want_grads.named_tensors(),
+            for (name, g), (_, w) in zip(grads.named_tensors(), want_grads.named_tensors(),
                                          strict=True):
-                npt.assert_array_equal(g, w, err_msg=name)
+                npt.assert_array_equal(g[b], w, err_msg=name)
             npt.assert_array_equal(dX[b], want_dX)
             if not sk.pairs:
                 # the per-step GRU oracle: the same forward bits; its gradients
                 # are sums of per-step outer products, not GEMMs
                 npt.assert_array_equal(trace.merged[b], plain_bigru(p, story.x))
                 gru_grads, gru_dX = plain_bigru_grads(p, story.x, dH[b])
-                for name, g in list(grads[b].named_tensors()) + [("dX", dX[b])]:
+                for name, g in [(k, t[b]) for k, t in grads.named_tensors()] + [("dX", dX[b])]:
                     w = gru_dX if name == "dX" else gru_grads.get(name, np.zeros_like(g))
                     npt.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.max(np.abs(w)),
                                         err_msg=name)
+
+    def test_group_gradients_are_views_of_one_buffer_with_the_models_dimensions(self):
+        B, n = 3, 4
+        p = init_bmrnn_params(2, 3, 5, SeededRng(0))
+        rng = np.random.default_rng(0)
+        group = StoryGroup.of([StoryStream(story_id=f"s{b}", x=rng.normal(size=(n, 2)))
+                               for b in range(B)], [SkipMatrix(n=n, pairs=((0, 2),))] * B)
+        grads, _ = bmrnn_backward(p, group, None, bmrnn_forward(p, group),
+                                  rng.normal(size=(B, n, 5)))
+        assert (grads.input_dim, grads.hidden_dim, grads.output_dim) == (2, 3, 5)
+        assert grads.layout() == p.layout()
+        assert grads.flat.shape == (B, p.flat.size)
+        grads.flat[:] = np.arange(grads.flat.size).reshape(B, -1)
+        start = 0
+        for (name, g), (_, t) in zip(grads.named_tensors(), p.named_tensors(), strict=True):
+            assert g.shape == (B, *t.shape) and np.shares_memory(g, grads.flat), name
+            npt.assert_array_equal(g.reshape(B, -1), grads.flat[:, start : start + t.size])
+            start += t.size
+        assert start == p.flat.size
+
+    def test_a_group_builds_no_per_story_objects(self, monkeypatch):
+        made = {"SkipMatrix": 0, "BMRNNParams": 0}
+        for cls, method in ((SkipMatrix, "__post_init__"), (BMRNNParams, "_bind")):
+            def counted(self, *args, _fn=getattr(cls, method), _name=cls.__name__):
+                made[_name] += 1
+                return _fn(self, *args)
+            monkeypatch.setattr(cls, method, counted)
+        rng = np.random.default_rng(1)
+        n, B = 6, 5
+        p = init_bmrnn_params(3, 4, 2, SeededRng(1))
+        stories = [StoryStream(story_id=f"s{b}", x=rng.normal(size=(n, 3))) for b in range(B)]
+        sk = SkipMatrix(n=n, pairs=((0, 3), (1, 5), (3, 4)))
+        matrices = [sk, SkipMatrix(n=n, pairs=()), sk, SkipMatrix(n=n, pairs=((2, 5),)), sk]
+        made.update(SkipMatrix=0, BMRNNParams=0)
+        [(_, group)] = story_groups(stories, matrices)
+        trace = bmrnn_forward(p, group)
+        bmrnn_backward(p, group, None, trace, np.ones((B, n, 2)))
+        # one gradient object for the group, and no skip matrix at all
+        assert made == {"SkipMatrix": 0, "BMRNNParams": 1}
 
     def test_a_story_of_another_length_is_rejected(self):
         stories = [StoryStream(story_id=f"s{n}", x=np.zeros((n, 2))) for n in (3, 4)]
@@ -520,6 +560,11 @@ class TestStoryStream:
     def test_empty_story_rejected(self):
         with pytest.raises(DataError):
             StoryStream(story_id="s", x=[])
+
+    @pytest.mark.parametrize("x", [np.zeros(3), [1.0, 2.0], np.zeros((2, 3, 4))])
+    def test_steps_of_wrong_rank_rejected(self, x):
+        with pytest.raises(ShapeMismatchError, match="story_stream"):
+            StoryStream(story_id="s", x=x)
 
     def test_mixed_dims_rejected(self):
         with pytest.raises(ShapeMismatchError):

@@ -489,13 +489,14 @@ class TestGradCheck:
         neg_v = SentenceSequence("neg", [-10.0 * h for h in merged])
         neg_h = [[np.zeros(3) for _ in merged]]
         ccfg = CompatibilityConfig(negatives_per_positive=1)
-        [(result, grads, d_inputs)] = story_loss_and_grads(
+        [(result, grad, d_inputs)] = story_loss_and_grads(
             params, [rec.story], [skip.matrix()], [(sentences, [neg_v], neg_h, skip.partition())],
             ccfg,
         )
         assert result.loss == 0.0
         assert result.active_v_hinges == 0 and result.active_h_hinges == 0
-        for _, g in grads.named_tensors():
+        assert grad.shape == params.flat.shape
+        for _, g in params.with_flat(grad).named_tensors():
             assert np.linalg.norm(g) == 0.0
         for dx in d_inputs:
             assert np.linalg.norm(dx) == 0.0
