@@ -20,7 +20,7 @@ retrieval cannot shortcut on visible steps alone.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -86,7 +86,7 @@ _SKIP_FIELDS = {
 _FILE_KEYS = ("feature_file", "embedding_file", "sentence_file")
 _MANIFEST_FIELDS = {
     "story_id": _STRING,
-    "n": (lambda v: type(v) is int, "an integer"),
+    "n": (lambda v: type(v) is int and v >= 1, "a positive integer"),
     "split": (lambda v: v in ("train", "val", "test"), "train, val or test"),
     **dict.fromkeys(_FILE_KEYS, _STRING),
 }
@@ -137,14 +137,8 @@ class StoryRecord:
 class Dataset:
     records: list[StoryRecord]
 
-    def __post_init__(self):
-        self.by_id = {r.story_id: r for r in self.records}
-
     def split(self, name: str) -> list[StoryRecord]:
         return [r for r in self.records if r.split == name]
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 @dataclass
@@ -165,7 +159,7 @@ class SkipRecord:
         return SkipMatrix(n=self.n, pairs=tuple(self.pairs))
 
     def partition(self) -> SubStoryPartition:
-        return SubStoryPartition.from_clusters(self.clusters)
+        return SubStoryPartition(groups=self.clusters)
 
     def to_json_dict(self) -> dict:
         d = {

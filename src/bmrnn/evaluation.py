@@ -24,6 +24,8 @@ __all__ = [
     "evaluate",
 ]
 
+RECALL_KS = (1, 5, 10)
+
 
 @dataclass
 class RetrievalReport:
@@ -66,14 +68,12 @@ def rank_of_truth(scores: dict[str, float], truth_id: str) -> int:
     return rank
 
 
-def summarize_ranks(
-    per_story_ranks: list[tuple[str, int]], pool_size: int, ks=(1, 5, 10)
-) -> RetrievalReport:
+def summarize_ranks(per_story_ranks: list[tuple[str, int]], pool_size: int) -> RetrievalReport:
     """Recall@K percentages and the median rank (mean of middles when even)."""
     if not per_story_ranks:
         raise DataError("cannot summarize an empty rank list")
     ranks = [r for _, r in per_story_ranks]
-    recall_at = {k: 100.0 * sum(r <= k for r in ranks) / len(ranks) for k in ks}
+    recall_at = {k: 100.0 * sum(r <= k for r in ranks) / len(ranks) for k in RECALL_KS}
     return RetrievalReport(
         recall_at=recall_at,
         median_rank=float(statistics.median(ranks)),
@@ -88,7 +88,6 @@ def evaluate(
     skips_by_id: dict[str, SkipRecord],
     ccfg: CompatibilityConfig,
     pool: list[SentenceSequence] | None = None,
-    ks=(1, 5, 10),
 ) -> RetrievalReport:
     """Score every story against the pool (default: the records' own
     sentence sequences) and summarize retrieval quality."""
@@ -107,4 +106,4 @@ def evaluate(
         partition = skips_by_id[rec.story_id].partition()
         scores = compatibility(h_seq, candidates, partition, ccfg).tolist()
         per_story_ranks.append((rec.story_id, rank_of_truth(dict(zip(ids, scores)), rec.story_id)))
-    return summarize_ranks(per_story_ranks, pool_size=len(pool), ks=ks)
+    return summarize_ranks(per_story_ranks, pool_size=len(pool))

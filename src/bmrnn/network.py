@@ -58,7 +58,6 @@ __all__ = [
 
 MODEL_MAGIC = b"BMRN"
 MODEL_VERSION = 1
-GROUP_STORIES = 32     # stories per sweep: a sind-short h' refresh holds 32 x 5 steps
 
 
 def bmrnn_layout(input_dim: int, hidden_dim: int, output_dim: int):
@@ -230,14 +229,13 @@ def init_bmrnn_params(
 
 
 def story_groups(stories: list[StoryStream], skip_matrices: list[SkipMatrix]):
-    """[(positions, group)]: the stories in ``StoryGroup``s of one length and
-    at most ``GROUP_STORIES`` stories, with their positions in the input."""
+    """[(positions, group)]: the stories in one ``StoryGroup`` per length,
+    with their positions in the input."""
     by_length: dict[int, list[int]] = {}
     for i, story in enumerate(stories):
         by_length.setdefault(story.N, []).append(i)
     return [(pos, StoryGroup.of([stories[i] for i in pos], [skip_matrices[i] for i in pos]))
-            for same in by_length.values()
-            for pos in (same[k : k + GROUP_STORIES] for k in range(0, len(same), GROUP_STORIES))]
+            for pos in by_length.values()]
 
 
 def ungroup(groups, per_group) -> list:

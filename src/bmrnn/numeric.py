@@ -123,14 +123,9 @@ class SeededRng:
         return SeededRng((self.seed * 0x9E3779B97F4A7C15 + offset) % (1 << 63))
 
 
-def init_params(rows: int, cols: int, rng: SeededRng, scale: float | None = None) -> Array:
-    """Weight matrix with entries uniform in [-scale, +scale].
-
-    Default scale is 1/sqrt(cols), i.e. scaled by fan-in.
-    """
-    if scale is None:
-        scale = 1.0 / np.sqrt(cols)
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
+def init_params(rows: int, cols: int, rng: SeededRng) -> Array:
+    """Weight matrix with entries uniform in [-1/sqrt(cols), +1/sqrt(cols)],
+    i.e. scaled by fan-in."""
+    scale = 1.0 / np.sqrt(cols)
     return rng.uniform(-scale, scale, (rows, cols))
 

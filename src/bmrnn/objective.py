@@ -74,11 +74,6 @@ class SubStoryPartition:
         for members in cleaned:
             self._local[np.ix_(members, members)] = 1.0 / len(members)
 
-    @classmethod
-    def from_clusters(cls, clusters: list[list[int]]) -> "SubStoryPartition":
-        """Build from skip-detection clusters (singletons included)."""
-        return cls(groups=[list(c) for c in clusters])
-
     def kernel(self, L: int, cfg: "CompatibilityConfig") -> np.ndarray:
         """K = alpha I + (1 - alpha) M over the first L steps, read-only.
 

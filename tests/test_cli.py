@@ -247,6 +247,8 @@ class TestDataErrors:
         ("manifest.jsonl", lambda d: "[1]"),
         ("manifest.jsonl", lambda d: json.dumps({**d, "embedding_file": 5})),
         ("manifest.jsonl", lambda d: json.dumps({**d, "n": str(d["n"])})),
+        ("manifest.jsonl", lambda d: json.dumps({**d, "n": 0})),
+        ("manifest.jsonl", lambda d: json.dumps({**d, "n": -1})),
         ("skips.jsonl", lambda d: "5"),
         ("skips.jsonl", lambda d: "[1]"),
         ("skips.jsonl", lambda d: json.dumps({**d, "clusters": 5})),
@@ -254,8 +256,9 @@ class TestDataErrors:
         ("skips.jsonl", lambda d: json.dumps({**d, "skips": [[0, 1, 2]]})),
         ("skips.jsonl", lambda d: json.dumps({**d, "clusters": d["clusters"] + [[]]})),
     ], ids=["manifest-int", "manifest-list", "manifest-embedding_file-int",
-            "manifest-n-string", "skips-int", "skips-list", "skips-clusters-int",
-            "skips-member-string", "skips-triple", "skips-empty-cluster"])
+            "manifest-n-string", "manifest-n-zero", "manifest-n-negative", "skips-int",
+            "skips-list", "skips-clusters-int", "skips-member-string", "skips-triple",
+            "skips-empty-cluster"])
     def test_wrongly_typed_line_names_file_and_line(self, tmp_path, capsys, target, edit):
         corpus = make_corpus(tmp_path, stories=6)
         detect(tmp_path, corpus)

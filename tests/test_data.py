@@ -10,7 +10,6 @@ import pytest
 
 from bmrnn.data import (
     BMT1_MAGIC,
-    Dataset,
     SkipRecord,
     SynthConfig,
     generate_synthetic,
@@ -325,9 +324,8 @@ class TestCorpusIO:
     def test_round_trip(self, tmp_path):
         corpus, manifest = self.small_corpus(tmp_path)
         ds = load_manifest(manifest)
-        assert len(ds) == len(corpus.records)
-        for orig in corpus.records:
-            back = ds.by_id[orig.story_id]
+        assert [r.story_id for r in ds.records] == [r.story_id for r in corpus.records]
+        for orig, back in zip(corpus.records, ds.records):
             assert back.split == orig.split
             assert back.N == orig.N
             npt.assert_array_equal(

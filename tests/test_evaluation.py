@@ -55,11 +55,6 @@ class TestSummarize:
         report = summarize_ranks(ranks, pool_size=30)
         assert report.recall_at[1] <= report.recall_at[5] <= report.recall_at[10]
 
-    def test_custom_ks(self):
-        report = summarize_ranks([("a", 2)], pool_size=5, ks=(2,))
-        assert report.recall_at == {2: 100.0}
-        assert "recall_at_2" in report.to_json_dict()
-
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             summarize_ranks([], pool_size=3)

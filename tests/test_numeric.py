@@ -68,12 +68,8 @@ class TestInitParams:
         npt.assert_allclose(m.mean(), -0.0009397966486783469, atol=1e-15)
         assert abs(m.mean()) < 0.02
 
-    def test_rejects_nonpositive_scale(self):
-        with pytest.raises(ValueError):
-            init_params(2, 2, SeededRng(0), scale=0.0)
-
     def test_all_finite(self):
-        assert np.all(np.isfinite(init_params(20, 30, SeededRng(11), scale=5.0)))
+        assert np.all(np.isfinite(init_params(20, 30, SeededRng(11))))
 
 
 class TestSeededRng:

@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import objective_oracle
+from bmrnn.data import SkipRecord
 from bmrnn.errors import ConfigError, DataError, ShapeMismatchError
 from bmrnn.evaluation import rank_of_truth
 from bmrnn.numeric import SeededRng
@@ -30,7 +31,7 @@ def vecs(rows):
 
 class TestPartition:
     def test_from_clusters_keeps_singletons(self):
-        p = SubStoryPartition.from_clusters([[0, 3], [1, 4], [2]])
+        p = SkipRecord("s", clusters=[[0, 3], [1, 4], [2]], pairs=[], converged=True).partition()
         assert p.groups == [[0, 3], [1, 4], [2]]
 
     def test_overlap_rejected(self):
