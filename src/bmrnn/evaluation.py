@@ -104,6 +104,6 @@ def evaluate(
     per_story_ranks: list[tuple[str, int]] = []
     for rec, h_seq in zip(records, merged):
         partition = skips_by_id[rec.story_id].partition()
-        scores = compatibility(h_seq, candidates, partition, ccfg).tolist()
+        scores = compatibility(SequenceStack.of([h_seq]), candidates, partition, ccfg).tolist()
         per_story_ranks.append((rec.story_id, rank_of_truth(dict(zip(ids, scores)), rec.story_id)))
     return summarize_ranks(per_story_ranks, pool_size=len(pool))

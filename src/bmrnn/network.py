@@ -208,7 +208,7 @@ class ForwardTrace(NamedTuple):
     """Everything the backward pass needs.  ``fwd`` and ``bwd`` are each
     direction's (5, B, N, H) sweep trace: rows z, r, s, h~ and h of every step
     (s is zero on a step without a skip ancestor); ``merged`` is the (B, N, D)
-    output.  One story's trace has no B axis."""
+    output."""
 
     fwd: np.ndarray
     bwd: np.ndarray
@@ -280,44 +280,28 @@ def _sweep_backward(cell, grads, X, anc, order, T, dh, dX) -> None:
     dX += sgru_param_grads(cell, grads, X, H_prev, T[1], H_skip, T[2], dA)
 
 
-def bmrnn_forward(params: BMRNNParams, stories, skips: SkipMatrix | None = None) -> ForwardTrace:
+def bmrnn_forward(params: BMRNNParams, group: StoryGroup) -> ForwardTrace:
     """Run both directional passes over a ``StoryGroup`` and merge their
-    hidden sequences.  One ``StoryStream`` with its ``SkipMatrix`` is a
-    group of one, whose trace comes back without the group axis.
+    hidden sequences.
 
     The forward pass walks t = 0..N-1 with skip ancestors p < t; the
     backward pass walks t = N-1..0 with the transposed skips, so its
     "previous" state at step t is that of step t+1.
     """
-    group = stories if skips is None else StoryGroup.of([stories], [skips])
     n = group.N
     fwd = _sweep(params.fwd, group.x, group.skips[0], range(n))
     bwd = _sweep(params.bwd, group.x, group.skips[1], range(n - 1, -1, -1))
     # one matrix-vector product per step, not one GEMM: the reduction to a
     # plain bidirectional GRU is compared bit for bit, and a GEMM rounds differently
     merged = matvecs(params.merge_f, fwd[4]) + matvecs(params.merge_b, bwd[4]) + params.b_merge
-    return ForwardTrace(fwd, bwd, merged) if skips is None else ForwardTrace(
-        fwd[:, 0], bwd[:, 0], merged[0])
+    return ForwardTrace(fwd, bwd, merged)
 
 
-def bmrnn_backward(
-    params: BMRNNParams,
-    stories,
-    skips: SkipMatrix | None,
-    trace: ForwardTrace,
-    dH: np.ndarray,
-):
-    """Backpropagate dL/dH, one row per merged output, back to params and x.
-
-    ``stories`` and ``skips`` are as in ``bmrnn_forward``.  Returns a group's
-    gradients, shaped like params with the B axis first (one (B, P) buffer),
-    and its (B, N, input_dim) dL/dx, or one story's gradient and
-    (N, input_dim) dL/dx.
+def bmrnn_backward(params: BMRNNParams, group: StoryGroup, trace: ForwardTrace, dH: np.ndarray):
+    """Backpropagate a group's (B, N, D) dL/dH, one row per merged output,
+    back to params and x.  Returns the gradients, shaped like params with
+    the B axis first (one (B, P) buffer), and the (B, N, input_dim) dL/dx.
     """
-    dH, group = np.asarray(dH, dtype=float), stories
-    if skips is not None:
-        group, dH = StoryGroup.of([stories], [skips]), dH[None]
-        trace = ForwardTrace(trace.fwd[:, None], trace.bwd[:, None], trace.merged[None])
     B, n = group.skips.shape[1:]
     if dH.shape[:2] != (B, n):
         raise ShapeMismatchError("bmrnn_backward", dH.shape[:2], (B, n))
@@ -332,7 +316,7 @@ def bmrnn_backward(
                     trace.fwd, dH @ params.merge_f, dX)
     _sweep_backward(params.bwd, grads.bwd, group.x, group.skips[1],
                     range(n - 1, -1, -1), trace.bwd, dH @ params.merge_b, dX)
-    return (grads, dX) if skips is None else (params.with_flat(grads.flat[0]), dX[0])
+    return grads, dX
 
 
 # ---------------------------------------------------------------------------

@@ -168,12 +168,9 @@ class SequenceStack:
         return SequenceStack(padded, np.minimum(self.lengths[idx], padded.shape[1]))
 
 
-def _prefix_groups(H, V, partition: SubStoryPartition, cfg):
-    """Whether either side is a stack, the pair count, H as a stack, and per
-    common-prefix length L its pairs' indices, H rows and K_L V.  A single
-    sequence is a stack of one, which broadcasts against the other side."""
-    stacked = isinstance(H, SequenceStack) or isinstance(V, SequenceStack)
-    H, V = (s if isinstance(s, SequenceStack) else SequenceStack.of([s]) for s in (H, V))
+def _prefix_groups(H: SequenceStack, V: SequenceStack, partition: SubStoryPartition, cfg):
+    """The pair count and, per common-prefix length L, its pairs' indices,
+    H rows and K_L V.  A stack of one broadcasts against the other side."""
     if H.padded.shape[2:] != V.padded.shape[2:]:
         raise ShapeMismatchError("compatibility", H.padded.shape[2:], V.padded.shape[2:])
     # mismatched lengths (negatives usually differ) score the common prefix;
@@ -189,29 +186,31 @@ def _prefix_groups(H, V, partition: SubStoryPartition, cfg):
         # one (L, D) block per pair keeps the bits of its own K @ V; padding
         # the blocks to one length would not
         groups.append((idx, H_g, partition.kernel(L, cfg) @ V_g))
-    return stacked, len(prefix), H, groups
+    return len(prefix), groups
 
 
-def compatibility(H, V, partition: SubStoryPartition, cfg: CompatibilityConfig):
+def compatibility(H: SequenceStack, V: SequenceStack, partition: SubStoryPartition,
+                  cfg: CompatibilityConfig) -> np.ndarray:
     """c(H, V) = sum_{a,b<L} K_ab <H_a, V_b> over the common prefix L: the
-    alpha-weighted global term plus the per-sub-story local term.  With a
-    SequenceStack on either side, one score per pair, as a (C,) array."""
-    stacked, count, _, groups = _prefix_groups(H, V, partition, cfg)
+    alpha-weighted global term plus the per-sub-story local term, one score
+    per pair, as a (C,) array."""
+    count, groups = _prefix_groups(H, V, partition, cfg)
     scores = np.empty(count)
     for idx, H_rows, KV in groups:
         n = KV.shape[1] * KV.shape[2]     # (1, n) @ (n, 1) is the dot product np.vdot takes
         scores[idx] = (H_rows.reshape(-1, 1, n) @ KV.reshape(-1, n, 1))[:, 0, 0]
-    return scores if stacked else float(scores[0])
+    return scores
 
 
-def compatibility_grad(H, V, partition: SubStoryPartition, cfg: CompatibilityConfig):
-    """d compatibility / dH, shaped like H: K V over the prefix, zero beyond;
-    with a stack on either side, a (C, N, D) array of them."""
-    stacked, count, H_stack, groups = _prefix_groups(H, V, partition, cfg)
-    grad = np.zeros((count, *H_stack.padded.shape[1:]))
+def compatibility_grad(H: SequenceStack, V: SequenceStack, partition: SubStoryPartition,
+                       cfg: CompatibilityConfig) -> np.ndarray:
+    """d compatibility / dH of each pair, as a (C, N, D) array shaped like
+    H's padded rows: K V over the prefix, zero beyond."""
+    count, groups = _prefix_groups(H, V, partition, cfg)
+    grad = np.zeros((count, *H.padded.shape[1:]))
     for idx, _, KV in groups:
         grad[idx, : KV.shape[1]] = KV
-    return grad if stacked else grad[0]
+    return grad
 
 
 @dataclass
@@ -225,8 +224,8 @@ class LossResult:
 def contrastive_loss(
     H: np.ndarray,
     V: SentenceSequence,
-    negatives_V: list[SentenceSequence] | SequenceStack,
-    negatives_H: list[np.ndarray] | SequenceStack,
+    negatives_V: SequenceStack,
+    negatives_H: SequenceStack,
     partition: SubStoryPartition,
     cfg: CompatibilityConfig,
 ) -> LossResult:
@@ -244,8 +243,6 @@ def contrastive_loss(
             raise ConfigError(
                 f"expected {cfg.negatives_per_positive} {side} negatives, got {len(negatives)}"
             )
-    neg_V, neg_H = (n if isinstance(n, SequenceStack) else SequenceStack.of(n)
-                    for n in (negatives_V, negatives_H))
     H, V = SequenceStack.of([H]), SequenceStack.of([V])    # stacked once for all five calls
 
     base = compatibility(H, V, partition, cfg)[0]
@@ -253,14 +250,14 @@ def contrastive_loss(
     # grouped so an equal-scoring negative cancels exactly (hinge == gamma);
     # the sub-story structure lives on the positive pair's timeline, so
     # c(H', V) reuses the same partition over the common prefix
-    hinge_v = cfg.gamma + (compatibility(H, neg_V, partition, cfg) - base)
-    hinge_h = cfg.gamma + (compatibility(neg_H, V, partition, cfg) - base)
+    hinge_v = cfg.gamma + (compatibility(H, negatives_V, partition, cfg) - base)
+    hinge_h = cfg.gamma + (compatibility(negatives_H, V, partition, cfg) - base)
     active_v, active_h = np.flatnonzero(hinge_v > 0.0), np.flatnonzero(hinge_h > 0.0)
 
     # both sums add one term at a time to zero, in draw order, as accumulate
     # does; sum() and add.reduce may pair terms up (along one-element rows)
     terms = np.concatenate(([0.0], hinge_v[active_v], hinge_h[active_h]))
-    steps = compatibility_grad(H, neg_V.take(active_v), partition, cfg) - base_grad
+    steps = compatibility_grad(H, negatives_V.take(active_v), partition, cfg) - base_grad
     dH = np.add.accumulate(np.concatenate((np.zeros((1, *base_grad.shape)), steps)))[-1]
     dH -= len(active_h) * base_grad
     return LossResult(float(np.add.accumulate(terms)[-1]), dH, len(active_v), len(active_h))

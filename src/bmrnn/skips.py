@@ -68,7 +68,7 @@ class ClusterStack:
 
 @dataclass
 class SkipMatrix:
-    """Sparse skip structure: pairs (ancestor, descendant).
+    """Sparse skip structure: pairs (ancestor, descendant), ancestor first in time.
 
     The descendant additionally reads the ancestor's state in the forward
     sweep; the backward sweep reads each edge the other way, so there the
@@ -89,8 +89,8 @@ class SkipMatrix:
         for a, d in self.pairs:
             if not (0 <= a < self.n and 0 <= d < self.n):
                 raise DataError(f"skip pair ({a}, {d}) out of range for length {self.n}")
-            if a == d:
-                raise DataError(f"skip pair ({a}, {d}) is a self-loop")
+            if a >= d:   # step d reads the state of a, which the forward sweep writes first
+                raise DataError(f"skip pair ({a}, {d}) does not point forward in time")
             if self.ancestors[d] >= 0:
                 raise DataError(f"step {d} has more than one skip ancestor")
             if self.descendants[a] >= 0:

@@ -25,6 +25,7 @@ from .evaluation import evaluate
 from .network import (
     FLOAT32_MAX,
     BMRNNParams,
+    StoryGroup,
     StoryStream,
     bmrnn_backward,
     bmrnn_forward,
@@ -240,7 +241,7 @@ def story_loss_and_grads(
         results.append(contrastive_loss(merged, *target, ccfg))
         if not np.isfinite(results[i].loss):
             raise DivergenceError(stories[i].story_id, epoch, step + i)
-    backward = [bmrnn_backward(params, group, None, trace, np.stack([results[i].dH for i in pos]))
+    backward = [bmrnn_backward(params, group, trace, np.stack([results[i].dH for i in pos]))
                 for (pos, group), trace in zip(groups, traces)]
     return list(zip(results, ungroup(groups, [grads.flat for grads, _ in backward]),
                     ungroup(groups, [dX for _, dX in backward])))
@@ -447,11 +448,8 @@ def _random_check_instance(rng: SeededRng):
     story = StoryStream(story_id="story", x=rng.normal(shape=(n, input_dim)))
     sentences = SentenceSequence(story_id="story", v=0.3 * rng.normal(shape=(n, out_dim)))
     ccfg = CompatibilityConfig(gamma=1.0, negatives_per_positive=2)
-    neg_V = [
-        SentenceSequence(story_id=f"neg{i}", v=0.3 * rng.normal(shape=(n, out_dim)))
-        for i in range(2)
-    ]
-    neg_H = [0.3 * rng.normal(shape=(n, out_dim)) for _ in range(2)]
+    neg_V = SequenceStack.of([0.3 * rng.normal(shape=(n, out_dim)) for _ in range(2)])
+    neg_H = SequenceStack.of([0.3 * rng.normal(shape=(n, out_dim)) for _ in range(2)])
     return params, story, sentences, skip_matrix, partition, neg_V, neg_H, ccfg
 
 
@@ -477,9 +475,9 @@ def grad_check(
         grads = params.with_flat(grad)
 
         def loss_at() -> float:
-            trace = bmrnn_forward(params, story, skip_matrix)
+            trace = bmrnn_forward(params, StoryGroup.of([story], [skip_matrix]))
             return contrastive_loss(
-                trace.merged, sentences, neg_V, neg_H, partition, ccfg
+                trace.merged[0], sentences, neg_V, neg_H, partition, ccfg
             ).loss
 
         analytic_by_name = dict(grads.named_tensors(), inputs=d_inputs)

@@ -11,7 +11,6 @@ import numpy as np
 
 from bmrnn.cells import StepTrace, _sigmoid, sgru_inputs, sgru_param_grads
 from bmrnn.network import ForwardTrace
-from bmrnn.skips import SkipMatrix
 
 
 def step_forward(params, xp_t, h_prev, h_skip=None):
@@ -55,20 +54,18 @@ def step_backward(params, h_prev, h_skip, trace, dh_t):
     return np.stack([da_z, da_r, da_h, da_s]), dh_prev, dh_skip
 
 
-def _ancestors(skips):
-    return {d: a for a, d in skips.pairs}
+def ancestor_maps(skips):
+    """{step: the step whose state it reads} of each sweep: the forward sweep
+    lets step t read step p for each pair (p, t), and the backward sweep,
+    which computes t first, lets p read t."""
+    return {t: p for p, t in skips.pairs}, {p: t for p, t in skips.pairs}
 
 
-def transposed(skips):
-    """Every edge reversed: the backward sweep lets step p read the state of
-    step t for each pair (p, t), which that sweep computes first."""
-    return SkipMatrix(n=skips.n, pairs=tuple((t, p) for p, t in skips.pairs))
-
-
-def sweep(cell, x, skips, order):
-    """One directional pass over one story, as a (5, N, H) trace."""
+def sweep(cell, x, anc, order):
+    """One directional pass over one story, with the ancestor map ``anc``,
+    as a (5, N, H) trace."""
     T = np.zeros((5, len(x), cell.hidden_dim))
-    xp, anc = sgru_inputs(cell, x), _ancestors(skips)
+    xp = sgru_inputs(cell, x)
     h_prev = zero = np.zeros(cell.hidden_dim)
     for t in order:
         p = anc.get(t)
@@ -78,9 +75,9 @@ def sweep(cell, x, skips, order):
     return T
 
 
-def sweep_backward(cell, grads, x, skips, order, T, dh, dX):
+def sweep_backward(cell, grads, x, anc, order, T, dh, dX):
     """BPTT through one ``sweep`` trace, adding into ``grads`` and ``dX``."""
-    n, hidden, anc = len(x), cell.hidden_dim, _ancestors(skips)
+    n, hidden = len(x), cell.hidden_dim
     H_prev, H_skip = np.zeros((2, n, hidden))
     H_prev[order[1:]] = T[4, order[:-1]]
     for d, a in anc.items():
@@ -97,9 +94,9 @@ def sweep_backward(cell, grads, x, skips, order, T, dh, dX):
 
 
 def forward(params, story, skips) -> ForwardTrace:
-    n = story.N
-    fwd = sweep(params.fwd, story.x, skips, range(n))
-    bwd = sweep(params.bwd, story.x, transposed(skips), range(n - 1, -1, -1))
+    n, (anc_f, anc_b) = story.N, ancestor_maps(skips)
+    fwd = sweep(params.fwd, story.x, anc_f, range(n))
+    bwd = sweep(params.bwd, story.x, anc_b, range(n - 1, -1, -1))
     merged = np.stack([params.merge_f @ fwd[4, t] + params.merge_b @ bwd[4, t] + params.b_merge
                        for t in range(n)])
     return ForwardTrace(fwd, bwd, merged)
@@ -107,13 +104,13 @@ def forward(params, story, skips) -> ForwardTrace:
 
 def backward(params, story, skips, trace, dH):
     """(gradients shaped like params, dL/dX) of one story."""
-    n = story.N
+    n, (anc_f, anc_b) = story.N, ancestor_maps(skips)
     grads, dX = params.zeros_like(), np.zeros_like(story.x)
     grads.merge_f += dH.T @ trace.fwd[4]
     grads.merge_b += dH.T @ trace.bwd[4]
     grads.b_merge += dH.sum(axis=0)
-    sweep_backward(params.fwd, grads.fwd, story.x, skips, range(n), trace.fwd,
+    sweep_backward(params.fwd, grads.fwd, story.x, anc_f, range(n), trace.fwd,
                    dH @ params.merge_f, dX)
-    sweep_backward(params.bwd, grads.bwd, story.x, transposed(skips),
+    sweep_backward(params.bwd, grads.bwd, story.x, anc_b,
                    range(n - 1, -1, -1), trace.bwd, dH @ params.merge_b, dX)
     return grads, dX

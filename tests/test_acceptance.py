@@ -20,6 +20,7 @@ from bmrnn.cli import run
 from bmrnn.data import SkipRecord, SynthConfig, generate_synthetic
 from bmrnn.evaluation import evaluate, rank_of_truth, summarize_ranks
 from bmrnn.network import (
+    StoryGroup,
     StoryStream,
     bmrnn_forward,
     init_bmrnn_params,
@@ -46,7 +47,8 @@ def test_1_reduction_equivalence():
         xs = [rng.normal(size=input_dim) for _ in range(n)]
         story = StoryStream(story_id=f"s{trial}", x=xs)
 
-        merged = bmrnn_forward(params, story, SkipMatrix(n=n, pairs=())).merged
+        merged = bmrnn_forward(
+            params, StoryGroup.of([story], [SkipMatrix(n=n, pairs=())])).merged[0]
 
         # oracle: run the underlying gated cells directly, no skip wiring
         h = np.zeros(hidden)

@@ -61,8 +61,9 @@ def test_each_sweep_calls_the_cell_once_per_step(monkeypatch):
     rng = np.random.default_rng(0)
     story = StoryStream(story_id="s", x=rng.normal(size=(n, 3)))
     sk = SkipMatrix(n=n, pairs=((0, 3), (1, 5), (3, 6)))
-    trace = bmrnn_forward(p, story, sk)
-    bmrnn_backward(p, story, sk, trace, np.ones((n, 2)))
+    group = StoryGroup.of([story], [sk])
+    trace = bmrnn_forward(p, group)
+    bmrnn_backward(p, group, trace, np.ones((1, n, 2)))
     assert calls == {"sgru_forward": 2 * n, "sgru_backward": 2 * n}
 
     # a group of B stories of length n steps them together: still 2n calls each way
@@ -70,7 +71,7 @@ def test_each_sweep_calls_the_cell_once_per_step(monkeypatch):
     stories = [StoryStream(story_id=f"s{b}", x=rng.normal(size=(n, 3))) for b in range(5)]
     group = StoryGroup.of(stories, [sk, SkipMatrix(n=n, pairs=())] * 2 + [sk])
     trace = bmrnn_forward(p, group)
-    bmrnn_backward(p, group, None, trace, np.ones((5, n, 2)))
+    bmrnn_backward(p, group, trace, np.ones((5, n, 2)))
     assert calls == {"sgru_forward": 2 * n, "sgru_backward": 2 * n}
 
 

@@ -21,9 +21,9 @@ from bmrnn.data import (
     write_tensor,
 )
 from bmrnn.errors import ConfigError, DataError
-from bmrnn.network import bmrnn_backward, bmrnn_forward, init_bmrnn_params
+from bmrnn.network import StoryGroup, bmrnn_backward, bmrnn_forward, init_bmrnn_params
 from bmrnn.numeric import SeededRng
-from bmrnn.objective import CompatibilityConfig, contrastive_loss
+from bmrnn.objective import CompatibilityConfig, SequenceStack, contrastive_loss
 from bmrnn.skips import affinity_propagation, build_skip_matrix, similarity
 
 
@@ -354,14 +354,17 @@ class TestCorpusIO:
             assert_rows(a, rec.N, 16)
         params = init_bmrnn_params(16, 6, 16, SeededRng(0))
         skip = skips[rec.story_id]
-        trace = bmrnn_forward(params, rec.story, skip.matrix())
-        assert_rows(trace.merged, rec.N, 16)
-        neg_h = bmrnn_forward(params, other.story, skips[other.story_id].matrix()).merged
-        res = contrastive_loss(trace.merged, rec.sentences, [other.sentences], [neg_h],
-                               skip.partition(), CompatibilityConfig(negatives_per_positive=1))
+        group = StoryGroup.of([rec.story], [skip.matrix()])
+        trace = bmrnn_forward(params, group)
+        assert_rows(trace.merged[0], rec.N, 16)
+        neg_h = bmrnn_forward(
+            params, StoryGroup.of([other.story], [skips[other.story_id].matrix()])).merged[0]
+        res = contrastive_loss(trace.merged[0], rec.sentences, SequenceStack.of([other.sentences]),
+                               SequenceStack.of([neg_h]), skip.partition(),
+                               CompatibilityConfig(negatives_per_positive=1))
         assert_rows(res.dH, rec.N, 16)
-        _, dX = bmrnn_backward(params, rec.story, skip.matrix(), trace, res.dH)
-        assert_rows(dX, rec.N, 16)
+        _, dX = bmrnn_backward(params, group, trace, res.dH[None])
+        assert_rows(dX[0], rec.N, 16)
 
     def test_planted_skips_written(self, tmp_path):
         corpus, manifest = self.small_corpus(tmp_path)

@@ -10,7 +10,7 @@ import objective_oracle
 from bmrnn.data import SynthConfig, generate_synthetic
 from bmrnn.errors import DataError
 from bmrnn.evaluation import evaluate, rank_of_truth, summarize_ranks
-from bmrnn.network import bmrnn_forward, init_bmrnn_params
+from bmrnn.network import StoryGroup, bmrnn_forward, init_bmrnn_params
 from bmrnn.numeric import SeededRng
 from bmrnn.objective import CompatibilityConfig, SentenceSequence
 
@@ -168,7 +168,7 @@ def oracle_ranks(params, records, skips, ccfg, pool):
     ranks = []
     for rec in records:
         skip = skips[rec.story_id]
-        h_seq = bmrnn_forward(params, rec.story, skip.matrix()).merged
+        h_seq = bmrnn_forward(params, StoryGroup.of([rec.story], [skip.matrix()])).merged[0]
         scores = {c.story_id: objective_oracle.compatibility(h_seq, c, skip.partition(), ccfg)
                   for c in pool}
         ranks.append((rec.story_id, rank_of_truth(scores, rec.story_id)))

@@ -83,8 +83,9 @@ class TestForward:
         want = [0.7 * hf[t] + (-0.6) * hb[t] + 0.05 for t in range(3)]
 
         story = StoryStream(story_id="s", x=[np.array([v]) for v in xs])
-        trace = bmrnn_forward(scalar_net(), story, SkipMatrix(n=3, pairs=((0, 2),)))
-        got = [float(m[0]) for m in trace.merged]
+        sk = SkipMatrix(n=3, pairs=((0, 2),))
+        trace = bmrnn_forward(scalar_net(), StoryGroup.of([story], [sk]))
+        got = [float(m[0]) for m in trace.merged[0]]
         npt.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
     def test_single_step_story(self):
@@ -92,10 +93,10 @@ class TestForward:
         p = init_bmrnn_params(3, 4, 2, rng)
         x = np.array([0.3, -0.2, 0.9])
         story = StoryStream(story_id="s", x=[x])
-        trace = bmrnn_forward(p, story, SkipMatrix(n=1, pairs=()))
+        trace = bmrnn_forward(p, StoryGroup.of([story], [SkipMatrix(n=1, pairs=())]))
         hf = gru_forward(p.fwd.base, x, np.zeros(4)).h
         hb = gru_forward(p.bwd.base, x, np.zeros(4)).h
-        npt.assert_array_equal(trace.merged[0], p.merge_f @ hf + p.merge_b @ hb + p.b_merge)
+        npt.assert_array_equal(trace.merged[0, 0], p.merge_f @ hf + p.merge_b @ hb + p.b_merge)
 
     def test_all_zero_params(self):
         rng = SeededRng(3)
@@ -103,15 +104,15 @@ class TestForward:
         for _, t in p.named_tensors():
             t[:] = 0.0
         story = StoryStream(story_id="s", x=[np.ones(2), -np.ones(2)])
-        trace = bmrnn_forward(p, story, SkipMatrix(n=2, pairs=()))
-        for m in trace.merged:
+        trace = bmrnn_forward(p, StoryGroup.of([story], [SkipMatrix(n=2, pairs=())]))
+        for m in trace.merged[0]:
             npt.assert_array_equal(m, 0.0)
 
     def test_skip_length_mismatch(self):
         p = init_bmrnn_params(2, 3, 2, SeededRng(4))
         story = StoryStream(story_id="s", x=[np.zeros(2)] * 3)
         with pytest.raises(ShapeMismatchError):
-            bmrnn_forward(p, story, SkipMatrix(n=4, pairs=()))
+            bmrnn_forward(p, StoryGroup.of([story], [SkipMatrix(n=4, pairs=())]))
 
     @pytest.mark.parametrize("name", ["fwd.W_zx", "merge_f"])
     def test_tensor_with_too_few_dims_rejected(self, name):
@@ -130,9 +131,9 @@ class TestForward:
         nrng = np.random.default_rng(5)
         story = StoryStream(story_id="s", x=[nrng.normal(size=3) for _ in range(5)])
         sk = SkipMatrix(n=5, pairs=((1, 3),))
-        a = bmrnn_forward(p, story, sk)
-        b = bmrnn_forward(p, story, sk)
-        for u, v in zip(a.merged, b.merged):
+        a = bmrnn_forward(p, StoryGroup.of([story], [sk]))
+        b = bmrnn_forward(p, StoryGroup.of([story], [sk]))
+        for u, v in zip(a.merged[0], b.merged[0]):
             npt.assert_array_equal(u, v)
 
 
@@ -143,7 +144,7 @@ class TestReduction:
         p = init_bmrnn_params(3, 4, 2, rng)
         xs = [nrng.normal(size=3) for _ in range(6)]
         story = StoryStream(story_id="s", x=xs)
-        trace = bmrnn_forward(p, story, SkipMatrix(n=6, pairs=()))
+        trace = bmrnn_forward(p, StoryGroup.of([story], [SkipMatrix(n=6, pairs=())]))
 
         # plain bidirectional recurrence from the embedded base params
         hf, h = [], np.zeros(4)
@@ -156,7 +157,7 @@ class TestReduction:
             hb[t] = h
         for t in range(6):
             want = p.merge_f @ hf[t] + p.merge_b @ hb[t] + p.b_merge
-            npt.assert_array_equal(trace.merged[t], want)
+            npt.assert_array_equal(trace.merged[0, t], want)
 
 
 def plain_bigru(p, x):
@@ -190,22 +191,23 @@ class TestProperties:
         nrng = np.random.default_rng(seed)
         stream = StoryStream(story_id="s", x=nrng.normal(size=(n, in_dim)))
         sk = SkipMatrix(n=n, pairs=tuple(cluster_chains(clusters)))
-        trace = bmrnn_forward(p, stream, sk)
-        grads, dX = bmrnn_backward(p, stream, sk, trace, nrng.normal(size=(n, out_dim)))
-        assert trace.merged.shape == (n, out_dim) and dX.shape == (n, in_dim)
+        group = StoryGroup.of([stream], [sk])
+        trace = bmrnn_forward(p, group)
+        grads, dX = bmrnn_backward(p, group, trace, nrng.normal(size=(1, n, out_dim)))
+        assert trace.merged.shape == (1, n, out_dim) and dX.shape == (1, n, in_dim)
         for (name, g), (_, t) in zip(grads.named_tensors(), p.named_tensors(), strict=True):
-            assert g.shape == t.shape, name
+            assert g.shape == (1, *t.shape), name
         assert np.all(np.isfinite(grads.flat))
         assert np.all(np.isfinite(trace.merged)) and np.all(np.isfinite(dX))
-        free = bmrnn_forward(p, stream, SkipMatrix(n=n, pairs=())).merged
-        npt.assert_array_equal(free, plain_bigru(p, stream.x))
+        free = bmrnn_forward(p, StoryGroup.of([stream], [SkipMatrix(n=n, pairs=())])).merged
+        npt.assert_array_equal(free[0], plain_bigru(p, stream.x))
 
 
-def per_step_sweep(cell, x, skips, order):
-    """{step: StepTrace} of one direction, by a loop of the oracle's
-    one-row steps, which leave s None on a step without a skip ancestor."""
+def per_step_sweep(cell, x, anc, order):
+    """{step: StepTrace} of one direction with the ancestor map ``anc``, by a
+    loop of the oracle's one-row steps, which leave s None on a step without
+    a skip ancestor."""
     xp, h, steps = sgru_inputs(cell, x), np.zeros(cell.hidden_dim), {}
-    anc = {d: a for a, d in skips.pairs}
     for t in order:
         steps[t] = network_oracle.step_forward(
             cell, xp[t], h, steps[anc[t]].h if t in anc else None)
@@ -222,13 +224,14 @@ class TestSweepTrace:
         p = init_bmrnn_params(in_dim, hidden, 2, SeededRng(seed))
         x = np.random.default_rng(seed).normal(size=(n, in_dim))
         sk = SkipMatrix(n=n, pairs=tuple(cluster_chains(clusters)))
-        trace = bmrnn_forward(p, StoryStream(story_id="s", x=x), sk)
-        for T, cell, skips, order in ((trace.fwd, p.fwd, sk, range(n)),
-                                      (trace.bwd, p.bwd, network_oracle.transposed(sk),
-                                       range(n - 1, -1, -1))):
-            assert T.shape == (5, n, hidden)
-            for t, (z, r, s, h_tilde, h) in per_step_sweep(cell, x, skips, order).items():
-                has_skip = skips.ancestors[t] >= 0
+        trace = bmrnn_forward(p, StoryGroup.of([StoryStream(story_id="s", x=x)], [sk]))
+        anc_f, anc_b = network_oracle.ancestor_maps(sk)
+        for T, cell, anc, order in ((trace.fwd, p.fwd, anc_f, range(n)),
+                                    (trace.bwd, p.bwd, anc_b, range(n - 1, -1, -1))):
+            assert T.shape == (5, 1, n, hidden)
+            T = T[:, 0]
+            for t, (z, r, s, h_tilde, h) in per_step_sweep(cell, x, anc, order).items():
+                has_skip = t in anc
                 assert (s is not None) == has_skip
                 want = np.stack([z, r, s if has_skip else np.zeros(hidden), h_tilde, h])
                 npt.assert_array_equal(T[:, t], want)
@@ -264,7 +267,7 @@ class TestGroupSweep:
         group = StoryGroup.of(stories, matrices)
         trace = bmrnn_forward(p, group)
         dH = rng.normal(size=(B, n, out_dim))
-        grads, dX = bmrnn_backward(p, group, None, trace, dH)
+        grads, dX = bmrnn_backward(p, group, trace, dH)
         assert trace.merged.shape == (B, n, out_dim) and grads.flat.shape == (B, p.flat.size)
         for b, (story, sk) in enumerate(zip(stories, matrices)):
             want = network_oracle.forward(p, story, sk)
@@ -292,8 +295,7 @@ class TestGroupSweep:
         rng = np.random.default_rng(0)
         group = StoryGroup.of([StoryStream(story_id=f"s{b}", x=rng.normal(size=(n, 2)))
                                for b in range(B)], [SkipMatrix(n=n, pairs=((0, 2),))] * B)
-        grads, _ = bmrnn_backward(p, group, None, bmrnn_forward(p, group),
-                                  rng.normal(size=(B, n, 5)))
+        grads, _ = bmrnn_backward(p, group, bmrnn_forward(p, group), rng.normal(size=(B, n, 5)))
         assert (grads.input_dim, grads.hidden_dim, grads.output_dim) == (2, 3, 5)
         assert grads.layout() == p.layout()
         assert grads.flat.shape == (B, p.flat.size)
@@ -321,7 +323,7 @@ class TestGroupSweep:
         made.update(SkipMatrix=0, BMRNNParams=0)
         [(_, group)] = story_groups(stories, matrices)
         trace = bmrnn_forward(p, group)
-        bmrnn_backward(p, group, None, trace, np.ones((B, n, 2)))
+        bmrnn_backward(p, group, trace, np.ones((B, n, 2)))
         # one gradient object for the group, and no skip matrix at all
         assert made == {"SkipMatrix": 0, "BMRNNParams": 1}
 
@@ -339,7 +341,8 @@ class TestTimeReversal:
         n = 5
         xs = [nrng.normal(size=3) for _ in range(n)]
         sk = SkipMatrix(n=n, pairs=((0, 2), (1, 4)))
-        merged = bmrnn_forward(p, StoryStream(story_id="s", x=xs), sk).merged
+        story = StoryStream(story_id="s", x=xs)
+        merged = bmrnn_forward(p, StoryGroup.of([story], [sk])).merged[0]
 
         swapped = BMRNNParams(
             fwd=p.bwd, bwd=p.fwd, merge_f=p.merge_b, merge_b=p.merge_f, b_merge=p.b_merge
@@ -347,17 +350,19 @@ class TestTimeReversal:
         rev_sk = SkipMatrix(
             n=n, pairs=tuple((n - 1 - t, n - 1 - q) for q, t in sk.pairs)
         )
-        rev = bmrnn_forward(swapped, StoryStream(story_id="r", x=xs[::-1]), rev_sk).merged
+        rev = bmrnn_forward(swapped, StoryGroup.of([StoryStream(story_id="r", x=xs[::-1])],
+                                                   [rev_sk])).merged[0]
         for t in range(n):
             npt.assert_array_equal(rev[t], merged[n - 1 - t])
 
 
-def fd_network_grads(p, story, sk, eps=1e-5):
-    """Central differences of sum_t ||h_t||^2 for every parameter entry."""
+def fd_network_grads(p, group, eps=1e-5):
+    """Central differences of sum_t ||h_t||^2 of a group of one story, for
+    every parameter entry."""
 
     def loss(params):
-        tr = bmrnn_forward(params, story, sk)
-        return float(sum(np.dot(m, m) for m in tr.merged))
+        tr = bmrnn_forward(params, group)
+        return float(sum(np.dot(m, m) for m in tr.merged[0]))
 
     out = {}
     for name, _ in p.named_tensors():
@@ -388,31 +393,31 @@ class TestBackward:
         nrng = np.random.default_rng(10)
         p = init_bmrnn_params(2, 3, 2, rng)
         story = StoryStream(story_id="s", x=[nrng.normal(size=2) for _ in range(4)])
-        sk = SkipMatrix(n=4, pairs=((0, 2),))
-        tr = bmrnn_forward(p, story, sk)
-        grads, dX = bmrnn_backward(p, story, sk, tr, [np.zeros(2)] * 4)
+        group = StoryGroup.of([story], [SkipMatrix(n=4, pairs=((0, 2),))])
+        tr = bmrnn_forward(p, group)
+        grads, dX = bmrnn_backward(p, group, tr, np.zeros((1, 4, 2)))
         for _, t in grads.named_tensors():
             npt.assert_array_equal(t, 0.0)
-        for d in dX:
+        for d in dX[0]:
             npt.assert_array_equal(d, 0.0)
 
     def test_upstream_length_mismatch(self):
         p = init_bmrnn_params(2, 3, 2, SeededRng(10))
         story = StoryStream(story_id="s", x=np.zeros((4, 2)))
-        sk = SkipMatrix(n=4, pairs=((0, 2),))
-        tr = bmrnn_forward(p, story, sk)
+        group = StoryGroup.of([story], [SkipMatrix(n=4, pairs=((0, 2),))])
+        tr = bmrnn_forward(p, group)
         for rows in (3, 5):
             with pytest.raises(ShapeMismatchError, match="bmrnn_backward"):
-                bmrnn_backward(p, story, sk, tr, np.zeros((rows, 2)))
+                bmrnn_backward(p, group, tr, np.zeros((1, rows, 2)))
 
     def test_no_skip_zeroes_skip_tensors(self):
         rng = SeededRng(11)
         nrng = np.random.default_rng(11)
         p = init_bmrnn_params(2, 3, 2, rng)
         story = StoryStream(story_id="s", x=[nrng.normal(size=2) for _ in range(4)])
-        sk = SkipMatrix(n=4, pairs=())
-        tr = bmrnn_forward(p, story, sk)
-        grads, _ = bmrnn_backward(p, story, sk, tr, [nrng.normal(size=2) for _ in range(4)])
+        group = StoryGroup.of([story], [SkipMatrix(n=4, pairs=())])
+        tr = bmrnn_forward(p, group)
+        grads, _ = bmrnn_backward(p, group, tr, nrng.normal(size=(1, 4, 2)))
         npt.assert_array_equal(grads.fwd.W_hp, 0.0)
         npt.assert_array_equal(grads.bwd.W_hp, 0.0)
         npt.assert_array_equal(grads.fwd.W_sx, 0.0)
@@ -424,11 +429,12 @@ class TestBackward:
         p = init_bmrnn_params(2, 3, 2, rng)
         story = StoryStream(story_id="s", x=[nrng.normal(size=2) for _ in range(4)])
         sk = SkipMatrix(n=4, pairs=((0, 3),))
-        tr = bmrnn_forward(p, story, sk)
-        grads, dX = bmrnn_backward(p, story, sk, tr, [2.0 * m for m in tr.merged])
-        fd = fd_network_grads(p, story, sk)
+        group = StoryGroup.of([story], [sk])
+        tr = bmrnn_forward(p, group)
+        grads, dX = bmrnn_backward(p, group, tr, 2.0 * tr.merged)
+        fd = fd_network_grads(p, group)
         for name, t in grads.named_tensors():
-            assert rel_err(t, fd[name]) < 1e-5, name
+            assert rel_err(t[0], fd[name]) < 1e-5, name
 
         # dX against central differences too
         eps = 1e-5
@@ -438,9 +444,10 @@ class TestBackward:
                 xm = [x.copy() for x in story.x]
                 xp[t][i] += eps
                 xm[t][i] -= eps
-                lp = float(sum(np.dot(m, m) for m in bmrnn_forward(p, StoryStream(story_id="s", x=xp), sk).merged))
-                lm = float(sum(np.dot(m, m) for m in bmrnn_forward(p, StoryStream(story_id="s", x=xm), sk).merged))
-                assert rel_err(dX[t][i], (lp - lm) / (2 * eps)) < 1e-5
+                lp, lm = (float(sum(np.dot(m, m) for m in bmrnn_forward(
+                    p, StoryGroup.of([StoryStream(story_id="s", x=xs)], [sk])).merged[0]))
+                    for xs in (xp, xm))
+                assert rel_err(dX[0][t][i], (lp - lm) / (2 * eps)) < 1e-5
 
     def test_finite_differences_many_configs(self):
         worst = 0.0
@@ -464,12 +471,12 @@ class TestBackward:
                 a, d = cands[int(nrng.integers(0, len(cands)))]
                 pairs.append((a, d))
                 used.update((a, d))
-            sk = SkipMatrix(n=n, pairs=tuple(pairs))
-            tr = bmrnn_forward(p, story, sk)
-            grads, _ = bmrnn_backward(p, story, sk, tr, [2.0 * m for m in tr.merged])
-            fd = fd_network_grads(p, story, sk)
+            group = StoryGroup.of([story], [SkipMatrix(n=n, pairs=tuple(pairs))])
+            tr = bmrnn_forward(p, group)
+            grads, _ = bmrnn_backward(p, group, tr, 2.0 * tr.merged)
+            fd = fd_network_grads(p, group)
             for name, t in grads.named_tensors():
-                worst = max(worst, rel_err(t, fd[name]))
+                worst = max(worst, rel_err(t[0], fd[name]))
         assert worst < 1e-5, worst
 
 
@@ -518,10 +525,10 @@ class TestSequenceBackward:
         dH = nrng.normal(size=(n, out_dim))
 
         # without skips: the per-step GRU oracle; the skip tensors get no gradient
-        free = SkipMatrix(n=n, pairs=())
-        grads, dX = bmrnn_backward(p, stream, free, bmrnn_forward(p, stream, free), dH)
+        free = StoryGroup.of([stream], [SkipMatrix(n=n, pairs=())])
+        grads, dX = bmrnn_backward(p, free, bmrnn_forward(p, free), dH[None])
         want, want_dX = plain_bigru_grads(p, stream.x, dH)
-        for name, g in list(grads.named_tensors()) + [("dX", dX)]:
+        for name, g in [(k, t[0]) for k, t in grads.named_tensors()] + [("dX", dX[0])]:
             w = want_dX if name == "dX" else want.get(name, np.zeros_like(g))
             npt.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.max(np.abs(w)), err_msg=name)
 
@@ -529,11 +536,13 @@ class TestSequenceBackward:
         # entries, by the 4-point stencil, whose rounding error (|loss| 1e-16 /
         # eps) and truncation error (eps^4) both stay far below the bound
         sk = SkipMatrix(n=n, pairs=tuple(cluster_chains(clusters)))
-        grads, dX = bmrnn_backward(p, stream, sk, bmrnn_forward(p, stream, sk), dH)
+        group = StoryGroup.of([stream], [sk])
+        grads, dX = bmrnn_backward(p, group, bmrnn_forward(p, group), dH[None])
         eps = 1e-3
 
         def loss(x):
-            return float(np.sum(dH * bmrnn_forward(p, StoryStream(story_id="s", x=x), sk).merged))
+            return float(np.sum(dH * bmrnn_forward(
+                p, StoryGroup.of([StoryStream(story_id="s", x=x)], [sk])).merged[0]))
 
         def stencil(f):
             return (8.0 * (f(eps) - f(-eps)) - (f(2 * eps) - f(-2 * eps))) / (12.0 * eps)
@@ -547,13 +556,13 @@ class TestSequenceBackward:
                 p.flat[i] = orig
 
         for i in nrng.choice(p.flat.size, size=20, replace=False):
-            assert rel_err(grads.flat[i], stencil(lambda d: param_loss(i, d))) < 1e-5, i
+            assert rel_err(grads.flat[0, i], stencil(lambda d: param_loss(i, d))) < 1e-5, i
         for _ in range(5):
             t, j = int(nrng.integers(n)), int(nrng.integers(in_dim))
             bump = np.zeros_like(stream.x)
             bump[t, j] = 1.0
             fd = stencil(lambda d: loss(stream.x + d * bump))
-            assert rel_err(dX[t, j], fd) < 1e-5, (t, j)
+            assert rel_err(dX[0, t, j], fd) < 1e-5, (t, j)
 
 
 class TestStoryStream:

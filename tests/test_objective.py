@@ -78,32 +78,35 @@ class TestCompatibility:
         cfg = CompatibilityConfig(alpha=1.0)
         plain = sum(float(np.dot(H[t], V.v[t])) for t in range(5))
         for groups in ([[0, 1, 2, 3, 4]], [[0], [1], [2], [3], [4]], [[0, 2], [1, 4], [3]]):
-            c = compatibility(H, V, SubStoryPartition(groups=groups), cfg)
+            c = compatibility(SequenceStack.of([H]), SequenceStack.of([V]),
+                              SubStoryPartition(groups=groups), cfg)[0]
             npt.assert_allclose(c, plain, atol=0)
 
     def test_unit_basis_single_group(self):
         n = 4
         H = vecs(np.eye(n))
         V = seq("v", np.eye(n))
-        c = compatibility(H, V, SubStoryPartition(groups=[list(range(n))]),
-                          CompatibilityConfig(alpha=0.5))
+        c = compatibility(SequenceStack.of([H]), SequenceStack.of([V]),
+                          SubStoryPartition(groups=[list(range(n))]),
+                          CompatibilityConfig(alpha=0.5))[0]
         # global = N, local = (1/N) * N = 1 -> 0.5*4 + 0.5*1 = 2.5
         npt.assert_allclose(c, 2.5, atol=0)
 
     def test_hand_computed_two_step(self):
         H = vecs([[1.0, 0.0], [0.0, 1.0]])
         V = seq("v", [[1.0, 0.0], [1.0, 0.0]])
-        c = compatibility(H, V, SubStoryPartition(groups=[[0], [1]]),
-                          CompatibilityConfig(alpha=0.5))
+        c = compatibility(SequenceStack.of([H]), SequenceStack.of([V]),
+                          SubStoryPartition(groups=[[0], [1]]), CompatibilityConfig(alpha=0.5))[0]
         # global = 1 + 0 = 1, local = 1/1 + 0/1 = 1 -> 0.5 + 0.5 = 1
         npt.assert_allclose(c, 1.0, atol=0)
 
     def test_all_pairs_mode_differs(self):
-        H = vecs([[1.0, 0.0], [0.0, 1.0]])
-        V = seq("v", [[1.0, 0.0], [1.0, 0.0]])
+        H = SequenceStack.of([vecs([[1.0, 0.0], [0.0, 1.0]])])
+        V = SequenceStack.of([seq("v", [[1.0, 0.0], [1.0, 0.0]])])
         part = SubStoryPartition(groups=[[0, 1]])
-        aligned = compatibility(H, V, part, CompatibilityConfig(alpha=0.0))
-        allp = compatibility(H, V, part, CompatibilityConfig(alpha=0.0, local_term_mode="all-pairs"))
+        aligned = compatibility(H, V, part, CompatibilityConfig(alpha=0.0))[0]
+        allp = compatibility(H, V, part,
+                             CompatibilityConfig(alpha=0.0, local_term_mode="all-pairs"))[0]
         # aligned: (1+0)/2 = 0.5; all-pairs: (h0+h1).(v0+v1)/2 = (1+1+0+0)/2 = 1
         npt.assert_allclose(aligned, 0.5, atol=0)
         npt.assert_allclose(allp, 1.0, atol=0)
@@ -112,7 +115,8 @@ class TestCompatibility:
         H = vecs([[1.0], [2.0], [3.0]])
         V = seq("v", [[1.0], [1.0]])
         cfg = CompatibilityConfig(alpha=0.5)
-        c = compatibility(H, V, SubStoryPartition(groups=[[0, 1, 2]]), cfg)
+        c = compatibility(SequenceStack.of([H]), SequenceStack.of([V]),
+                          SubStoryPartition(groups=[[0, 1, 2]]), cfg)[0]
         # only t=0,1 score: global = 3, local = (1+2)/3
         npt.assert_allclose(c, 0.5 * 3 + 0.5 * 1.0, atol=1e-15)
 
@@ -122,14 +126,15 @@ class TestCompatibility:
         B = rng.normal(size=(4, 3))
         part = SubStoryPartition(groups=[[0, 2], [1], [3]])
         cfg = CompatibilityConfig(alpha=0.3)
-        ab = compatibility(A, seq("b", B), part, cfg)
-        ba = compatibility(vecs(B), seq("a", np.stack(A)), part, cfg)
+        ab = compatibility(SequenceStack.of([A]), SequenceStack.of([seq("b", B)]), part, cfg)
+        ba = compatibility(SequenceStack.of([vecs(B)]), SequenceStack.of([seq("a", np.stack(A))]),
+                           part, cfg)
         npt.assert_allclose(ab, ba, atol=0)
 
     def test_empty_H_rejected(self):
         with pytest.raises(DataError):
-            compatibility([], seq("v", [[1.0]]), SubStoryPartition(groups=[[0]]),
-                          CompatibilityConfig())
+            compatibility(SequenceStack.of([[]]), SequenceStack.of([seq("v", [[1.0]])]),
+                          SubStoryPartition(groups=[[0]]), CompatibilityConfig())
 
     @pytest.mark.parametrize("v", [[], np.zeros((0, 4))], ids=["no-rows", "zero-rows"])
     def test_empty_sentence_sequence_rejected(self, v):
@@ -138,7 +143,8 @@ class TestCompatibility:
 
     def test_dim_mismatch(self):
         with pytest.raises(ShapeMismatchError):
-            compatibility(vecs([[1.0, 2.0]]), seq("v", [[1.0]]),
+            compatibility(SequenceStack.of([vecs([[1.0, 2.0]])]),
+                          SequenceStack.of([seq("v", [[1.0]])]),
                           SubStoryPartition(groups=[[0]]), CompatibilityConfig())
 
     def test_grad_matches_finite_differences(self):
@@ -146,9 +152,9 @@ class TestCompatibility:
         for mode in ("aligned", "all-pairs"):
             cfg = CompatibilityConfig(alpha=0.4, local_term_mode=mode)
             H = vecs(rng.normal(size=(4, 3)))
-            V = seq("v", rng.normal(size=(4, 3)))
+            V = SequenceStack.of([seq("v", rng.normal(size=(4, 3)))])
             part = SubStoryPartition(groups=[[0, 2], [1], [3]])
-            grad = compatibility_grad(H, V, part, cfg)
+            grad = compatibility_grad(SequenceStack.of([H]), V, part, cfg)[0]
             eps = 1e-6
             for t in range(4):
                 for i in range(3):
@@ -156,7 +162,8 @@ class TestCompatibility:
                     Hm = [h.copy() for h in H]
                     Hp[t][i] += eps
                     Hm[t][i] -= eps
-                    fd = (compatibility(Hp, V, part, cfg) - compatibility(Hm, V, part, cfg)) / (2 * eps)
+                    fd = (compatibility(SequenceStack.of([Hp]), V, part, cfg)[0]
+                          - compatibility(SequenceStack.of([Hm]), V, part, cfg)[0]) / (2 * eps)
                     npt.assert_allclose(grad[t][i], fd, rtol=1e-6, atol=1e-9)
 
 
@@ -167,8 +174,8 @@ class TestContrastiveLoss:
     def test_all_hinges_inactive(self):
         H = vecs([[10.0, 0.0], [0.0, 10.0], [10.0, 10.0]])
         V = seq("v", [[10.0, 0.0], [0.0, 10.0], [10.0, 10.0]])
-        neg_v = [seq("n", [[-1.0, 0.0], [0.0, -1.0], [-1.0, -1.0]])]
-        neg_h = [vecs([[-1.0, 0.0], [0.0, -1.0], [-1.0, -1.0]])]
+        neg_v = SequenceStack.of([seq("n", [[-1.0, 0.0], [0.0, -1.0], [-1.0, -1.0]])])
+        neg_h = SequenceStack.of([vecs([[-1.0, 0.0], [0.0, -1.0], [-1.0, -1.0]])])
         cfg = CompatibilityConfig(negatives_per_positive=1)
         res = contrastive_loss(H, V, neg_v, neg_h, self.part, cfg)
         assert res.loss == 0.0
@@ -182,7 +189,8 @@ class TestContrastiveLoss:
         dup = seq("dup", [np.array(r) for r in [[0.3, 0.1], [1.0, 1.0], [-0.2, 0.4]]])
         far = vecs([[-50.0, -50.0], [-50.0, -50.0], [-50.0, -50.0]])
         cfg = CompatibilityConfig(negatives_per_positive=1, gamma=0.2)
-        res = contrastive_loss(H, V, [dup], [far], self.part, cfg)
+        res = contrastive_loss(H, V, SequenceStack.of([dup]), SequenceStack.of([far]),
+                               self.part, cfg)
         assert res.loss == 0.2
         assert res.active_v_hinges == 1 and res.active_h_hinges == 0
         for d in res.dH:  # identical V' cancels the positive gradient exactly
@@ -195,8 +203,10 @@ class TestContrastiveLoss:
             n = int(rng.integers(1, 5))
             H = vecs(rng.normal(size=(n, 3)))
             V = seq("v", rng.normal(size=(n, 3)))
-            neg_v = [seq("nv", rng.normal(size=(int(rng.integers(1, 6)), 3))) for _ in range(4)]
-            neg_h = [vecs(rng.normal(size=(int(rng.integers(1, 6)), 3))) for _ in range(4)]
+            neg_v = SequenceStack.of(
+                [seq("nv", rng.normal(size=(int(rng.integers(1, 6)), 3))) for _ in range(4)])
+            neg_h = SequenceStack.of(
+                [vecs(rng.normal(size=(int(rng.integers(1, 6)), 3))) for _ in range(4)])
             part = SubStoryPartition(groups=[[t] for t in range(n)])
             res = contrastive_loss(H, V, neg_v, neg_h, part, cfg)
             assert res.loss >= 0.0
@@ -212,8 +222,8 @@ class TestContrastiveLoss:
         V_rows = rng.normal(size=(3, 2))
         H = vecs(V_rows * 0.1)  # positively aligned with V
         V = seq("v", V_rows)
-        neg_v = [seq("z", np.zeros((3, 2))) for _ in range(2)]
-        neg_h = [vecs(rng.normal(size=(3, 2))) for _ in range(2)]
+        neg_v = SequenceStack.of([seq("z", np.zeros((3, 2))) for _ in range(2)])
+        neg_h = SequenceStack.of([vecs(rng.normal(size=(3, 2))) for _ in range(2)])
         cfg = CompatibilityConfig(negatives_per_positive=2)
         losses = []
         for scale in (1.0, 2.0, 4.0, 8.0):
@@ -227,9 +237,11 @@ class TestContrastiveLoss:
         V = seq("v", [[1.0]])
         cfg = CompatibilityConfig(negatives_per_positive=2)
         with pytest.raises(ConfigError):
-            contrastive_loss(H, V, [V], [H, H], SubStoryPartition(groups=[[0]]), cfg)
+            contrastive_loss(H, V, SequenceStack.of([V]), SequenceStack.of([H, H]),
+                             SubStoryPartition(groups=[[0]]), cfg)
         with pytest.raises(ConfigError):
-            contrastive_loss(H, V, [V, V], [H], SubStoryPartition(groups=[[0]]), cfg)
+            contrastive_loss(H, V, SequenceStack.of([V, V]), SequenceStack.of([H]),
+                             SubStoryPartition(groups=[[0]]), cfg)
 
     def test_dh_matches_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -237,16 +249,19 @@ class TestContrastiveLoss:
         part = SubStoryPartition(groups=[[0, 2], [1], [3]])
         H = vecs(rng.normal(size=(4, 3)) * 0.5)
         V = seq("v", rng.normal(size=(4, 3)) * 0.5)
-        neg_v = [seq(f"nv{k}", rng.normal(size=(int(rng.integers(2, 6)), 3)) * 0.5) for k in range(3)]
-        neg_h = [vecs(rng.normal(size=(int(rng.integers(2, 6)), 3)) * 0.5) for k in range(3)]
+        neg_v = SequenceStack.of(
+            [seq(f"nv{k}", rng.normal(size=(int(rng.integers(2, 6)), 3)) * 0.5) for k in range(3)])
+        neg_h = SequenceStack.of(
+            [vecs(rng.normal(size=(int(rng.integers(2, 6)), 3)) * 0.5) for k in range(3)])
         res = contrastive_loss(H, V, neg_v, neg_h, part, cfg)
 
         # guard: stay away from hinge boundaries so the loss is smooth here
-        base = compatibility(H, V, part, cfg)
-        for Vp in neg_v:
-            assert abs(cfg.gamma - base + compatibility(H, Vp, part, cfg)) > 1e-3
-        for Hp in neg_h:
-            assert abs(cfg.gamma - base + compatibility(Hp, V, part, cfg)) > 1e-3
+        H_one, V_one = SequenceStack.of([H]), SequenceStack.of([V])
+        base = compatibility(H_one, V_one, part, cfg)[0]
+        for c in compatibility(H_one, neg_v, part, cfg):
+            assert abs(cfg.gamma - base + c) > 1e-3
+        for c in compatibility(neg_h, V_one, part, cfg):
+            assert abs(cfg.gamma - base + c) > 1e-3
 
         eps = 1e-5
         for t in range(4):
@@ -357,23 +372,24 @@ class TestBilinearForm:
         H, V, part, cfg = inst
         want, want_grad = reference_compatibility(H, V.v, part.groups, cfg.alpha,
                                                   cfg.local_term_mode)
-        npt.assert_allclose(compatibility(H, V, part, cfg), want, rtol=1e-12, atol=1e-12)
-        grad = compatibility_grad(H, V, part, cfg)
-        assert isinstance(grad, np.ndarray) and grad.shape == H.shape
-        npt.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-12)
+        H_one, V_one = SequenceStack.of([H]), SequenceStack.of([V])
+        npt.assert_allclose(compatibility(H_one, V_one, part, cfg)[0], want, rtol=1e-12, atol=1e-12)
+        grad = compatibility_grad(H_one, V_one, part, cfg)
+        assert isinstance(grad, np.ndarray) and grad.shape == (1, *H.shape)
+        npt.assert_allclose(grad[0], want_grad, rtol=1e-12, atol=1e-12)
 
     @settings(max_examples=300, deadline=None)
     @given(scoring_instances())
     def test_identical_negative_cancels_exactly(self, inst):
         H, V, part, cfg = inst
-        g = compatibility_grad(H, V, part, cfg)
+        g = compatibility_grad(SequenceStack.of([H]), SequenceStack.of([V]), part, cfg)[0]
         sq = float(np.sum(g * g))
         assume(sq > 1e-6)
         # c is linear in H, so this stream negative scores gamma + 1 below
         # the positive and its hinge stays inactive
         far = H - (cfg.gamma + 1.0) / sq * g
         dup = seq("dup", V.v.copy())
-        res = contrastive_loss(H, V, [dup], [far], part, cfg)
+        res = contrastive_loss(H, V, SequenceStack.of([dup]), SequenceStack.of([far]), part, cfg)
         assert res.loss == cfg.gamma
         assert res.active_v_hinges == 1 and res.active_h_hinges == 0
         assert np.all(res.dH == 0.0)
@@ -410,16 +426,18 @@ class TestSequenceStack:
         wide = SequenceStack.of([np.ones((2, 3)), np.ones((1, 3))])
         with pytest.raises(ShapeMismatchError):
             if side == "sentence":
-                compatibility(np.ones((2, 2)), wide, part, cfg)
+                compatibility(SequenceStack.of([np.ones((2, 2))]), wide, part, cfg)
             else:
-                compatibility(wide, seq("v", np.ones((2, 2))), part, cfg)
+                compatibility(wide, SequenceStack.of([seq("v", np.ones((2, 2)))]), part, cfg)
 
     def test_stack_results_have_one_row_per_candidate(self):
         rng = np.random.default_rng(2)
         part, cfg = SubStoryPartition(groups=[[0, 2], [1]]), CompatibilityConfig(alpha=0.3)
-        H, V = rng.normal(size=(3, 2)), seq("v", rng.normal(size=(3, 2)))
+        H = SequenceStack.of([rng.normal(size=(3, 2))])
+        V = SequenceStack.of([seq("v", rng.normal(size=(3, 2)))])
         cands = SequenceStack.of([rng.normal(size=(n, 2)) for n in (1, 4, 3, 2)])
-        assert isinstance(compatibility(H, V, part, cfg), float)
+        assert compatibility(H, V, part, cfg).shape == (1,)
+        assert compatibility_grad(H, V, part, cfg).shape == (1, 3, 2)
         assert compatibility(H, cands, part, cfg).shape == (4,)
         assert compatibility(cands, V, part, cfg).shape == (4,)
         assert compatibility_grad(H, cands, part, cfg).shape == (4, 3, 2)
@@ -470,13 +488,11 @@ class TestPerPairOracle:
     def test_loss_equals_oracle(self, inst):
         H, V, neg_V, neg_H, part, cfg = inst
         want = objective_oracle.contrastive_loss(H, V, neg_V, neg_H, part, cfg)
-        for got in (contrastive_loss(H, V, neg_V, neg_H, part, cfg),
-                    contrastive_loss(H, V, SequenceStack.of(neg_V), SequenceStack.of(neg_H),
-                                     part, cfg)):
-            assert got.loss == want.loss
-            assert got.dH.tobytes() == want.dH.tobytes()
-            assert (got.active_v_hinges, got.active_h_hinges) == (
-                want.active_v_hinges, want.active_h_hinges)
+        got = contrastive_loss(H, V, SequenceStack.of(neg_V), SequenceStack.of(neg_H), part, cfg)
+        assert got.loss == want.loss
+        assert got.dH.tobytes() == want.dH.tobytes()
+        assert (got.active_v_hinges, got.active_h_hinges) == (
+            want.active_v_hinges, want.active_h_hinges)
 
     @pytest.mark.parametrize("n_dim", [(1, 1), (3, 2)], ids=["one-element", "3x2"])
     def test_many_active_rows_add_in_draw_order(self, n_dim):
@@ -488,7 +504,7 @@ class TestPerPairOracle:
                  for k in range(40)]
         part = SubStoryPartition(groups=[[0]])
         cfg = CompatibilityConfig(gamma=1e6, negatives_per_positive=40)
-        got = contrastive_loss(H, V, neg_V, [H] * 40, part, cfg)
+        got = contrastive_loss(H, V, SequenceStack.of(neg_V), SequenceStack.of([H] * 40), part, cfg)
         want = objective_oracle.contrastive_loss(H, V, neg_V, [H] * 40, part, cfg)
         assert got.active_v_hinges == 40
         assert got.dH.tobytes() == want.dH.tobytes() and got.loss == want.loss
@@ -498,13 +514,14 @@ class TestPerPairOracle:
     def test_scores_and_ranks_equal_oracle(self, inst):
         H, V, neg_V, neg_H, part, cfg = inst
         pool = [V, *neg_V]
-        got = compatibility(H, SequenceStack.of(pool), part, cfg)
+        H_one = SequenceStack.of([H])
+        got = compatibility(H_one, SequenceStack.of(pool), part, cfg)
         want = [objective_oracle.compatibility(H, c, part, cfg) for c in pool]
         assert got.tobytes() == np.array(want).tobytes()
-        stream = compatibility(SequenceStack.of(neg_H), V, part, cfg)
+        stream = compatibility(SequenceStack.of(neg_H), SequenceStack.of([V]), part, cfg)
         assert stream.tobytes() == np.array(
             [objective_oracle.compatibility(h, V, part, cfg) for h in neg_H]).tobytes()
-        grads = compatibility_grad(H, SequenceStack.of(pool), part, cfg)
+        grads = compatibility_grad(H_one, SequenceStack.of(pool), part, cfg)
         for g, c in zip(grads, pool):
             assert g.tobytes() == objective_oracle.compatibility_grad(H, c, part, cfg).tobytes()
         ids = [f"c{i:02d}" for i in range(len(pool))]

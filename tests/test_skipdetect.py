@@ -337,6 +337,10 @@ class TestSkipMatrixValidation:
         with pytest.raises(DataError):
             SkipMatrix(n=4, pairs=((2, 2),))
 
+    def test_backward_pair(self):
+        with pytest.raises(DataError, match=r"\(2, 0\)"):
+            SkipMatrix(n=3, pairs=((2, 0),))
+
     def test_out_of_range(self):
         with pytest.raises(DataError):
             SkipMatrix(n=3, pairs=((0, 3),))
@@ -362,5 +366,6 @@ class TestTransposeSkips:
 
     def test_involution(self):
         sk = SkipMatrix(n=6, pairs=((0, 2), (1, 4), (3, 5)))
-        back = transposed_pairs(SkipMatrix(n=6, pairs=tuple(transposed_pairs(sk))))
-        assert back == set(sk.pairs)
+        for p, t in enumerate(sk.descendants):
+            if t >= 0:
+                assert sk.ancestors[t] == p

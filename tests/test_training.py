@@ -307,10 +307,10 @@ class TestTrain:
         # no hinge is active as gamma -> 0, and all are once gamma > 10
         corpus, tr, _ = small_corpus(n=18, seed=6)
         params = init_bmrnn_params(16, 4, 16, SeededRng(0))
-        from bmrnn.network import bmrnn_forward
+        from bmrnn.network import StoryGroup, bmrnn_forward
 
-        H = np.stack([bmrnn_forward(params, rec.story, corpus.skips[rec.story_id].matrix())
-                      .merged.ravel() for rec in tr])
+        H = np.stack([bmrnn_forward(params, StoryGroup.of(
+            [rec.story], [corpus.skips[rec.story_id].matrix()])).merged[0].ravel() for rec in tr])
         dual = 10.0 * np.linalg.pinv(H).T
         for rec, v in zip(tr, dual):
             rec.sentences = SentenceSequence(rec.story_id, v.reshape(rec.story.N, 16))
@@ -494,17 +494,17 @@ class TestGradCheck:
         )
         rec = corpus.records[0]
         skip = corpus.skips[rec.story_id]
-        from bmrnn.network import bmrnn_forward
+        from bmrnn.network import StoryGroup, bmrnn_forward
 
-        merged = bmrnn_forward(params, rec.story, skip.matrix()).merged
+        merged = bmrnn_forward(params, StoryGroup.of([rec.story], [skip.matrix()])).merged[0]
         # positive pair massively compatible, negatives anti-aligned:
         # every hinge is inactive, so loss and all gradients vanish
         sentences = SentenceSequence(rec.story_id, [10.0 * h for h in merged])
-        neg_v = SentenceSequence("neg", [-10.0 * h for h in merged])
-        neg_h = [[np.zeros(3) for _ in merged]]
+        neg_v = SequenceStack.of([SentenceSequence("neg", [-10.0 * h for h in merged])])
+        neg_h = SequenceStack.of([[np.zeros(3) for _ in merged]])
         ccfg = CompatibilityConfig(negatives_per_positive=1)
         [(result, grad, d_inputs)] = story_loss_and_grads(
-            params, [rec.story], [skip.matrix()], [(sentences, [neg_v], neg_h, skip.partition())],
+            params, [rec.story], [skip.matrix()], [(sentences, neg_v, neg_h, skip.partition())],
             ccfg,
         )
         assert result.loss == 0.0
