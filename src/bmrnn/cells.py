@@ -22,7 +22,7 @@ With no ancestor the skip term vanishes and the cell is bit-identical to the
 baseline cell on its first nine tensors: ``SGRUParams`` is ``GRUParams`` with
 the four skip tensors added.
 
-A sweep steps B same-length sequences as B rows at once; their input products
+A sweep steps B zero-padded sequences as B rows at once; their input products
 come from ``sgru_inputs``, their parameter gradients from ``sgru_param_grads``.
 
 Gradients are hand-written analytic derivatives of the above; they are

@@ -7,9 +7,11 @@ edges.  Neither pass sees the other's state; a linear merge combines the two
 hidden sequences into the output sequence H = {h_0..h_{N-1}} used to score
 sentence sequences.
 
-Stories of one length are swept together as a ``StoryGroup``, over one
-(B, H) state per direction; each story keeps the bits of a sweep of its own.
-Both passes start from zero initial state.  Full backpropagation through
+Stories are swept together as a ``StoryGroup``, over one (B, H) state per
+direction; shorter stories are zero-padded to the group's longest, and each
+story keeps the bits of a sweep of its own.  Both passes start each story
+from zero state: a padded step stores a zero state, so the backward pass
+starts a short story at its own last step.  Full backpropagation through
 time is implemented, including gradient flow across skip edges (each edge
 carries gradient exactly once per pair).
 """
@@ -183,25 +185,36 @@ class StoryStream:
 
 
 class StoryGroup(NamedTuple):
-    """B stories of one length N, swept together: their (B, N, D) inputs and
-    (2, B, N) skip ancestors, -1 for none; row 0 for the forward pass, row 1
-    (each step's skip descendant, whose state it reads) for the backward pass."""
+    """B stories swept together, zero-padded to the longest, N steps: their
+    (B, N, D) inputs, (2, B, N) skip ancestors, -1 for none and on padded
+    steps (row 0 for the forward pass, row 1, each step's skip descendant,
+    whose state it reads, for the backward pass), and (B,) lengths."""
 
     x: np.ndarray
     skips: np.ndarray
+    lengths: np.ndarray
 
     @property
     def N(self) -> int:
         return self.x.shape[1]
 
+    def live(self) -> np.ndarray | None:
+        """(B, N, 1): whether each step is one of its story's own; None if
+        no story is padded."""
+        return ((np.arange(self.N) < self.lengths[:, None])[..., None]
+                if self.lengths.min() < self.N else None)
+
     @classmethod
     def of(cls, stories: list[StoryStream], skip_matrices: list[SkipMatrix]) -> "StoryGroup":
-        lengths = [s.N for s in stories] + [m.n for m in skip_matrices]
-        if len(set(lengths)) != 1:
-            raise ShapeMismatchError("story group", lengths[: len(stories)], lengths[len(stories) :])
-        return cls(np.stack([s.x for s in stories]), np.array([
-            [m.ancestors for m in skip_matrices],
-            [m.descendants for m in skip_matrices]]))
+        lengths = [s.N for s in stories]
+        if not stories or lengths != [m.n for m in skip_matrices]:
+            raise ShapeMismatchError("story group", lengths, [m.n for m in skip_matrices])
+        x = np.zeros((len(stories), max(lengths), stories[0].x.shape[1]))
+        skips = np.full((2, *x.shape[:2]), -1)
+        for b, (story, m) in enumerate(zip(stories, skip_matrices)):
+            x[b, : story.N] = story.x
+            skips[:, b, : story.N] = m.ancestors, m.descendants
+        return cls(x, skips, np.array(lengths))
 
 
 class ForwardTrace(NamedTuple):
@@ -244,27 +257,34 @@ def ungroup(groups, per_group) -> list:
     return [placed[i] for i in range(len(placed))]
 
 
-def _sweep(cell: SGRUParams, X: np.ndarray, anc: np.ndarray, order) -> np.ndarray:
+def _sweep(cell: SGRUParams, X: np.ndarray, anc: np.ndarray, order, live) -> np.ndarray:
     """One directional pass over a group's (B, N, D) inputs, visiting the
     steps in ``order``, as a (5, B, N, H) trace.  A step's previous state is
     that of the step visited just before it (zero for the first), and its
-    skip ancestor ``anc[:, t]`` (-1 for none) was visited earlier."""
+    skip ancestor ``anc[:, t]`` (-1 for none) was visited earlier.  A padded
+    step (``live`` False) stores a zero state."""
     B, n = anc.shape
     T, h_prev = np.zeros((5, B, n, cell.hidden_dim)), np.zeros((B, cell.hidden_dim))
     xp, rows, has = sgru_inputs(cell, X), np.arange(B), (anc >= 0)[..., None]
     for t in order:
         # a row without an ancestor reads some state through -1; the cell ignores it
         step = sgru_forward(cell, xp[:, t], h_prev, T[4, rows, anc[:, t]], has[:, t])
+        if live is not None:
+            step = step._replace(h=np.where(live[:, t], step.h, 0.0))
         T[:, :, t] = step
         h_prev = step.h
     return T
 
 
-def _sweep_backward(cell, grads, X, anc, order, T, dh, dX) -> None:
+def _sweep_backward(cell, grads, X, anc, order, T, dh, dX, parts) -> None:
     """BPTT through one ``_sweep`` trace ``T``: steps in reverse visiting
     order; dh_prev flows to the step visited before, dh_skip accumulates on
     the skip ancestor.  ``sgru_param_grads`` then adds into the group's
-    ``grads``, whose tensors lead with the B axis, and into ``dX``."""
+    ``grads``, whose tensors lead with the B axis, and into ``dX``, over each
+    of the (stories, steps) ``parts``.  A padded step has zero ``dh`` and no
+    skip: the forward pass carries exactly +0.0 out of it into its story's
+    last step, and the backward pass only into padded steps, which ``parts``
+    leave out."""
     B, n = anc.shape
     hidden, rows, has = cell.hidden_dim, np.arange(B), (anc >= 0)[..., None]
     H_prev = np.zeros((B, n, hidden))
@@ -277,7 +297,10 @@ def _sweep_backward(cell, grads, X, anc, order, T, dh, dX) -> None:
             cell, H_prev[:, t], H_skip[:, t], has[:, t], T[:, :, t],
             dh[:, t] + carry + skip_acc[:, t])
         skip_acc[rows, anc[:, t]] += dh_skip
-    dX += sgru_param_grads(cell, grads, X, H_prev, T[1], H_skip, T[2], dA)
+    for i, s in parts:
+        part = SGRUParams.from_named({name: g[i] for name, g in grads.named_tensors()})
+        dX[i, s] += sgru_param_grads(cell, part, X[i, s], H_prev[i, s], T[1][i, s],
+                                     H_skip[i, s], T[2][i, s], dA[i, s])
 
 
 def bmrnn_forward(params: BMRNNParams, group: StoryGroup) -> ForwardTrace:
@@ -288,9 +311,9 @@ def bmrnn_forward(params: BMRNNParams, group: StoryGroup) -> ForwardTrace:
     backward pass walks t = N-1..0 with the transposed skips, so its
     "previous" state at step t is that of step t+1.
     """
-    n = group.N
-    fwd = _sweep(params.fwd, group.x, group.skips[0], range(n))
-    bwd = _sweep(params.bwd, group.x, group.skips[1], range(n - 1, -1, -1))
+    n, live = group.N, group.live()
+    fwd = _sweep(params.fwd, group.x, group.skips[0], range(n), live)
+    bwd = _sweep(params.bwd, group.x, group.skips[1], range(n - 1, -1, -1), live)
     # one matrix-vector product per step, not one GEMM: the reduction to a
     # plain bidirectional GRU is compared bit for bit, and a GEMM rounds differently
     merged = matvecs(params.merge_f, fwd[4]) + matvecs(params.merge_b, bwd[4]) + params.b_merge
@@ -299,23 +322,29 @@ def bmrnn_forward(params: BMRNNParams, group: StoryGroup) -> ForwardTrace:
 
 def bmrnn_backward(params: BMRNNParams, group: StoryGroup, trace: ForwardTrace, dH: np.ndarray):
     """Backpropagate a group's (B, N, D) dL/dH, one row per merged output,
-    back to params and x.  Returns the gradients, shaped like params with
-    the B axis first (one (B, P) buffer), and the (B, N, input_dim) dL/dx.
+    back to params and x; rows past a story's length are ignored.  Returns
+    the gradients, shaped like params with the B axis first (one (B, P)
+    buffer), and the (B, N, input_dim) dL/dx, zero on padded steps.
     """
     B, n = group.skips.shape[1:]
     if dH.shape[:2] != (B, n):
         raise ShapeMismatchError("bmrnn_backward", dH.shape[:2], (B, n))
     grads, dX = params.zeros_like(B), np.zeros_like(group.x)
-
-    # merge layer: numpy runs each stacked product as one GEMM per story
-    grads.merge_f += dH.mT @ trace.fwd[4]
-    grads.merge_b += dH.mT @ trace.bwd[4]
-    grads.b_merge += dH.sum(axis=-2)
+    # a GEMM's bits depend on its row count, so each story's products run over
+    # its own steps: stacked (numpy runs one GEMM per story) unless padded
+    parts = ([(slice(None), slice(None))] if group.live() is None
+             else [(b, slice(0, m)) for b, m in enumerate(group.lengths)])
+    dh_f, dh_b = np.zeros((2, B, n, params.hidden_dim))
+    for i, s in parts:
+        grads.merge_f[i] += dH[i, s].mT @ trace.fwd[4][i, s]
+        grads.merge_b[i] += dH[i, s].mT @ trace.bwd[4][i, s]
+        grads.b_merge[i] += dH[i, s].sum(axis=-2)
+        dh_f[i, s], dh_b[i, s] = dH[i, s] @ params.merge_f, dH[i, s] @ params.merge_b
 
     _sweep_backward(params.fwd, grads.fwd, group.x, group.skips[0], range(n),
-                    trace.fwd, dH @ params.merge_f, dX)
+                    trace.fwd, dh_f, dX, parts)
     _sweep_backward(params.bwd, grads.bwd, group.x, group.skips[1],
-                    range(n - 1, -1, -1), trace.bwd, dH @ params.merge_b, dX)
+                    range(n - 1, -1, -1), trace.bwd, dh_b, dX, parts)
     return grads, dX
 
 

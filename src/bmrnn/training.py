@@ -223,28 +223,28 @@ def story_loss_and_grads(
     the gradient a (P,) row of its group's gradient buffer, in the order of
     ``BMRNNParams.flat``.
 
-    Same-length stories share one forward and one backward.  The losses
-    run per story, in order, on the (sentences, negatives_V, negatives_H,
+    The minibatch is one ``StoryGroup``, padded to its longest story, so it
+    takes one forward and one backward.  The losses run per story, in order,
+    on its own steps and the (sentences, negatives_V, negatives_H,
     partition) that ``targets`` yields; story i is step ``step + i``.
 
     Divergence is detected on the merged hidden states, not just the loss:
     NaN scores make every hinge comparison false, which would silently
     produce a clean-looking zero loss.
     """
-    groups = story_groups(stories, skip_matrices)
-    traces = [bmrnn_forward(params, group) for _, group in groups]
-    results = []
-    for i, (merged, target) in enumerate(zip(ungroup(groups, [t.merged for t in traces]),
-                                             targets, strict=True)):
-        if not np.all(np.isfinite(merged)):
+    group = StoryGroup.of(stories, skip_matrices)
+    trace = bmrnn_forward(params, group)
+    results, dH = [], np.zeros_like(trace.merged)
+    for i, (merged, n, target) in enumerate(zip(trace.merged, group.lengths, targets,
+                                                strict=True)):
+        if not np.all(np.isfinite(merged[:n])):
             raise DivergenceError(stories[i].story_id, epoch, step + i)
-        results.append(contrastive_loss(merged, *target, ccfg))
+        results.append(contrastive_loss(merged[:n], *target, ccfg))
         if not np.isfinite(results[i].loss):
             raise DivergenceError(stories[i].story_id, epoch, step + i)
-    backward = [bmrnn_backward(params, group, trace, np.stack([results[i].dH for i in pos]))
-                for (pos, group), trace in zip(groups, traces)]
-    return list(zip(results, ungroup(groups, [grads.flat for grads, _ in backward]),
-                    ungroup(groups, [dX for _, dX in backward])))
+        dH[i, :n] = results[i].dH
+    grads, dX = bmrnn_backward(params, group, trace, dH)
+    return [(r, g, d[:n]) for r, g, d, n in zip(results, grads.flat, dX, group.lengths)]
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,15 @@ def test_each_sweep_calls_the_cell_once_per_step(monkeypatch):
     bmrnn_backward(p, group, trace, np.ones((5, n, 2)))
     assert calls == {"sgru_forward": 2 * n, "sgru_backward": 2 * n}
 
+    # stories of lengths 2, 7 and 4 are padded to 7 steps: 2 * 7 calls each way
+    calls.update(sgru_forward=0, sgru_backward=0)
+    stories = [StoryStream(story_id=f"p{m}", x=rng.normal(size=(m, 3))) for m in (2, 7, 4)]
+    group = StoryGroup.of(stories, [SkipMatrix(n=2, pairs=((0, 1),)), sk,
+                                    SkipMatrix(n=4, pairs=())])
+    trace = bmrnn_forward(p, group)
+    bmrnn_backward(p, group, trace, np.ones((3, n, 2)))
+    assert calls == {"sgru_forward": 2 * n, "sgru_backward": 2 * n}
+
 
 def test_every_note_applies_and_every_divisor_is_counted(monkeypatch):
     spans = load_spans()
@@ -97,8 +106,8 @@ def test_every_note_applies_and_every_divisor_is_counted(monkeypatch):
     corpus = mixed_corpus(lengths=(1, 3, 4, 7), per_length=8)
     split = {s: [r for r in corpus.records if r.split == s] for s in ("train", "val", "test")}
     assert all(split.values())
-    ckpt = bmrnn.cli.train(split["train"], split["val"], corpus.skips,
-                           TrainConfig(epochs=2, seed=0),
+    cfg = TrainConfig(epochs=2, seed=0)
+    ckpt = bmrnn.cli.train(split["train"], split["val"], corpus.skips, cfg,
                            CompatibilityConfig(negatives_per_positive=5), hidden_dim=4)
     bmrnn.cli.evaluate(ckpt.params, split["test"], corpus.skips, CompatibilityConfig())
 
@@ -119,6 +128,14 @@ def test_every_note_applies_and_every_divisor_is_counted(monkeypatch):
                  "training.clip_gradients", "training.train", "evaluation.evaluate"):
         assert calls[name], name
     assert under("network.bmrnn_forward", "training.train")        # the h' refresh
+    # each minibatch, of several lengths, is one padded group: one forward and
+    # one backward, whose note is the padded length
+    minibatches = cfg.epochs * -(-len(split["train"]) // cfg.batch_size)
+    assert len(calls["training.story_loss_and_grads"]) == minibatches
+    for name in ("network.bmrnn_forward", "network.bmrnn_backward"):
+        assert len(under(name, "training.story_loss_and_grads")) == minibatches, name
+    assert len(calls["network.bmrnn_backward"]) == minibatches
+    assert max(under("network.bmrnn_backward", "training.story_loss_and_grads")) == 7
     assert under("evaluation.evaluate", "training.train")          # validation
     assert under("network.bmrnn_forward", "evaluation.evaluate")
     assert under("objective.compatibility", "evaluation.evaluate")

@@ -247,44 +247,56 @@ def random_skips(rng, n):
 
 
 class TestGroupSweep:
-    """A group of same-length stories is swept over one (B, H) state; each
-    story must get the bits of the per-story oracle."""
+    """A group of stories is swept over one (B, H) state, the shorter ones
+    zero-padded to the longest; each story must get, on its own steps, the
+    bits of the per-story oracle."""
 
     @settings(max_examples=40, deadline=None)
-    @given(B=st.integers(1, 12), n=st.integers(1, 40), in_dim=st.integers(1, 32),
-           hidden=st.integers(1, 32), out_dim=st.integers(1, 32),
+    @given(lengths=st.lists(st.integers(1, 40), min_size=1, max_size=12), mixed=st.booleans(),
+           in_dim=st.integers(1, 32), hidden=st.integers(1, 32), out_dim=st.integers(1, 32),
            any_skips=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_each_story_matches_the_per_story_oracle(self, B, n, in_dim, hidden, out_dim,
-                                                     any_skips, seed):
+    # 1-step stories padded among longer ones, with and without skips
+    @example(lengths=[1, 40, 7, 1], mixed=True, in_dim=5, hidden=6, out_dim=3,
+             any_skips=True, seed=0)
+    @example(lengths=[3, 1], mixed=True, in_dim=2, hidden=3, out_dim=2,
+             any_skips=False, seed=1)
+    def test_each_story_matches_the_per_story_oracle(self, lengths, mixed, in_dim, hidden,
+                                                     out_dim, any_skips, seed):
+        # without mixed, every story takes the first length: a group with no padding
+        lengths = lengths if mixed else [lengths[0]] * len(lengths)
+        B, N = len(lengths), max(lengths)
         rng = np.random.default_rng(seed)
         p = init_bmrnn_params(in_dim, hidden, out_dim, SeededRng(seed))
         stories = [StoryStream(story_id=f"s{b}", x=rng.normal(size=(n, in_dim)))
-                   for b in range(B)]
+                   for b, n in enumerate(lengths)]
         # with any_skips, about a third of the rows are skip-free, so skip and
         # skip-free rows share steps; without, the group has no skip at all
         matrices = [random_skips(rng, n) if any_skips and rng.random() < 2 / 3
-                    else SkipMatrix(n=n, pairs=()) for _ in range(B)]
+                    else SkipMatrix(n=n, pairs=()) for n in lengths]
         group = StoryGroup.of(stories, matrices)
         trace = bmrnn_forward(p, group)
-        dH = rng.normal(size=(B, n, out_dim))
+        # padded rows of dH carry noise too: the backward pass must ignore them
+        dH = rng.normal(size=(B, N, out_dim))
         grads, dX = bmrnn_backward(p, group, trace, dH)
-        assert trace.merged.shape == (B, n, out_dim) and grads.flat.shape == (B, p.flat.size)
-        for b, (story, sk) in enumerate(zip(stories, matrices)):
+        assert trace.merged.shape == (B, N, out_dim) and grads.flat.shape == (B, p.flat.size)
+        assert dX.shape == (B, N, in_dim)
+        for b, (story, sk, n) in enumerate(zip(stories, matrices, lengths)):
             want = network_oracle.forward(p, story, sk)
-            npt.assert_array_equal(trace.fwd[:, b], want.fwd)
-            npt.assert_array_equal(trace.bwd[:, b], want.bwd)
-            npt.assert_array_equal(trace.merged[b], want.merged)
-            want_grads, want_dX = network_oracle.backward(p, story, sk, want, dH[b])
+            npt.assert_array_equal(trace.fwd[:, b, :n], want.fwd)
+            npt.assert_array_equal(trace.bwd[:, b, :n], want.bwd)
+            npt.assert_array_equal(trace.merged[b, :n], want.merged)
+            want_grads, want_dX = network_oracle.backward(p, story, sk, want, dH[b, :n])
             for (name, g), (_, w) in zip(grads.named_tensors(), want_grads.named_tensors(),
                                          strict=True):
                 npt.assert_array_equal(g[b], w, err_msg=name)
-            npt.assert_array_equal(dX[b], want_dX)
+            npt.assert_array_equal(dX[b, :n], want_dX)
+            assert not dX[b, n:].any()
             if not sk.pairs:
                 # the per-step GRU oracle: the same forward bits; its gradients
                 # are sums of per-step outer products, not GEMMs
-                npt.assert_array_equal(trace.merged[b], plain_bigru(p, story.x))
-                gru_grads, gru_dX = plain_bigru_grads(p, story.x, dH[b])
-                for name, g in [(k, t[b]) for k, t in grads.named_tensors()] + [("dX", dX[b])]:
+                npt.assert_array_equal(trace.merged[b, :n], plain_bigru(p, story.x))
+                gru_grads, gru_dX = plain_bigru_grads(p, story.x, dH[b, :n])
+                for name, g in [(k, t[b]) for k, t in grads.named_tensors()] + [("dX", dX[b, :n])]:
                     w = gru_dX if name == "dX" else gru_grads.get(name, np.zeros_like(g))
                     npt.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.max(np.abs(w)),
                                         err_msg=name)
@@ -327,10 +339,33 @@ class TestGroupSweep:
         # one gradient object for the group, and no skip matrix at all
         assert made == {"SkipMatrix": 0, "BMRNNParams": 1}
 
-    def test_a_story_of_another_length_is_rejected(self):
+    def test_stories_of_mixed_lengths_are_padded(self):
+        rng = np.random.default_rng(2)
+        stories = [StoryStream(story_id=f"s{n}", x=rng.normal(size=(n, 2))) for n in (3, 1, 4)]
+        matrices = [SkipMatrix(n=3, pairs=((0, 2),)), SkipMatrix(n=1, pairs=()),
+                    SkipMatrix(n=4, pairs=((1, 3),))]
+        group = StoryGroup.of(stories, matrices)
+        assert group.N == 4 and group.lengths.tolist() == [3, 1, 4]
+        for b, (story, sk) in enumerate(zip(stories, matrices)):
+            npt.assert_array_equal(group.x[b, : story.N], story.x)
+            assert not group.x[b, story.N :].any()
+            assert group.skips[:, b, : story.N].tolist() == [sk.ancestors.tolist(),
+                                                              sk.descendants.tolist()]
+            assert (group.skips[:, b, story.N :] == -1).all()
+        assert group.live()[..., 0].tolist() == [[True] * 3 + [False], [True] + [False] * 3,
+                                                 [True] * 4]
+        assert StoryGroup.of(stories[:1], matrices[:1]).live() is None
+
+    def test_a_skip_matrix_of_another_length_is_rejected(self):
         stories = [StoryStream(story_id=f"s{n}", x=np.zeros((n, 2))) for n in (3, 4)]
         with pytest.raises(ShapeMismatchError, match="story group"):
-            StoryGroup.of(stories, [SkipMatrix(n=n, pairs=()) for n in (3, 4)])
+            StoryGroup.of(stories, [SkipMatrix(n=n, pairs=()) for n in (3, 5)])
+        with pytest.raises(ShapeMismatchError, match="story group"):
+            StoryGroup.of(stories, [SkipMatrix(n=3, pairs=())])
+
+    def test_an_empty_group_is_rejected(self):
+        with pytest.raises(ShapeMismatchError, match="story group"):
+            StoryGroup.of([], [])
 
 
 class TestTimeReversal:

@@ -389,8 +389,9 @@ def per_story_train(records, skips_by_id, cfg, ccfg, hidden_dim):
 
 class TestGroupedTraining:
     def test_mixed_lengths_write_the_per_story_loops_model(self, tmp_path):
-        # lengths take turns, so each minibatch of 8 holds several groups of
-        # several stories each, and the last batch is short
+        # lengths take turns, so each minibatch of 8 is one group padded to
+        # its longest story, the h' refresh sweeps groups of several stories,
+        # and the last batch is short
         corpus = mixed_corpus(lengths=(1, 3, 4, 7), per_length=7)
         cfg, ccfg = TrainConfig(epochs=2, seed=3), CompatibilityConfig(negatives_per_positive=5)
         ckpt = train(corpus.records, [], corpus.skips, cfg, ccfg, hidden_dim=6)
