@@ -354,7 +354,7 @@ class TestGroupSweep:
             assert (group.skips[:, b, story.N :] == -1).all()
         assert group.live()[..., 0].tolist() == [[True] * 3 + [False], [True] + [False] * 3,
                                                  [True] * 4]
-        assert StoryGroup.of(stories[:1], matrices[:1]).live() is None
+        assert StoryGroup.of(stories[:1], matrices[:1]).live().all()
 
     def test_a_skip_matrix_of_another_length_is_rejected(self):
         stories = [StoryStream(story_id=f"s{n}", x=np.zeros((n, 2))) for n in (3, 4)]
