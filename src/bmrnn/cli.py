@@ -297,6 +297,10 @@ def _cmd_detect_skips(opts: dict) -> int:
 
 def _cmd_train(opts: dict) -> int:
     dataset = load_manifest(opts["manifest"])
+    records = dataset.split("train")
+    if len(records) < 2:      # a story's negatives are the other training stories
+        raise DataError(f"training needs at least 2 stories in split 'train', found "
+                        f"{len(records)}", path=str(opts["manifest"]))
     skips = load_skips(opts["skips"])
     ccfg = CompatibilityConfig(
         alpha=opts["alpha"],
@@ -317,7 +321,7 @@ def _cmd_train(opts: dict) -> int:
     )
     out_path = Path(opts["out"])
     ckpt = train(
-        dataset.split("train"),
+        records,
         dataset.split("val"),
         skips,
         cfg,

@@ -1,8 +1,8 @@
 """Retrieval evaluation: rank candidate sentence sequences for each story.
 
-Every test story's merged hidden sequence is scored against a shared pool of
-candidate sentence sequences; the rank of the story's own sequence (scores
-descending, ties broken by candidate id so reordering the pool changes
+Every story's merged hidden sequence is scored against the sentence sequences
+of all the stories evaluated with it; the rank of the story's own sequence
+(scores descending, ties broken by story id so reordering the stories changes
 nothing) feeds Recall@K and the median rank.
 """
 
@@ -12,10 +12,12 @@ import json
 import statistics
 from dataclasses import dataclass
 
+import numpy as np
+
 from .data import SkipRecord, StoryRecord, check_skip_records
 from .errors import DataError
-from .network import BMRNNParams, bmrnn_forward, story_groups, ungroup
-from .objective import CompatibilityConfig, SentenceSequence, SequenceStack, compatibility
+from .network import BMRNNParams, bmrnn_forward, story_groups
+from .objective import CompatibilityConfig, SequenceStack, compatibility
 
 __all__ = [
     "RetrievalReport",
@@ -87,23 +89,22 @@ def evaluate(
     records: list[StoryRecord],
     skips_by_id: dict[str, SkipRecord],
     ccfg: CompatibilityConfig,
-    pool: list[SentenceSequence] | None = None,
 ) -> RetrievalReport:
-    """Score every story against the pool (default: the records' own
-    sentence sequences) and summarize retrieval quality."""
+    """Score every story against the records' own sentence sequences and
+    summarize retrieval quality."""
     if not records:
         raise DataError("no stories to evaluate")
-    if pool is None:
-        pool = [rec.sentences for rec in records]
     check_skip_records(records, skips_by_id)
-    candidates, ids = SequenceStack.of(pool), [cand.story_id for cand in pool]
-    # one forward per same-length group, then one scoring call per query
-    groups = story_groups([rec.story for rec in records],
-                          [skips_by_id[rec.story_id].matrix() for rec in records])
-    merged = ungroup(groups, [bmrnn_forward(params, group).merged for _, group in groups])
+    candidates = SequenceStack.of([rec.sentences for rec in records])
+    ids = [rec.story_id for rec in records]
+    # one forward per same-length group, each writing its stories' rows
+    queries = SequenceStack(np.zeros_like(candidates.padded), candidates.lengths)
+    for rows, group in story_groups([rec.story for rec in records],
+                                    [skips_by_id[sid].matrix() for sid in ids]):
+        queries.padded[rows, :group.N] = bmrnn_forward(params, group).merged
     per_story_ranks: list[tuple[str, int]] = []
-    for rec, h_seq in zip(records, merged):
-        partition = skips_by_id[rec.story_id].partition()
-        scores = compatibility(SequenceStack.of([h_seq]), candidates, partition, ccfg).tolist()
-        per_story_ranks.append((rec.story_id, rank_of_truth(dict(zip(ids, scores)), rec.story_id)))
-    return summarize_ranks(per_story_ranks, pool_size=len(pool))
+    for i, sid in enumerate(ids):
+        partition = skips_by_id[sid].partition()
+        scores = compatibility(queries.take([i]), candidates, partition, ccfg).tolist()
+        per_story_ranks.append((sid, rank_of_truth(dict(zip(ids, scores)), sid)))
+    return summarize_ranks(per_story_ranks, pool_size=len(records))

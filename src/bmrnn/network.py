@@ -48,7 +48,6 @@ __all__ = [
     "StoryGroup",
     "ForwardTrace",
     "story_groups",
-    "ungroup",
     "init_bmrnn_params",
     "bmrnn_forward",
     "bmrnn_backward",
@@ -247,12 +246,6 @@ def story_groups(stories: list[StoryStream], skip_matrices: list[SkipMatrix]):
         by_length.setdefault(story.N, []).append(i)
     return [(pos, StoryGroup.of([stories[i] for i in pos], [skip_matrices[i] for i in pos]))
             for pos in by_length.values()]
-
-
-def ungroup(groups, per_group) -> list:
-    """Per-story items of each group's sequence, back in input order."""
-    placed = dict(zip((i for pos, _ in groups for i in pos), (x for xs in per_group for x in xs)))
-    return [placed[i] for i in range(len(placed))]
 
 
 def _sweep(cell: SGRUParams, X: np.ndarray, anc: np.ndarray, order, live) -> np.ndarray:

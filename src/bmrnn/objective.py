@@ -263,26 +263,21 @@ def contrastive_loss(
     return LossResult(float(np.add.accumulate(terms)[-1]), dH, len(active_v), len(active_h))
 
 
-def sample_negatives(dataset, positive_id: str, count: int, rng: SeededRng) -> list:
-    """Uniformly draw ``count`` distinct stories, never the positive one.
-
-    ``dataset`` is any mapping keyed by story_id; the values of the drawn
-    ids come back in draw order (``train`` passes story_id -> stack row and
-    gets the negatives' rows in its sentence and h_cache stacks).  If fewer
-    than ``count`` other stories exist, sampling falls back to replacement
-    with a warning.
+def sample_negatives(n: int, positive: int, count: int, rng: SeededRng) -> np.ndarray:
+    """Uniformly draw ``count`` distinct rows of ``n``, never row ``positive``:
+    the drawn row indices in draw order.  If fewer than ``count`` other rows
+    exist, sampling falls back to replacement with a warning.
     """
-    others = [sid for sid in dataset if sid != positive_id]
-    if not others:
+    if n < 2:
         raise DataError("cannot sample negatives from a single-story dataset")
-    if len(others) >= count:
-        idx = rng.choice_without_replacement(len(others), count)
-        chosen = [others[i] for i in idx]
+    if n - 1 >= count:
+        idx = rng.choice_without_replacement(n - 1, count)
     else:
         warnings.warn(
-            f"only {len(others)} candidate negatives for {count} requested; "
+            f"only {n - 1} candidate negatives for {count} requested; "
             "sampling with replacement",
             stacklevel=2,
         )
-        chosen = [others[rng.integers(0, len(others))] for _ in range(count)]
-    return [dataset[sid] for sid in chosen]
+        idx = np.array([rng.integers(0, n - 1) for _ in range(count)])
+    # draw among the n - 1 other rows, then skip over the positive
+    return idx + (idx >= positive)

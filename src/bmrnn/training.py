@@ -32,7 +32,6 @@ from .network import (
     init_bmrnn_params,
     save_model,
     story_groups,
-    ungroup,
 )
 from .numeric import SeededRng, read_file, write_file
 from .objective import (
@@ -286,14 +285,12 @@ def train(
     order_rng = rng.spawn(1)
     neg_rng = rng.spawn(2)
 
-    by_id = {rec.story_id: rec for rec in train_records}
-    structures = {
-        sid: (skips_by_id[sid].matrix(), skips_by_id[sid].partition()) for sid in by_id
-    }
-    row_of = {sid: i for i, sid in enumerate(by_id)}     # each story's row in both stacks
-    groups = story_groups([rec.story for rec in by_id.values()],
-                          [structures[sid][0] for sid in by_id])
-    sentences = SequenceStack.of([rec.sentences for rec in by_id.values()])
+    # story i is row i of every list and of both stacks
+    stories = [rec.story for rec in train_records]
+    matrices = [skips_by_id[rec.story_id].matrix() for rec in train_records]
+    partitions = [skips_by_id[rec.story_id].partition() for rec in train_records]
+    groups = story_groups(stories, matrices)
+    sentences = SequenceStack.of([rec.sentences for rec in train_records])
 
     config = {"train": dataclasses.asdict(cfg), "compatibility": dataclasses.asdict(ccfg)}
     state = init_optimizer_state(params, cfg)
@@ -307,26 +304,26 @@ def train(
         t0 = time.perf_counter()
         # stream-side negatives are refreshed here and held constant
         # for the whole epoch
-        h_cache = SequenceStack.of(
-            ungroup(groups, [bmrnn_forward(params, group).merged for _, group in groups]))
-        order = [train_records[i] for i in order_rng.permutation(len(train_records))]
+        h_cache = SequenceStack(np.zeros_like(sentences.padded), sentences.lengths)
+        for rows, group in groups:
+            h_cache.padded[rows, :group.N] = bmrnn_forward(params, group).merged
+        order = order_rng.permutation(len(train_records))
         losses: list[float] = []
         hinges = np.zeros(2)         # active sentence- and stream-side hinges
         norms: list[float] = []      # pre-clip gradient norm of each update
         step = 0
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            # drawn from row_of, each draw is the negatives' rows in the stacks
-            draws = [sample_negatives(row_of, rec.story_id, ccfg.negatives_per_positive, neg_rng)
-                     for rec in batch]
+            draws = [sample_negatives(len(sentences), i, ccfg.negatives_per_positive, neg_rng)
+                     for i in batch]
             # the loss reads only the query's N steps of each negative
-            targets = ((rec.sentences, sentences.take(idx, rec.N), h_cache.take(idx, rec.N),
-                        structures[rec.story_id][1]) for rec, idx in zip(batch, draws))
+            targets = ((train_records[i].sentences, sentences.take(idx, stories[i].N),
+                        h_cache.take(idx, stories[i].N), partitions[i])
+                       for i, idx in zip(batch, draws))
             batch_grads = params.zeros_like()
             for result, grad, _ in story_loss_and_grads(
-                    params, [rec.story for rec in batch],
-                    [structures[rec.story_id][0] for rec in batch], targets, ccfg,
-                    epoch=epoch, step=step):
+                    params, [stories[i] for i in batch], [matrices[i] for i in batch], targets,
+                    ccfg, epoch=epoch, step=step):
                 losses.append(result.loss)
                 hinges += (result.active_v_hinges, result.active_h_hinges)
                 batch_grads.flat += (1.0 / len(batch)) * grad
@@ -360,7 +357,7 @@ def train(
             and cfg.checkpoint_every > 0
             and (epoch + 1) % cfg.checkpoint_every == 0
         ):
-            _check_float32(params, order[-1].story_id, epoch, step - 1)
+            _check_float32(params, stories[order[-1]].story_id, epoch, step - 1)
             save_checkpoint(
                 Path(checkpoint_dir) / f"epoch_{epoch:04d}.bin",
                 Checkpoint(params=params, epoch=epoch, best_val_recall1=val_recall1,
@@ -382,7 +379,7 @@ def train(
             best_epoch = epoch
 
     for p in (params, best_params):
-        _check_float32(p, order[-1].story_id, epoch, step - 1)
+        _check_float32(p, stories[order[-1]].story_id, epoch, step - 1)
     return Checkpoint(
         params=best_params,
         epoch=best_epoch,

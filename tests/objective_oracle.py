@@ -1,10 +1,14 @@
-"""Per-pair compatibility scoring and contrastive loss, kept as a test oracle.
+"""Per-pair compatibility scoring, contrastive loss and the id-list negative
+sampler, kept as test oracles.
 
 ``bmrnn.objective`` scores every candidate of a side in one call, grouping
 candidates by common-prefix length; the tests check that its scores, loss,
 ``dH``, hinge counts and retrieval ranks equal these per-pair loops bit for
-bit.
+bit.  Its ``sample_negatives`` draws row indices; the tests check that it
+draws the stories this sampler draws by id.
 """
+
+import warnings
 
 import numpy as np
 
@@ -103,3 +107,26 @@ def contrastive_loss(
     dH -= active_h * base_grad
 
     return LossResult(loss=loss, dH=dH, active_v_hinges=active_v, active_h_hinges=active_h)
+
+
+def sample_negatives(dataset, positive_id: str, count: int, rng) -> list:
+    """Uniformly draw ``count`` distinct stories, never the positive one.
+
+    ``dataset`` is any mapping keyed by story_id; the values of the drawn
+    ids come back in draw order.  If fewer than ``count`` other stories
+    exist, sampling falls back to replacement with a warning.
+    """
+    others = [sid for sid in dataset if sid != positive_id]
+    if not others:
+        raise DataError("cannot sample negatives from a single-story dataset")
+    if len(others) >= count:
+        idx = rng.choice_without_replacement(len(others), count)
+        chosen = [others[i] for i in idx]
+    else:
+        warnings.warn(
+            f"only {len(others)} candidate negatives for {count} requested; "
+            "sampling with replacement",
+            stacklevel=2,
+        )
+        chosen = [others[rng.integers(0, len(others))] for _ in range(count)]
+    return [dataset[sid] for sid in chosen]

@@ -9,12 +9,18 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import bmrnn.cli
 from bmrnn.cli import _build_parser, _resolve, run
-from bmrnn.data import SkipRecord, load_manifest, load_skips, read_tensor, write_skips, write_tensor
-from bmrnn.network import init_bmrnn_params, save_model
+from bmrnn.data import (
+    SkipRecord, StoryRecord, SynthCorpus, load_manifest, load_skips, read_tensor, write_corpus,
+    write_skips, write_tensor,
+)
+from bmrnn.network import StoryStream, init_bmrnn_params, save_model
 from bmrnn.numeric import SeededRng
+from bmrnn.objective import SentenceSequence
 from bmrnn.skips import affinity_propagation, build_skip_matrix, similarity
 from mixed_corpus import write_mixed_corpus
 
@@ -183,6 +189,24 @@ class TestDataErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert "no stories in split 'val'" in err and str(manifest) in err
+
+    @pytest.mark.parametrize("kept", [0, 1])
+    def test_train_on_fewer_than_two_stories_names_the_manifest(self, tmp_path, capsys, kept):
+        corpus = make_corpus(tmp_path, stories=6)
+        manifest = corpus / "manifest.jsonl"
+        entries = [json.loads(line) for line in manifest.read_text().splitlines()]
+        train_ids = [e["story_id"] for e in entries if e["split"] == "train"][:kept]
+        manifest.write_text("".join(
+            json.dumps({**e, "split": "train" if e["story_id"] in train_ids else "test"}) + "\n"
+            for e in entries))
+        code = run(["train", "--manifest", str(manifest),
+                    "--skips", str(corpus / "planted_skips.jsonl"),
+                    "--out", str(tmp_path / "m.bin")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"at least 2 stories in split 'train', found {kept}" in err
+        assert str(manifest) in err
+        assert not (tmp_path / "m.bin").exists()
 
     def test_eval_rejects_misshapen_model(self, tmp_path, capsys):
         corpus = make_corpus(tmp_path, stories=6)
@@ -717,3 +741,61 @@ class TestPipeline:
         lines = [json.loads(line) for line in log.read_text().splitlines()]
         assert len(lines) == 2
         assert all("mean_loss" in rec for rec in lines)
+
+
+@st.composite
+def random_corpora(draw):
+    """A small corpus: 2-11 stories of 1-9 steps, feature, embedding and
+    sentence widths 1-5, one value scale in 1e-3..1e3, rows that repeat the
+    one before or are all zero, and random splits."""
+    lengths = draw(st.lists(st.integers(1, 9), min_size=2, max_size=11))
+    splits = draw(st.lists(st.sampled_from(["train", "val", "test"]),
+                           min_size=len(lengths), max_size=len(lengths)))
+    dims = draw(st.tuples(*[st.integers(1, 5)] * 3))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    records, skips = [], {}
+    for i, (n, split) in enumerate(zip(lengths, splits)):
+        sid = f"s{i:02d}"
+        feat, emb, sent = (scale * rng.normal(size=(n, d)) for d in dims)
+        for t in range(n):
+            kind = draw(st.sampled_from(["random", "random", "repeat", "zero"]))
+            for a in (feat, emb, sent):
+                if kind == "zero":
+                    a[t] = 0.0
+                elif kind == "repeat" and t > 0:
+                    a[t] = a[t - 1]
+        records.append(StoryRecord(sid, split, StoryStream(sid, emb, feat),
+                                   SentenceSequence(sid, sent)))
+        skips[sid] = SkipRecord(sid, [[t] for t in range(n)], [], True, planted=True)
+    return SynthCorpus(records=records, skips=skips, config=None)
+
+
+class TestRandomCorpora:
+    @staticmethod
+    def check(argv, capsys, out_dir) -> int:
+        """Run one stage: it succeeds, or it exits 2 naming a file of this run."""
+        code = run(argv)
+        err = capsys.readouterr().err
+        if code != 0:
+            assert code == 2, err
+            assert re.search(rf"\(file: {re.escape(str(out_dir))}", err), err
+        return code
+
+    @pytest.mark.filterwarnings("ignore:only .* candidate negatives")
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(corpus=random_corpora())
+    def test_every_stage_exits_0_or_2_naming_a_file(self, corpus, tmp_path_factory, capsys):
+        out = tmp_path_factory.mktemp("random_corpus")
+        manifest, skips, model = write_corpus(corpus, out), out / "skips.jsonl", out / "m.bin"
+        if self.check(["detect-skips", "--manifest", str(manifest), "--out", str(skips)],
+                      capsys, out):
+            return
+        if self.check(["train", "--manifest", str(manifest), "--skips", str(skips),
+                       "--out", str(model), "--epochs", "1"], capsys, out):
+            return
+        for split in ("train", "val", "test"):
+            self.check(["eval", "--manifest", str(manifest), "--skips", str(skips),
+                        "--model", str(model), "--split", split,
+                        "--report", str(out / f"{split}.json")], capsys, out)

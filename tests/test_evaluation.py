@@ -1,16 +1,18 @@
 """Ranking rules, Recall@K / median-rank summaries, and end-to-end retrieval
 evaluation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import objective_oracle
-from bmrnn.data import SynthConfig, generate_synthetic
+from bmrnn.data import StoryRecord, SynthConfig, generate_synthetic
 from bmrnn.errors import DataError
 from bmrnn.evaluation import evaluate, rank_of_truth, summarize_ranks
-from bmrnn.network import StoryGroup, bmrnn_forward, init_bmrnn_params
+from bmrnn.network import StoryGroup, StoryStream, bmrnn_forward, init_bmrnn_params
 from bmrnn.numeric import SeededRng
 from bmrnn.objective import CompatibilityConfig, SentenceSequence
 
@@ -117,23 +119,11 @@ class TestEvaluate:
         b = evaluate(params, corpus.records, corpus.skips, ccfg)
         assert a == b
 
-    def test_pool_permutation_invariance(self):
+    def test_record_order_invariance(self):
         corpus, params, ccfg = self.setup_eval()
-        pool = [r.sentences for r in corpus.records]
-        a = evaluate(params, corpus.records, corpus.skips, ccfg, pool=pool)
-        b = evaluate(params, corpus.records, corpus.skips, ccfg, pool=pool[::-1])
-        assert a.per_story_ranks == b.per_story_ranks
-
-    def test_truth_absent_from_pool(self):
-        corpus, params, ccfg = self.setup_eval()
-        pool = [r.sentences for r in corpus.records[1:]]
-        with pytest.raises(DataError, match="absent"):
-            evaluate(params, corpus.records, corpus.skips, ccfg, pool=pool)
-
-    def test_empty_pool_rejected(self):
-        corpus, params, ccfg = self.setup_eval()
-        with pytest.raises(DataError):
-            evaluate(params, corpus.records, corpus.skips, ccfg, pool=[])
+        a = evaluate(params, corpus.records, corpus.skips, ccfg)
+        b = evaluate(params, corpus.records[::-1], corpus.skips, ccfg)
+        assert dict(a.per_story_ranks) == dict(b.per_story_ranks)
 
     def test_missing_skip_record(self):
         corpus, params, ccfg = self.setup_eval()
@@ -163,8 +153,17 @@ def mixed_length_corpus(lengths, seed):
     return records, skips
 
 
-def oracle_ranks(params, records, skips, ccfg, pool):
+def duplicate_record(rec, skip, sid):
+    """A copy of a story under another id: its steps, sentences and skip
+    record."""
+    story = StoryStream(sid, rec.story.x.copy(), rec.story.raw_fc)
+    return (StoryRecord(sid, rec.split, story, SentenceSequence(sid, rec.sentences.v.copy())),
+            dataclasses.replace(skip, story_id=sid))
+
+
+def oracle_ranks(params, records, skips, ccfg):
     """evaluate's ranks, scoring each (query, candidate) pair on its own."""
+    pool = [rec.sentences for rec in records]
     ranks = []
     for rec in records:
         skip = skips[rec.story_id]
@@ -184,10 +183,11 @@ class TestEvaluateOracle:
         records, skips = mixed_length_corpus(lengths, seed)
         params = init_bmrnn_params(4, 3, 4, SeededRng(seed))
         ccfg = CompatibilityConfig(alpha=alpha, local_term_mode=mode)
-        # copies of true sentence sequences tie with them exactly; their ids
-        # sort before ("0...") or after ("~...") the truth's
-        pool = [rec.sentences for rec in records] + [
-            SentenceSequence(f"{'0~'[k % 2]}dup{k}", records[k % len(records)].sentences.v.copy())
-            for k in range(dups)]
-        report = evaluate(params, records, skips, ccfg, pool=pool)
-        assert report.per_story_ranks == oracle_ranks(params, records, skips, ccfg, pool)
+        # copied stories tie with the originals exactly, on both sides; their
+        # ids sort before ("!...") or after ("~...") every original's
+        for k, src in zip(range(dups), records * dups):
+            dup, skip = duplicate_record(src, skips[src.story_id], f"{'!~'[k % 2]}dup{k}")
+            records.append(dup)
+            skips[dup.story_id] = skip
+        report = evaluate(params, records, skips, ccfg)
+        assert report.per_story_ranks == oracle_ranks(params, records, skips, ccfg)

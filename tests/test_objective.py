@@ -278,50 +278,62 @@ class TestContrastiveLoss:
 
 
 class TestSampleNegatives:
-    def make_dataset(self, n):
-        return {f"s{i:03d}": f"record-{i}" for i in range(n)}
-
     def test_full_coverage_when_exact(self):
-        ds = self.make_dataset(128)
-        draw = sample_negatives(ds, "s000", 127, SeededRng(1))
-        assert sorted(draw) == sorted(v for k, v in ds.items() if k != "s000")
+        draw = sample_negatives(128, 0, 127, SeededRng(1))
+        assert sorted(draw) == list(range(1, 128))
 
     def test_same_seed_same_draw(self):
-        ds = self.make_dataset(50)
-        a = sample_negatives(ds, "s007", 10, SeededRng(42))
-        b = sample_negatives(ds, "s007", 10, SeededRng(42))
-        assert a == b
+        a = sample_negatives(50, 7, 10, SeededRng(42))
+        b = sample_negatives(50, 7, 10, SeededRng(42))
+        npt.assert_array_equal(a, b)
 
     def test_excludes_positive(self):
-        ds = self.make_dataset(30)
         for s in range(20):
-            draw = sample_negatives(ds, "s004", 10, SeededRng(s))
-            assert "record-4" not in draw
+            draw = sample_negatives(30, 4, 10, SeededRng(s))
+            assert 4 not in draw
 
     def test_small_dataset_warns_and_fills(self):
-        ds = self.make_dataset(5)
         with pytest.warns(UserWarning):
-            draw = sample_negatives(ds, "s000", 10, SeededRng(3))
+            draw = sample_negatives(5, 0, 10, SeededRng(3))
         assert len(draw) == 10
-        assert "record-0" not in draw
+        assert 0 not in draw
 
     def test_single_story_rejected(self):
         with pytest.raises(DataError):
-            sample_negatives({"only": 1}, "only", 3, SeededRng(1))
+            sample_negatives(1, 0, 3, SeededRng(1))
 
     def test_selection_rates_uniform(self):
         # chi-squared-style check: every story's selection rate within 3 sigma
-        ds = {f"s{i:03d}": f"s{i:03d}" for i in range(11)}
         rng = SeededRng(99)
-        counts = {k: 0 for k in ds if k != "s005"}
+        counts = {k: 0 for k in range(11) if k != 5}
         draws = 10_000
         for _ in range(draws):
-            for rec in sample_negatives(ds, "s005", 3, rng):
-                counts[rec] += 1
+            for row in sample_negatives(11, 5, 3, rng):
+                counts[row] += 1
         p = 3 / 10
         sigma = (draws * p * (1 - p)) ** 0.5
         for k, c in counts.items():
             assert abs(c - draws * p) < 3 * sigma, (k, c)
+
+    @staticmethod
+    def assert_same_draws(calls, seed):
+        """Each (n, positive, count) call draws the rows the id-list oracle
+        draws, its rng continuing from the calls before it."""
+        rng, oracle_rng = SeededRng(seed), SeededRng(seed)
+        for n, positive, count in calls:
+            ids = {f"s{i:03d}": i for i in range(n)}
+            want = objective_oracle.sample_negatives(ids, f"s{positive:03d}", count, oracle_rng)
+            assert sample_negatives(n, positive, count, rng).tolist() == want, (n, positive, count)
+
+    @pytest.mark.filterwarnings("ignore:only .* candidate negatives")
+    def test_small_draws_equal_id_list_oracle(self):
+        # count above n - 1 takes the with-replacement branch
+        self.assert_same_draws([(n, positive, count) for n in range(2, 13)
+                                for count in range(1, 16) for positive in range(n)], seed=5)
+
+    def test_sind_short_draws_equal_id_list_oracle(self):
+        positives = np.random.default_rng(0).integers(0, 200, 2000).tolist()
+        self.assert_same_draws([(200, positive, 127) for positive in positives], seed=6)
 
 
 def reference_compatibility(H, V, groups, alpha, mode):

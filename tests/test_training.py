@@ -363,20 +363,20 @@ def per_story_train(records, skips_by_id, cfg, ccfg, hidden_dim):
     params = init_bmrnn_params(records[0].story.x.shape[1], hidden_dim,
                                records[0].sentences.v.shape[1], rng.spawn(0))
     order_rng, neg_rng = rng.spawn(1), rng.spawn(2)
-    row_of = {rec.story_id: i for i, rec in enumerate(records)}
     sentences = SequenceStack.of([rec.sentences for rec in records])
     state = init_optimizer_state(params, cfg)
     for _ in range(cfg.epochs):
         h_cache = SequenceStack.of([
             network_oracle.forward(params, rec.story, skips_by_id[rec.story_id].matrix()).merged
             for rec in records])
-        order = [records[i] for i in order_rng.permutation(len(records))]
+        order = order_rng.permutation(len(records))
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             batch_grads = params.zeros_like()
-            for rec in batch:
+            for row in batch:
+                rec = records[row]
                 skip = skips_by_id[rec.story_id]
-                idx = sample_negatives(row_of, rec.story_id, ccfg.negatives_per_positive, neg_rng)
+                idx = sample_negatives(len(records), row, ccfg.negatives_per_positive, neg_rng)
                 trace = network_oracle.forward(params, rec.story, skip.matrix())
                 result = contrastive_loss(trace.merged, rec.sentences, sentences.take(idx),
                                           h_cache.take(idx), skip.partition(), ccfg)
