@@ -22,8 +22,9 @@ With no ancestor the skip term vanishes and the cell is bit-identical to the
 baseline cell on its first nine tensors: ``SGRUParams`` is ``GRUParams`` with
 the four skip tensors added.
 
-A sweep steps B zero-padded sequences as B rows at once; their input products
-come from ``sgru_inputs``, their parameter gradients from ``sgru_param_grads``.
+A sweep steps B zero-padded sequences as B rows at once, and a stacked cell
+with (2, 1, ...) tensors steps two directions' rows; their input products come
+from ``sgru_inputs``, their parameter gradients from ``sgru_param_grads``.
 
 Gradients are hand-written analytic derivatives of the above; they are
 checked against central finite differences in the test suite.
@@ -183,7 +184,7 @@ def sgru_inputs(params: SGRUParams, X: Array) -> Array:
     """
     if X.ndim < 2 or X.shape[-1] != params.input_dim:
         raise ShapeMismatchError("cell input", X.shape, ("N", params.input_dim))
-    W = np.stack([params.W_zx, params.W_rx, params.W_hx, params.W_sx])
+    W = np.stack([params.W_zx, params.W_rx, params.W_hx, params.W_sx], axis=-3)[..., None, :, :, :]
     return (W @ X[..., None, :, None])[..., 0]
 
 
@@ -235,19 +236,19 @@ def sgru_backward(
     dh_prev = dh_t * (1.0 - z)
 
     da_h = dh_tilde * (1.0 - h_tilde * h_tilde)
-    drh = matvecs(params.W_hh.T, da_h)
+    drh = matvecs(params.W_hh.mT, da_h)
     dr = drh * h_prev
     dh_prev = dh_prev + drh * r
 
     # preservation term: W_hp (s * h_skip) inside the candidate
-    dsh = matvecs(params.W_hp.T, da_h)
+    dsh = matvecs(params.W_hp.mT, da_h)
     da_s = np.where(has_skip, dsh * h_skip * s * (1.0 - s), 0.0)
-    dh_skip = np.where(has_skip, dsh * s + matvecs(params.W_sh.T, da_s), 0.0)
+    dh_skip = np.where(has_skip, dsh * s + matvecs(params.W_sh.mT, da_s), 0.0)
 
     da_z = dz * z * (1.0 - z)
-    dh_prev = dh_prev + matvecs(params.W_zh.T, da_z)
+    dh_prev = dh_prev + matvecs(params.W_zh.mT, da_z)
     da_r = dr * r * (1.0 - r)
-    dh_prev = dh_prev + matvecs(params.W_rh.T, da_r)
+    dh_prev = dh_prev + matvecs(params.W_rh.mT, da_r)
     return np.stack([da_z, da_r, da_h, da_s], axis=-2), dh_prev, dh_skip
 
 
@@ -265,15 +266,14 @@ def sgru_param_grads(
     (B·N, ·) GEMM would sum across the sweeps.
     """
     dA_z, dA_r, dA_h, dA_s = (dA[..., k, :] for k in range(4))
-    d = {
-        "W_zx": dA_z.mT @ X, "W_zh": dA_z.mT @ H_prev, "b_z": dA_z.sum(axis=-2),
-        "W_rx": dA_r.mT @ X, "W_rh": dA_r.mT @ H_prev, "b_r": dA_r.sum(axis=-2),
-        "W_sx": dA_s.mT @ X, "W_sh": dA_s.mT @ H_skip, "b_s": dA_s.sum(axis=-2),
-        "W_hx": dA_h.mT @ X, "W_hh": dA_h.mT @ (R * H_prev), "W_hp": dA_h.mT @ (S * H_skip),
-        "b_h": dA_h.sum(axis=-2),
-    }
-    for name, t in grads.named_tensors():
-        t += d[name]
+    pairs = {   # gradient: dA_gᵀ right, or a bias's column sum where right is None
+        "W_zx": (dA_z, X), "W_zh": (dA_z, H_prev), "W_rx": (dA_r, X), "W_rh": (dA_r, H_prev),
+        "W_sx": (dA_s, X), "W_sh": (dA_s, H_skip), "W_hx": (dA_h, X), "W_hh": (dA_h, R * H_prev),
+        "W_hp": (dA_h, S * H_skip), "b_z": (dA_z, None), "b_r": (dA_r, None),
+        "b_s": (dA_s, None), "b_h": (dA_h, None)}
+    for name, t in grads.named_tensors():   # added as formed: one product is held at a time
+        left, right = pairs[name]
+        t += left.sum(axis=-2) if right is None else left.mT @ right
     # the terms in the GRU oracle's order (tests/gru_oracle.py), so a one-step
     # skip-free sweep matches it bit for bit
     return dA_h @ params.W_hx + dA_s @ params.W_sx + dA_z @ params.W_zx + dA_r @ params.W_rx

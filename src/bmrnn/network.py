@@ -7,13 +7,12 @@ edges.  Neither pass sees the other's state; a linear merge combines the two
 hidden sequences into the output sequence H = {h_0..h_{N-1}} used to score
 sentence sequences.
 
-Stories are swept together as a ``StoryGroup``, over one (B, H) state per
-direction; shorter stories are zero-padded to the group's longest, and each
-story keeps the bits of a sweep of its own.  Both passes start each story
-from zero state: a padded step stores a zero state, so the backward pass
-starts a short story at its own last step.  Full backpropagation through
-time is implemented, including gradient flow across skip edges (each edge
-carries gradient exactly once per pair).
+Stories are swept together as a zero-padded ``StoryGroup``, and one loop
+steps both passes over one (2, B, H) state: visit k is step k forward and
+step N-1-k backward.  Each story keeps the bits of a sweep of its own from
+zero state (a padded step stores one).  Full backpropagation through time is
+implemented, including gradient flow across skip edges (each edge carries
+gradient exactly once per pair).
 """
 
 from __future__ import annotations
@@ -86,6 +85,7 @@ class BMRNNParams:
     merge_b: np.ndarray   # (output_dim, hidden_dim)
     b_merge: np.ndarray   # (output_dim,)
     flat: np.ndarray = field(init=False, repr=False)
+    cells: SGRUParams = field(init=False, repr=False)
 
     def __post_init__(self):
         """Copy the given tensors into one buffer, checking every shape."""
@@ -101,13 +101,19 @@ class BMRNNParams:
 
     def _bind(self, flat: np.ndarray) -> None:
         """Make ``flat`` the buffer and every field a view into it; the leading
-        axes of a (..., P) buffer lead every field too."""
-        views, start = {}, 0
-        for name, shape in self.layout():
+        axes of a (..., P) buffer lead every field too.  ``cells`` views both
+        directions' (adjacent) cells as one of (2, B, ...) tensors, B = 1 for (P,)."""
+        layout = self.layout()
+        size = sum(math.prod(shape) for name, shape in layout if name.startswith("fwd."))
+        rows = flat.reshape(-1, flat.shape[-1])[:, : 2 * size]
+        both, views, start = rows.reshape(-1, 2, size).transpose(1, 0, 2), {}, 0
+        for name, shape in layout:
             end = start + math.prod(shape)
             views[name] = flat[..., start:end].reshape(*flat.shape[:-1], *shape)
+            if name.startswith("fwd."):
+                views["both" + name[3:]] = both[..., start:end].reshape(2, -1, *shape)
             start = end
-        self.flat = flat
+        self.flat, self.cells = flat, SGRUParams.from_named(views, "both.")
         self.fwd = SGRUParams.from_named(views, "fwd.")
         self.bwd = SGRUParams.from_named(views, "bwd.")
         self.merge_f, self.merge_b, self.b_merge = (
@@ -137,13 +143,9 @@ class BMRNNParams:
         return bmrnn_layout(self.input_dim, self.hidden_dim, self.output_dim)
 
     def named_tensors(self):
-        for name, t in self.fwd.named_tensors():
-            yield f"fwd.{name}", t
-        for name, t in self.bwd.named_tensors():
-            yield f"bwd.{name}", t
-        yield "merge_f", self.merge_f
-        yield "merge_b", self.merge_b
-        yield "b_merge", self.b_merge
+        yield from ((f"fwd.{name}", t) for name, t in self.fwd.named_tensors())
+        yield from ((f"bwd.{name}", t) for name, t in self.bwd.named_tensors())
+        yield from (("merge_f", self.merge_f), ("merge_b", self.merge_b), ("b_merge", self.b_merge))
 
     def copy(self) -> "BMRNNParams":
         return self.with_flat(self.flat.copy())
@@ -218,11 +220,14 @@ class ForwardTrace(NamedTuple):
     """Everything the backward pass needs.  ``fwd`` and ``bwd`` are each
     direction's (5, B, N, H) sweep trace: rows z, r, s, h~ and h of every step
     (s is zero on a step without a skip ancestor); ``merged`` is the (B, N, D)
-    output."""
+    output.  ``bmrnn_forward`` makes them views of ``visits``, which
+    ``bmrnn_backward`` reads: both traces in one (5, 2, B, N + 1, H) array,
+    slot k + 1 holding visit k and slot 0 the zero state before the first."""
 
     fwd: np.ndarray
     bwd: np.ndarray
     merged: np.ndarray
+    visits: np.ndarray | None = None
 
 
 def init_bmrnn_params(
@@ -248,50 +253,17 @@ def story_groups(stories: list[StoryStream], skip_matrices: list[SkipMatrix]):
             for pos in by_length.values()]
 
 
-def _sweep(cell: SGRUParams, X: np.ndarray, anc: np.ndarray, order, live) -> np.ndarray:
-    """One directional pass over a group's (B, N, D) inputs, visiting the
-    steps in ``order``, as a (5, B, N, H) trace.  A step's previous state is
-    that of the step visited just before it (zero for the first), and its
-    skip ancestor ``anc[:, t]`` (-1 for none) was visited earlier.  A padded
-    step (``live`` False) stores a zero state."""
-    B, n = anc.shape
-    T, h_prev = np.zeros((5, B, n, cell.hidden_dim)), np.zeros((B, cell.hidden_dim))
-    xp, rows, has = sgru_inputs(cell, X), np.arange(B), (anc >= 0)[..., None]
-    for t in order:
-        # a row without an ancestor reads some state through -1; the cell ignores it
-        step = sgru_forward(cell, xp[:, t], h_prev, T[4, rows, anc[:, t]], has[:, t])
-        step = step._replace(h=np.where(live[:, t], step.h, 0.0))
-        T[:, :, t] = step
-        h_prev = step.h
-    return T
+def _paired(fwd: np.ndarray, bwd: np.ndarray) -> np.ndarray:
+    """(2, B, N, ...): a forward-pass and a backward-pass array, the second
+    reversed in time; this maps time order to visit order and back."""
+    return np.stack([fwd, bwd[:, ::-1]])
 
 
-def _sweep_backward(cell, grads, X, anc, order, T, dh, dX, parts) -> None:
-    """BPTT through one ``_sweep`` trace ``T``: steps in reverse visiting
-    order; dh_prev flows to the step visited before, dh_skip accumulates on
-    the skip ancestor.  ``sgru_param_grads`` then adds into the group's
-    ``grads``, whose tensors lead with the B axis, and into ``dX``, over each
-    of the (stories, steps) ``parts``, which leave padded steps out.  A
-    padded step has zero ``dh`` and no skip: in the forward pass the carry
-    out of it into its story's last step is a zero (+0.0 or -0.0), which
-    leaves that step unchanged; in the backward pass the carry flows only
-    from a story's steps into padded ones."""
-    B, n = anc.shape
-    hidden, rows, has = cell.hidden_dim, np.arange(B), (anc >= 0)[..., None]
-    H_prev = np.zeros((B, n, hidden))
-    H_prev[:, order[1:]] = T[4][:, order[:-1]]
-    H_skip = np.where(has, T[4, rows[:, None], anc], 0.0)   # zero without a skip
-    carry, dA = np.zeros((B, hidden)), np.empty((B, n, 4, hidden))
-    skip_acc = np.zeros((B, n + 1, hidden))    # rows without a skip add their zeros at -1
-    for t in reversed(order):
-        dA[:, t], carry, dh_skip = sgru_backward(
-            cell, H_prev[:, t], H_skip[:, t], has[:, t], T[:, :, t],
-            dh[:, t] + carry + skip_acc[:, t])
-        skip_acc[rows, anc[:, t]] += dh_skip
-    for i, s in parts:
-        part = SGRUParams.from_named({name: g[i] for name, g in grads.named_tensors()})
-        dX[i, s] += sgru_param_grads(cell, part, X[i, s], H_prev[i, s], T[1][i, s],
-                                     H_skip[i, s], T[2][i, s], dA[i, s])
+def _ancestors(group: StoryGroup) -> np.ndarray:
+    """(2, B, N): the trace slot of each visit's skip ancestor, 0 for none;
+    backward visit k is step N-1-k, and its ancestor, descendant d, visit N-1-d."""
+    desc = group.skips[1]
+    return _paired(group.skips[0] + 1, np.where(desc >= 0, group.N - desc, 0))
 
 
 def bmrnn_forward(params: BMRNNParams, group: StoryGroup) -> ForwardTrace:
@@ -300,15 +272,22 @@ def bmrnn_forward(params: BMRNNParams, group: StoryGroup) -> ForwardTrace:
 
     The forward pass walks t = 0..N-1 with skip ancestors p < t; the
     backward pass walks t = N-1..0 with the transposed skips, so its
-    "previous" state at step t is that of step t+1.
+    "previous" state at step t is that of step t+1.  Visit k steps both
+    over one (2, B, H) state; a padded step stores a zero state.
     """
-    n, live = group.N, group.live()
-    fwd = _sweep(params.fwd, group.x, group.skips[0], range(n), live)
-    bwd = _sweep(params.bwd, group.x, group.skips[1], range(n - 1, -1, -1), live)
+    cells, anc, live = params.cells, _ancestors(group), group.live()
+    T = np.zeros((5, *anc.shape[:2], group.N + 1, cells.hidden_dim))   # slot 0: the zero state
+    xp, live, has = sgru_inputs(cells, _paired(group.x, group.x)), _paired(live, live), anc > 0
+    sides, rows = np.arange(2)[:, None], np.arange(len(group.x))
+    for k in range(group.N):
+        step = sgru_forward(cells, xp[:, :, k], T[4, :, :, k], T[4, sides, rows, anc[..., k]],
+                            has[..., k, None])
+        T[:, :, :, k + 1] = step._replace(h=np.where(live[:, :, k], step.h, 0.0))
+    fwd, bwd = T[:, 0, :, 1:], T[:, 1, :, :0:-1]
     # one matrix-vector product per step, not one GEMM: the reduction to a
     # plain bidirectional GRU is compared bit for bit, and a GEMM rounds differently
     merged = matvecs(params.merge_f, fwd[4]) + matvecs(params.merge_b, bwd[4]) + params.b_merge
-    return ForwardTrace(fwd, bwd, merged)
+    return ForwardTrace(fwd, bwd, merged, T)
 
 
 def bmrnn_backward(params: BMRNNParams, group: StoryGroup, trace: ForwardTrace, dH: np.ndarray):
@@ -316,27 +295,48 @@ def bmrnn_backward(params: BMRNNParams, group: StoryGroup, trace: ForwardTrace, 
     back to params and x; rows past a story's length are ignored.  Returns
     the gradients, shaped like params with the B axis first (one (B, P)
     buffer), and the (B, N, input_dim) dL/dx, zero on padded steps.
+
+    BPTT walks ``trace.visits`` backwards.  A padded step has zero dh and no
+    skip: in the forward pass the carry out of it into its story's last step
+    is a zero (+0.0 or -0.0), which leaves that step unchanged; in the
+    backward pass the carry flows only from a story's steps into padded ones.
     """
     B, n = group.skips.shape[1:]
     if dH.shape[:2] != (B, n):
         raise ShapeMismatchError("bmrnn_backward", dH.shape[:2], (B, n))
-    grads, dX = params.zeros_like(B), np.zeros_like(group.x)
-    # a GEMM's bits depend on its row count, so each story's products run over
-    # its own steps: stacked (numpy runs one GEMM per story) unless padded, as
-    # a per-story loop made sind-short's unpadded minibatches train 11% slower
-    parts = ([(slice(None), slice(None))] if group.lengths.min() == n
-             else [(b, slice(0, m)) for b, m in enumerate(group.lengths)])
-    dh_f, dh_b = np.zeros((2, B, n, params.hidden_dim))
-    for i, s in parts:
+    grads, dX, cells, T = params.zeros_like(B), np.zeros_like(group.x), params.cells, trace.visits
+    # a GEMM's bits depend on its row count, so a padded group's products run per
+    # story over its own steps; unpadded, stacked ones (per story was 11% slower)
+    parts = ([(slice(None), slice(None), grads.cells)] if group.lengths.min() == n else
+             [(slice(b, b + 1), slice(0, m),
+               SGRUParams(**{k: t[:, b : b + 1] for k, t in vars(grads.cells).items()}))
+              for b, m in enumerate(group.lengths)])
+    dh = np.zeros((2, B, n, params.hidden_dim))      # in visit order
+    # numpy multiplies a reversed view without BLAS, so merge_b's factor is a copy
+    dh_f, dh_b, h_b = dh[0], dh[1, :, ::-1], np.ascontiguousarray(trace.bwd[4])
+    for i, s, _ in parts:
         grads.merge_f[i] += dH[i, s].mT @ trace.fwd[4][i, s]
-        grads.merge_b[i] += dH[i, s].mT @ trace.bwd[4][i, s]
+        grads.merge_b[i] += dH[i, s].mT @ h_b[i, s]
         grads.b_merge[i] += dH[i, s].sum(axis=-2)
         dh_f[i, s], dh_b[i, s] = dH[i, s] @ params.merge_f, dH[i, s] @ params.merge_b
-
-    _sweep_backward(params.fwd, grads.fwd, group.x, group.skips[0], range(n),
-                    trace.fwd, dh_f, dX, parts)
-    _sweep_backward(params.bwd, grads.bwd, group.x, group.skips[1],
-                    range(n - 1, -1, -1), trace.bwd, dh_b, dX, parts)
+    anc = _ancestors(group)
+    sides, rows, has = np.arange(2)[:, None], np.arange(B), (anc > 0)[..., None]
+    H_skip = T[4, sides[..., None], rows[:, None], anc]      # slot 0 is zero
+    carry, dA = np.zeros((2, B, cells.hidden_dim)), np.empty((2, B, n, 4, cells.hidden_dim))
+    skip_acc = np.zeros((2, B, n + 1, cells.hidden_dim))   # by slot; rows without a skip add at 0
+    for k in reversed(range(n)):
+        dA[:, :, k], carry, dh_skip = sgru_backward(
+            cells, T[4, :, :, k], H_skip[:, :, k], has[:, :, k], T[:, :, :, k + 1],
+            dh[:, :, k] + carry + skip_acc[:, :, k + 1])
+        skip_acc[sides, rows, anc[..., k]] += dh_skip
+    # the parameter gradients run in time order: a GEMM over reversed steps rounds differently
+    H_skip[1], dA[1] = H_skip[1, :, ::-1], dA[1, :, ::-1]      # numpy copies overlapping views
+    H_prev, R, S = (_paired(*a) for a in (T[4, :, :, :-1], T[1, :, :, 1:], T[2, :, :, 1:]))
+    X = np.broadcast_to(group.x, (2, *group.x.shape))
+    for i, s, g in parts:
+        for d in sgru_param_grads(cells, g, X[:, i, s], H_prev[:, i, s], R[:, i, s],
+                                  H_skip[:, i, s], S[:, i, s], dA[:, i, s]):
+            dX[i, s] += d      # the forward direction's, then the backward's
     return grads, dX
 
 

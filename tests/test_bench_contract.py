@@ -64,24 +64,25 @@ def test_each_sweep_calls_the_cell_once_per_step(monkeypatch):
     group = StoryGroup.of([story], [sk])
     trace = bmrnn_forward(p, group)
     bmrnn_backward(p, group, trace, np.ones((1, n, 2)))
-    assert calls == {"sgru_forward": 2 * n, "sgru_backward": 2 * n}
+    # one call steps both directions
+    assert calls == {"sgru_forward": n, "sgru_backward": n}
 
-    # a group of B stories of length n steps them together: still 2n calls each way
+    # a group of B stories of length n steps them together: still n calls each way
     calls.update(sgru_forward=0, sgru_backward=0)
     stories = [StoryStream(story_id=f"s{b}", x=rng.normal(size=(n, 3))) for b in range(5)]
     group = StoryGroup.of(stories, [sk, SkipMatrix(n=n, pairs=())] * 2 + [sk])
     trace = bmrnn_forward(p, group)
     bmrnn_backward(p, group, trace, np.ones((5, n, 2)))
-    assert calls == {"sgru_forward": 2 * n, "sgru_backward": 2 * n}
+    assert calls == {"sgru_forward": n, "sgru_backward": n}
 
-    # stories of lengths 2, 7 and 4 are padded to 7 steps: 2 * 7 calls each way
+    # stories of lengths 2, 7 and 4 are padded to 7 steps: 7 calls each way
     calls.update(sgru_forward=0, sgru_backward=0)
     stories = [StoryStream(story_id=f"p{m}", x=rng.normal(size=(m, 3))) for m in (2, 7, 4)]
     group = StoryGroup.of(stories, [SkipMatrix(n=2, pairs=((0, 1),)), sk,
                                     SkipMatrix(n=4, pairs=())])
     trace = bmrnn_forward(p, group)
     bmrnn_backward(p, group, trace, np.ones((3, n, 2)))
-    assert calls == {"sgru_forward": 2 * n, "sgru_backward": 2 * n}
+    assert calls == {"sgru_forward": n, "sgru_backward": n}
 
 
 def test_every_note_applies_and_every_divisor_is_counted(monkeypatch):

@@ -16,6 +16,7 @@ from bmrnn.cells import (
     sgru_param_grads,
 )
 from bmrnn.errors import ShapeMismatchError
+from bmrnn.network import init_bmrnn_params
 from bmrnn.numeric import SeededRng
 from gru_oracle import gru_backward
 
@@ -368,3 +369,66 @@ class TestPreservation:
             if with_skip > without:
                 wins += 1
         assert wins >= 45, wins
+
+
+class TestStackedCell:
+    """``BMRNNParams.cells`` views both directions' cells, adjacent in
+    ``flat``, as one (2, 1, ...) cell; a stacked call must give each
+    direction the bits of its own one-direction call."""
+
+    @staticmethod
+    def inputs(B, n=6, in_dim=3, hidden=4, seed=0):
+        rng = np.random.default_rng(seed)
+        # rows 0, 2, 4, ... have a skip ancestor and the others have none; the
+        # second direction's rows the other way round
+        has = np.stack([np.arange(B) % 2 == 0, np.arange(B) % 2 == 1])[..., None]
+        X, H_prev, R = (rng.normal(size=(2, B, n, d)) for d in (in_dim, hidden, hidden))
+        H_skip, S = (np.where(has[:, :, None], rng.normal(size=(2, B, n, hidden)), 0.0)
+                     for _ in range(2))
+        dA = rng.normal(size=(2, B, n, 4, hidden))
+        dA[..., 3, :] *= has[:, :, None]          # da_s is zero without a skip
+        return rng, has, X, H_prev, R, H_skip, S, dA
+
+    @pytest.mark.parametrize("B", [1, 5])
+    def test_a_stacked_call_has_the_bits_of_one_call_per_direction(self, B):
+        p = init_bmrnn_params(3, 4, 2, SeededRng(B))
+        for name, t in p.cells.named_tensors():
+            assert t.shape[:2] == (2, 1) and np.shares_memory(t, p.flat), name
+            npt.assert_array_equal(t[:, 0], [getattr(p.fwd, name), getattr(p.bwd, name)])
+        rng, has, X, H_prev, R, H_skip, S, dA = self.inputs(B, seed=B)
+        xp = sgru_inputs(p.cells, X)
+        step = sgru_forward(p.cells, xp[:, :, 0], H_prev[:, :, 0], H_skip[:, :, 0], has)
+        dh = rng.normal(size=(2, B, 4))
+        back = sgru_backward(p.cells, H_prev[:, :, 0], H_skip[:, :, 0], has, step, dh)
+        stacked, single = p.zeros_like(B), p.zeros_like(B)
+        dX = sgru_param_grads(p.cells, stacked.cells, X, H_prev, R, H_skip, S, dA)
+        for d, (cell, grads) in enumerate(((p.fwd, single.fwd), (p.bwd, single.bwd))):
+            xp_d = sgru_inputs(cell, X[d])
+            assert xp[d].tobytes() == xp_d.tobytes()
+            one = sgru_forward(cell, xp_d[:, 0], H_prev[d, :, 0], H_skip[d, :, 0], has[d])
+            for a, b in zip(step, one, strict=True):
+                assert a[d].tobytes() == b.tobytes()
+            one = sgru_backward(cell, H_prev[d, :, 0], H_skip[d, :, 0], has[d], one, dh[d])
+            for a, b in zip(back, one, strict=True):
+                assert a[d].tobytes() == b.tobytes()
+            dx = sgru_param_grads(cell, grads, X[d], H_prev[d], R[d], H_skip[d], S[d], dA[d])
+            assert dX[d].tobytes() == dx.tobytes()
+        assert stacked.flat.tobytes() == single.flat.tobytes()
+
+    def test_a_part_of_one_story_has_the_bits_of_one_call_per_direction(self):
+        B, b, m = 4, 2, 5
+        p = init_bmrnn_params(3, 4, 2, SeededRng(7))
+        _, _, X, H_prev, R, H_skip, S, dA = self.inputs(B, seed=7)
+        stacked, single = p.zeros_like(B), p.zeros_like(B)
+        # the story's rows b:b+1 of the stacked gradient views, over its first m steps
+        part = SGRUParams(**{k: t[:, b : b + 1] for k, t in vars(stacked.cells).items()})
+        rows = (slice(None), slice(b, b + 1), slice(0, m))
+        dX = sgru_param_grads(p.cells, part, X[rows], H_prev[rows], R[rows], H_skip[rows],
+                              S[rows], dA[rows])
+        for d, (cell, grads) in enumerate(((p.fwd, single.fwd), (p.bwd, single.bwd))):
+            one = SGRUParams(**{k: t[b] for k, t in vars(grads).items()})
+            dx = sgru_param_grads(cell, one, X[d, b, :m], H_prev[d, b, :m], R[d, b, :m],
+                                  H_skip[d, b, :m], S[d, b, :m], dA[d, b, :m])
+            assert dX[d, 0].tobytes() == dx.tobytes()
+        assert stacked.flat.tobytes() == single.flat.tobytes()
+        assert stacked.flat[b].any() and not np.delete(stacked.flat, b, axis=0).any()
