@@ -22,9 +22,8 @@ With no ancestor the skip term vanishes and the cell is bit-identical to the
 baseline cell on its first nine tensors: ``SGRUParams`` is ``GRUParams`` with
 the four skip tensors added.
 
-A sweep steps B zero-padded sequences as B rows at once, and a stacked cell
-with (2, 1, ...) tensors steps two directions' rows; their input products come
-from ``sgru_inputs``, their parameter gradients from ``sgru_param_grads``.
+A sweep steps B padded rows of one cell, or of two stacked ones, at once; its
+input products and gradients come from ``sgru_inputs`` and ``sgru_param_grads``.
 
 Gradients are hand-written analytic derivatives of the above; they are
 checked against central finite differences in the test suite.

@@ -143,9 +143,13 @@ class BMRNNParams:
         return bmrnn_layout(self.input_dim, self.hidden_dim, self.output_dim)
 
     def named_tensors(self):
-        yield from ((f"fwd.{name}", t) for name, t in self.fwd.named_tensors())
-        yield from ((f"bwd.{name}", t) for name, t in self.bwd.named_tensors())
-        yield from (("merge_f", self.merge_f), ("merge_b", self.merge_b), ("b_merge", self.b_merge))
+        for name, t in self.fwd.named_tensors():
+            yield f"fwd.{name}", t
+        for name, t in self.bwd.named_tensors():
+            yield f"bwd.{name}", t
+        yield "merge_f", self.merge_f
+        yield "merge_b", self.merge_b
+        yield "b_merge", self.b_merge
 
     def copy(self) -> "BMRNNParams":
         return self.with_flat(self.flat.copy())
@@ -220,9 +224,9 @@ class ForwardTrace(NamedTuple):
     """Everything the backward pass needs.  ``fwd`` and ``bwd`` are each
     direction's (5, B, N, H) sweep trace: rows z, r, s, h~ and h of every step
     (s is zero on a step without a skip ancestor); ``merged`` is the (B, N, D)
-    output.  ``bmrnn_forward`` makes them views of ``visits``, which
-    ``bmrnn_backward`` reads: both traces in one (5, 2, B, N + 1, H) array,
-    slot k + 1 holding visit k and slot 0 the zero state before the first."""
+    output.  ``bmrnn_backward`` reads ``visits`` (None for two separate arrays):
+    both as one (5, 2, B, N + 1, H) array, of which ``bmrnn_forward``'s are
+    views, slot k + 1 holding visit k and slot 0 the zero state before it."""
 
     fwd: np.ndarray
     bwd: np.ndarray
@@ -262,8 +266,8 @@ def _paired(fwd: np.ndarray, bwd: np.ndarray) -> np.ndarray:
 def _ancestors(group: StoryGroup) -> np.ndarray:
     """(2, B, N): the trace slot of each visit's skip ancestor, 0 for none;
     backward visit k is step N-1-k, and its ancestor, descendant d, visit N-1-d."""
-    desc = group.skips[1]
-    return _paired(group.skips[0] + 1, np.where(desc >= 0, group.N - desc, 0))
+    anc, desc = group.skips
+    return _paired(anc + 1, np.where(desc >= 0, group.N - desc, 0))
 
 
 def bmrnn_forward(params: BMRNNParams, group: StoryGroup) -> ForwardTrace:
@@ -307,21 +311,18 @@ def bmrnn_backward(params: BMRNNParams, group: StoryGroup, trace: ForwardTrace, 
     grads, dX, cells, T = params.zeros_like(B), np.zeros_like(group.x), params.cells, trace.visits
     # a GEMM's bits depend on its row count, so a padded group's products run per
     # story over its own steps; unpadded, stacked ones (per story was 11% slower)
-    parts = ([(slice(None), slice(None), grads.cells)] if group.lengths.min() == n else
-             [(slice(b, b + 1), slice(0, m),
-               SGRUParams(**{k: t[:, b : b + 1] for k, t in vars(grads.cells).items()}))
-              for b, m in enumerate(group.lengths)])
+    parts = ([(slice(None), slice(None))] if group.lengths.min() == n
+             else [(slice(b, b + 1), slice(0, m)) for b, m in enumerate(group.lengths)])
     dh = np.zeros((2, B, n, params.hidden_dim))      # in visit order
     # numpy multiplies a reversed view without BLAS, so merge_b's factor is a copy
     dh_f, dh_b, h_b = dh[0], dh[1, :, ::-1], np.ascontiguousarray(trace.bwd[4])
-    for i, s, _ in parts:
+    for i, s in parts:
         grads.merge_f[i] += dH[i, s].mT @ trace.fwd[4][i, s]
         grads.merge_b[i] += dH[i, s].mT @ h_b[i, s]
         grads.b_merge[i] += dH[i, s].sum(axis=-2)
         dh_f[i, s], dh_b[i, s] = dH[i, s] @ params.merge_f, dH[i, s] @ params.merge_b
-    anc = _ancestors(group)
-    sides, rows, has = np.arange(2)[:, None], np.arange(B), (anc > 0)[..., None]
-    H_skip = T[4, sides[..., None], rows[:, None], anc]      # slot 0 is zero
+    sides, rows, anc = np.arange(2)[:, None], np.arange(B), _ancestors(group)
+    H_skip, has = T[4, sides[..., None], rows[:, None], anc], (anc > 0)[..., None]   # slot 0: zero
     carry, dA = np.zeros((2, B, cells.hidden_dim)), np.empty((2, B, n, 4, cells.hidden_dim))
     skip_acc = np.zeros((2, B, n + 1, cells.hidden_dim))   # by slot; rows without a skip add at 0
     for k in reversed(range(n)):
@@ -332,9 +333,9 @@ def bmrnn_backward(params: BMRNNParams, group: StoryGroup, trace: ForwardTrace, 
     # the parameter gradients run in time order: a GEMM over reversed steps rounds differently
     H_skip[1], dA[1] = H_skip[1, :, ::-1], dA[1, :, ::-1]      # numpy copies overlapping views
     H_prev, R, S = (_paired(*a) for a in (T[4, :, :, :-1], T[1, :, :, 1:], T[2, :, :, 1:]))
-    X = np.broadcast_to(group.x, (2, *group.x.shape))
-    for i, s, g in parts:
-        for d in sgru_param_grads(cells, g, X[:, i, s], H_prev[:, i, s], R[:, i, s],
+    for i, s in parts:
+        g = SGRUParams(**{k: t[:, i] for k, t in vars(grads.cells).items()})
+        for d in sgru_param_grads(cells, g, group.x[None, i, s], H_prev[:, i, s], R[:, i, s],
                                   H_skip[:, i, s], S[:, i, s], dA[:, i, s]):
             dX[i, s] += d      # the forward direction's, then the backward's
     return grads, dX
