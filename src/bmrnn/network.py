@@ -225,7 +225,7 @@ class ForwardTrace(NamedTuple):
     direction's (5, B, N, H) sweep trace: rows z, r, s, h~ and h of every step
     (s is zero on a step without a skip ancestor); ``merged`` is the (B, N, D)
     output.  ``bmrnn_backward`` reads ``visits`` (None for two separate arrays):
-    both as one (5, 2, B, N + 1, H) array, of which ``bmrnn_forward``'s are
+    both as one (5, 2, N + 1, B, H) array, of which ``bmrnn_forward``'s are
     views, slot k + 1 holding visit k and slot 0 the zero state before it."""
 
     fwd: np.ndarray
@@ -258,9 +258,10 @@ def story_groups(stories: list[StoryStream], skip_matrices: list[SkipMatrix]):
 
 
 def _paired(fwd: np.ndarray, bwd: np.ndarray) -> np.ndarray:
-    """(2, B, N, ...): a forward-pass and a backward-pass array, the second
-    reversed in time; this maps time order to visit order and back."""
-    return np.stack([fwd, bwd[:, ::-1]])
+    """(2, B, N, ...): a forward- and a backward-pass array, the second reversed
+    in time (time order to visit order and back), as one new C-ordered array:
+    numpy multiplies a strided 1-wide operand without BLAS, which rounds differently."""
+    return np.array([fwd, bwd[:, ::-1]])
 
 
 def _ancestors(group: StoryGroup) -> np.ndarray:
@@ -276,18 +277,17 @@ def bmrnn_forward(params: BMRNNParams, group: StoryGroup) -> ForwardTrace:
 
     The forward pass walks t = 0..N-1 with skip ancestors p < t; the
     backward pass walks t = N-1..0 with the transposed skips, so its
-    "previous" state at step t is that of step t+1.  Visit k steps both
-    over one (2, B, H) state; a padded step stores a zero state.
-    """
-    cells, anc, live = params.cells, _ancestors(group), group.live()
-    T = np.zeros((5, *anc.shape[:2], group.N + 1, cells.hidden_dim))   # slot 0: the zero state
-    xp, live, has = sgru_inputs(cells, _paired(group.x, group.x)), _paired(live, live), anc > 0
-    sides, rows = np.arange(2)[:, None], np.arange(len(group.x))
+    "previous" state at step t is that of step t+1.  Visit k steps both over
+    one (2, B, H) state; a padded step stores a zero state."""
+    cells, anc, live = params.cells, _ancestors(group), _paired(group.live(), group.live())
+    T = np.zeros((5, 2, group.N + 1, len(group.x), cells.hidden_dim))   # slot 0: the zero state
+    xp = sgru_inputs(cells, _paired(group.x, group.x).swapaxes(1, 2))    # (2, N, B, 4, H)
+    has, sides, rows = anc > 0, np.arange(2)[:, None], np.arange(len(group.x))
     for k in range(group.N):
-        step = sgru_forward(cells, xp[:, :, k], T[4, :, :, k], T[4, sides, rows, anc[..., k]],
+        step = sgru_forward(cells, xp[:, k], T[4, :, k], T[4, sides, anc[..., k], rows],
                             has[..., k, None])
-        T[:, :, :, k + 1] = step._replace(h=np.where(live[:, :, k], step.h, 0.0))
-    fwd, bwd = T[:, 0, :, 1:], T[:, 1, :, :0:-1]
+        T[:, :, k + 1] = step._replace(h=np.where(live[:, :, k], step.h, 0.0))
+    fwd, bwd = T[:, 0, 1:].swapaxes(1, 2), T[:, 1, :0:-1].swapaxes(1, 2)
     # one matrix-vector product per step, not one GEMM: the reduction to a
     # plain bidirectional GRU is compared bit for bit, and a GEMM rounds differently
     merged = matvecs(params.merge_f, fwd[4]) + matvecs(params.merge_b, bwd[4]) + params.b_merge
@@ -314,25 +314,25 @@ def bmrnn_backward(params: BMRNNParams, group: StoryGroup, trace: ForwardTrace, 
     parts = ([(slice(None), slice(None))] if group.lengths.min() == n
              else [(slice(b, b + 1), slice(0, m)) for b, m in enumerate(group.lengths)])
     dh = np.zeros((2, B, n, params.hidden_dim))      # in visit order
-    # numpy multiplies a reversed view without BLAS, so merge_b's factor is a copy
-    dh_f, dh_b, h_b = dh[0], dh[1, :, ::-1], np.ascontiguousarray(trace.bwd[4])
+    # numpy multiplies some views of the trace without BLAS, so the merge takes a copy
+    dh_f, dh_b, H = dh[0], dh[1, :, ::-1], _paired(*T[4, :, 1:].swapaxes(1, 2))
     for i, s in parts:
-        grads.merge_f[i] += dH[i, s].mT @ trace.fwd[4][i, s]
-        grads.merge_b[i] += dH[i, s].mT @ h_b[i, s]
+        grads.merge_f[i] += dH[i, s].mT @ H[0, i, s]
+        grads.merge_b[i] += dH[i, s].mT @ H[1, i, s]
         grads.b_merge[i] += dH[i, s].sum(axis=-2)
         dh_f[i, s], dh_b[i, s] = dH[i, s] @ params.merge_f, dH[i, s] @ params.merge_b
     sides, rows, anc = np.arange(2)[:, None], np.arange(B), _ancestors(group)
-    H_skip, has = T[4, sides[..., None], rows[:, None], anc], (anc > 0)[..., None]   # slot 0: zero
+    H_skip, has = T[4, sides[..., None], anc, rows[:, None]], (anc > 0)[..., None]   # slot 0: zero
     carry, dA = np.zeros((2, B, cells.hidden_dim)), np.empty((2, B, n, 4, cells.hidden_dim))
     skip_acc = np.zeros((2, B, n + 1, cells.hidden_dim))   # by slot; rows without a skip add at 0
     for k in reversed(range(n)):
         dA[:, :, k], carry, dh_skip = sgru_backward(
-            cells, T[4, :, :, k], H_skip[:, :, k], has[:, :, k], T[:, :, :, k + 1],
+            cells, T[4, :, k], H_skip[:, :, k], has[:, :, k], T[:, :, k + 1],
             dh[:, :, k] + carry + skip_acc[:, :, k + 1])
         skip_acc[sides, rows, anc[..., k]] += dh_skip
     # the parameter gradients run in time order: a GEMM over reversed steps rounds differently
     H_skip[1], dA[1] = H_skip[1, :, ::-1], dA[1, :, ::-1]      # numpy copies overlapping views
-    H_prev, R, S = (_paired(*a) for a in (T[4, :, :, :-1], T[1, :, :, 1:], T[2, :, :, 1:]))
+    H_prev, R, S = (_paired(*a.swapaxes(1, 2)) for a in (T[4, :, :-1], T[1, :, 1:], T[2, :, 1:]))
     for i, s in parts:
         g = SGRUParams(**{k: t[:, i] for k, t in vars(grads.cells).items()})
         for d in sgru_param_grads(cells, g, group.x[None, i, s], H_prev[:, i, s], R[:, i, s],
