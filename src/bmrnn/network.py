@@ -10,9 +10,10 @@ sentence sequences.
 Stories are swept together as a zero-padded ``StoryGroup``, and one loop
 steps both passes over one (2, B, H) state: visit k is step k forward and
 step N-1-k backward.  Each story keeps the bits of a sweep of its own from
-zero state (a padded step stores one).  Full backpropagation through time is
-implemented, including gradient flow across skip edges (each edge carries
-gradient exactly once per pair).
+zero state (a padded step stores one).  A training minibatch is one group; a
+sweep over a whole split takes ``story_groups``' length buckets.  Full
+backpropagation through time is implemented, including gradient flow across
+skip edges (each edge carries gradient exactly once per pair).
 """
 
 from __future__ import annotations
@@ -58,6 +59,13 @@ __all__ = [
 
 MODEL_MAGIC = b"BMRN"
 MODEL_VERSION = 1
+
+# story_groups' buckets.  A group step costs nearly the same at any B, so
+# stories of near lengths share steps, up to a quarter of them padding.  The
+# cap bounds a sweep's arrays: one group of 1,000 steps made glibc give back
+# and re-fault about 920 pages per call; 512 halves that (README has the figures)
+BUCKET_PADDING = 0.25
+BUCKET_STEPS = 512
 
 
 def bmrnn_layout(input_dim: int, hidden_dim: int, output_dim: int):
@@ -248,13 +256,23 @@ def init_bmrnn_params(
 
 
 def story_groups(stories: list[StoryStream], skip_matrices: list[SkipMatrix]):
-    """[(positions, group)]: the stories in one ``StoryGroup`` per length,
-    with their positions in the input."""
-    by_length: dict[int, list[int]] = {}
-    for i, story in enumerate(stories):
-        by_length.setdefault(story.N, []).append(i)
+    """[(positions, group)]: the stories, sorted by length, in zero-padded
+    ``StoryGroup`` buckets, with their positions in the input.  A bucket
+    closes before a longer story would make its padding more than
+    ``BUCKET_PADDING`` of its B * N steps, or B * N more than
+    ``BUCKET_STEPS``; a story longer than the cap has a bucket of its own."""
+    buckets: list[list[int]] = []
+    live = 0                       # the steps of the last bucket's own stories
+    for i in sorted(range(len(stories)), key=lambda i: stories[i].N):
+        n = stories[i].N
+        steps = (len(buckets[-1]) + 1) * n if buckets else 0
+        if not buckets or steps > BUCKET_STEPS or steps - live - n > BUCKET_PADDING * steps:
+            buckets.append([])
+            live = 0
+        buckets[-1].append(i)
+        live += n
     return [(pos, StoryGroup.of([stories[i] for i in pos], [skip_matrices[i] for i in pos]))
-            for pos in by_length.values()]
+            for pos in buckets]
 
 
 def _paired(fwd: np.ndarray, bwd: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import SkipRecord, StoryRecord, check_skip_records
 from .errors import ConfigError, DataError, DivergenceError
-from .evaluation import evaluate
+from .evaluation import evaluate, merged_stack
 from .network import (
     FLOAT32_MAX,
     BMRNNParams,
@@ -304,9 +304,7 @@ def train(
         t0 = time.perf_counter()
         # stream-side negatives are refreshed here and held constant
         # for the whole epoch
-        h_cache = SequenceStack(np.zeros_like(sentences.padded), sentences.lengths)
-        for rows, group in groups:
-            h_cache.padded[rows, :group.N] = bmrnn_forward(params, group).merged
+        h_cache = merged_stack(params, groups, sentences)
         order = order_rng.permutation(len(train_records))
         losses: list[float] = []
         hinges = np.zeros(2)         # active sentence- and stream-side hinges

@@ -1,8 +1,9 @@
 """The network one story and one step at a time, kept as a test oracle.
 
-The program sweeps a group of same-length stories over one (B, H) state and
-merges every step with one batched product; each story of a group must get
-the bits this per-story code gets.  The per-row cell steps here are the
+The program sweeps a zero-padded group of stories, of one length or of
+several, stepping both directions over one (2, B, H) state, and merges every
+step with one batched product; each story of a group must get, on its own
+steps, the bits this per-story code gets.  The per-row cell steps here are the
 program's former ``sgru_forward`` and ``sgru_backward``, which evaluate the
 skip terms only on a step with a skip ancestor.
 """

@@ -5,16 +5,18 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import objective_oracle
 from bmrnn.data import StoryRecord, SynthConfig, generate_synthetic
 from bmrnn.errors import DataError
-from bmrnn.evaluation import evaluate, rank_of_truth, summarize_ranks
-from bmrnn.network import StoryGroup, StoryStream, bmrnn_forward, init_bmrnn_params
+from bmrnn.evaluation import evaluate, merged_stack, rank_of_truth, summarize_ranks
+from bmrnn.network import (
+    StoryGroup, StoryStream, bmrnn_forward, init_bmrnn_params, story_groups,
+)
 from bmrnn.numeric import SeededRng
-from bmrnn.objective import CompatibilityConfig, SentenceSequence
+from bmrnn.objective import CompatibilityConfig, SentenceSequence, SequenceStack
 
 
 class TestRankOfTruth:
@@ -174,11 +176,34 @@ def oracle_ranks(params, records, skips, ccfg):
     return ranks
 
 
+class TestMergedStack:
+    def test_rows_hold_each_storys_own_forward_zero_past_its_steps(self):
+        # 3 and 4 share a padded bucket, 1 and 12 do not
+        records, skips = mixed_length_corpus([4, 12, 1, 3], seed=2)
+        params = init_bmrnn_params(4, 3, 4, SeededRng(2))
+        params.b_merge[:] = 0.5      # a padded step's merged output is the bias
+        like = SequenceStack.of([rec.sentences for rec in records])
+        groups = story_groups([rec.story for rec in records],
+                              [skips[rec.story_id].matrix() for rec in records])
+        assert any(group.lengths.min() < group.N for _, group in groups)
+        out = merged_stack(params, groups, like)
+        assert out.padded.shape == like.padded.shape
+        np.testing.assert_array_equal(out.lengths, like.lengths)
+        for i, rec in enumerate(records):
+            want = bmrnn_forward(
+                params, StoryGroup.of([rec.story], [skips[rec.story_id].matrix()])).merged[0]
+            np.testing.assert_array_equal(out.padded[i, : rec.story.N], want)
+            assert not out.padded[i, rec.story.N :].any()
+
+
 class TestEvaluateOracle:
     @settings(max_examples=40, deadline=None)
     @given(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=4),
            seed=st.integers(0, 1000), alpha=st.floats(0.0, 1.0),
            mode=st.sampled_from(["aligned", "all-pairs"]), dups=st.integers(0, 3))
+    # lengths that share a padded bucket (3 with 4, 11 with 12) beside a 1-step pair
+    @example(lengths=[3, 4], seed=0, alpha=0.5, mode="aligned", dups=1)
+    @example(lengths=[12, 1, 11], seed=5, alpha=0.25, mode="all-pairs", dups=2)
     def test_ranks_equal_per_pair_oracle(self, lengths, seed, alpha, mode, dups):
         records, skips = mixed_length_corpus(lengths, seed)
         params = init_bmrnn_params(4, 3, 4, SeededRng(seed))

@@ -12,6 +12,8 @@ import network_oracle
 from bmrnn.cells import SGRUParams, gru_forward, sgru_inputs
 from bmrnn.errors import DataError, ShapeMismatchError
 from bmrnn.network import (
+    BUCKET_PADDING,
+    BUCKET_STEPS,
     MODEL_MAGIC,
     MODEL_VERSION,
     BMRNNParams,
@@ -366,6 +368,66 @@ class TestGroupSweep:
     def test_an_empty_group_is_rejected(self):
         with pytest.raises(ShapeMismatchError, match="story group"):
             StoryGroup.of([], [])
+
+
+class TestStoryGroups:
+    """``story_groups`` buckets the stories of a whole split by length for
+    the sweeps over it: the h' refresh, validation and ``eval``."""
+
+    @staticmethod
+    def bucket(lengths):
+        # story i's steps all hold i, so a group's rows name their stories
+        stories = [StoryStream(story_id=f"s{i}", x=np.full((n, 1), float(i)))
+                   for i, n in enumerate(lengths)]
+        return story_groups(stories, [SkipMatrix(n=n, pairs=()) for n in lengths])
+
+    @settings(max_examples=200, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 40), min_size=1, max_size=80))
+    # 1-step stories among long ones; near lengths sharing a padded bucket
+    @example(lengths=[1, 40, 1, 39, 1, 2, 40, 1])
+    @example(lengths=[3, 4, 3, 4, 12, 11])
+    # more 40-step stories than the cap holds in one bucket
+    @example(lengths=[40] * (BUCKET_STEPS // 40 + 2) + [1])
+    def test_each_story_once_in_buckets_within_the_bounds(self, lengths):
+        groups = self.bucket(lengths)
+        # each position exactly once, ascending by length, ties in input order
+        order = [i for pos, _ in groups for i in pos]
+        assert order == sorted(range(len(lengths)), key=lambda i: lengths[i])
+        for pos, group in groups:
+            assert group.lengths.tolist() == [lengths[i] for i in pos]
+            npt.assert_array_equal(group.x[:, 0, 0], pos)
+            steps = len(pos) * group.N
+            if len(pos) > 1:
+                assert steps - sum(lengths[i] for i in pos) <= BUCKET_PADDING * steps
+                assert steps <= BUCKET_STEPS
+        # a bucket closes only when the next story would break a bound
+        for (pos, group), (after, _) in zip(groups, groups[1:]):
+            steps = (len(pos) + 1) * lengths[after[0]]
+            padding = steps - sum(lengths[i] for i in pos) - lengths[after[0]]
+            assert steps > BUCKET_STEPS or padding > BUCKET_PADDING * steps
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 40), count=st.integers(1, 120))
+    # the CLI defaults' splits: 200 training and 50 test stories of 5 photos
+    @example(n=5, count=200)
+    @example(n=5, count=50)
+    def test_equal_lengths_fill_buckets_to_the_cap(self, n, count):
+        groups = self.bucket([n] * count)
+        per_bucket = max(1, BUCKET_STEPS // n)
+        assert [pos for pos, _ in groups] == [list(range(k, min(k + per_bucket, count)))
+                                              for k in range(0, count, per_bucket)]
+        assert all(group.lengths.min() == group.N for _, group in groups)
+
+    def test_the_padding_bound_and_the_cap_each_close_a_bucket(self):
+        # a 1- and a 2-step story share 4 steps, 1 of them padding (the bound);
+        # a 3-step story would make it 3 of 9
+        assert [pos for pos, _ in self.bucket([2, 1, 3])] == [[1, 0], [2]]
+        # equal lengths never pad, so only the cap splits them
+        over = BUCKET_STEPS // 8 + 1
+        assert [len(pos) for pos, _ in self.bucket([8] * over)] == [over - 1, 1]
+        # stories longer than the cap sweep one to a bucket
+        n = BUCKET_STEPS + 1
+        assert [pos for pos, _ in self.bucket([n, n])] == [[0], [1]]
 
 
 class TestTimeReversal:
