@@ -296,7 +296,7 @@ def _cmd_detect_skips(opts: dict) -> int:
 
 
 def _cmd_train(opts: dict) -> int:
-    dataset = load_manifest(opts["manifest"])
+    dataset = load_manifest(opts["manifest"], splits=("train", "val"))
     records = dataset.split("train")
     if len(records) < 2:      # a story's negatives are the other training stories
         raise DataError(f"training needs at least 2 stories in split 'train', found "
@@ -340,10 +340,9 @@ def _cmd_train(opts: dict) -> int:
 
 
 def _cmd_eval(opts: dict) -> int:
-    dataset = load_manifest(opts["manifest"])
+    records = load_manifest(opts["manifest"], splits=(opts["split"],)).records
     skips = load_skips(opts["skips"])
     params = load_model(opts["model"])
-    records = dataset.split(opts["split"])
     if not records:
         raise DataError(f"no stories in split {opts['split']!r}", path=str(opts["manifest"]))
     widths = (records[0].story.x.shape[1], records[0].sentences.v.shape[1])

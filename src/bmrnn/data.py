@@ -58,14 +58,14 @@ def write_tensor(path, arr: np.ndarray) -> None:
 
 def read_tensor(path, story_id: str | None = None) -> np.ndarray:
     """Read a BMT1 tensor, widened to float64; NaN or infinite entries are a DataError."""
-    where = dict(path=str(path), story_id=story_id)
     raw = read_file(path, "tensor file", story_id=story_id)
     if raw[:4] != BMT1_MAGIC:
-        raise DataError(f"bad magic {raw[:4]!r}, expected {BMT1_MAGIC!r}", **where)
+        raise DataError(f"bad magic {raw[:4]!r}, expected {BMT1_MAGIC!r}",
+                        path=str(path), story_id=story_id)
     a, end = decode_tensor(raw, 4, path, story_id=story_id)
     if end != len(raw):
         raise DataError(f"tensor payload is {len(raw) - end + 4 * a.size} bytes, "
-                        f"expected {4 * a.size}", **where)
+                        f"expected {4 * a.size}", path=str(path), story_id=story_id)
     return a
 
 
@@ -391,8 +391,15 @@ def write_corpus(corpus: SynthCorpus, out_dir) -> Path:
     return manifest_path
 
 
-def load_manifest(path) -> Dataset:
-    """Load a manifest and every story it references."""
+def load_manifest(path, splits: tuple[str, ...] | None = None) -> Dataset:
+    """Load a manifest and the stories of ``splits``, a collection of split
+    names (every story when None), in manifest order.
+
+    Every line is checked, whatever its split: its JSON, keys, value types
+    and the uniqueness of its story id.  Tensor files are read and checked
+    only for the stories loaded, so a bad tensor file of a split left out
+    is not an error here.  ``detect-skips`` loads every story, ``train`` the
+    ``train`` and ``val`` stories, and ``eval`` the stories of its split."""
     # os.path joins, not a Path per tensor file (1.4 against 6.6 us a join); the
     # directory keeps pathlib's form, so a written corpus's messages are unchanged
     base = os.path.dirname(Path(path))
@@ -405,6 +412,8 @@ def load_manifest(path) -> Dataset:
             raise DataError(f"line {line_no}: duplicate story_id {sid!r} "
                             f"(first on line {line_of[sid]})", path=str(path))
         line_of[sid] = line_no
+        if splits is not None and entry["split"] not in splits:
+            continue
         loaded = []
         for key in _FILE_KEYS:
             tensor_path = os.path.join(base, entry[key])

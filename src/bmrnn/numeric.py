@@ -24,15 +24,16 @@ MAX_RANK = 8     # a record declaring more dims is rejected as corrupt
 def read_file(path, what: str, text: bool = False, story_id: str | None = None) -> bytes | str:
     """The bytes of ``path``, or its UTF-8 text.  A file that cannot be read
     or decoded is a DataError naming ``what``, the path and ``story_id``."""
-    where = dict(path=str(path), story_id=story_id)
     try:
         with open(path, "rb") as f:      # Path(path).read_bytes() took twice as long
             raw = f.read()
         return raw.decode("utf-8") if text else raw
     except OSError as e:
-        raise DataError(f"cannot read {what} ({e.strerror})", **where) from None
+        raise DataError(f"cannot read {what} ({e.strerror})",
+                        path=str(path), story_id=story_id) from None
     except UnicodeDecodeError as e:
-        raise DataError(f"{what} is not UTF-8 text (byte {e.start})", **where) from None
+        raise DataError(f"{what} is not UTF-8 text (byte {e.start})",
+                        path=str(path), story_id=story_id) from None
 
 
 def write_file(path, data, what: str) -> None:
@@ -56,25 +57,28 @@ def decode_tensor(raw: bytes, offset: int, path, name: str | None = None,
     Sizes are checked against the bytes present before anything is allocated;
     a bad record or a non-finite entry is a DataError naming ``path`` and
     ``name`` or ``story_id``."""
-    what = "tensor" if name is None else f"tensor {name!r}"
-
-    def fail(message):
-        return DataError(f"{what} {message}", path=str(path), story_id=story_id)
-
     rank = struct.unpack_from("<I", raw, offset)[0] if len(raw) >= offset + 4 else 0
     if rank > MAX_RANK:
-        raise fail(f"has implausible rank {rank}")
+        raise _record_error(f"has implausible rank {rank}", path, name, story_id)
     start = offset + 4 + 4 * rank
     if len(raw) < start:     # also when the rank itself is cut short
-        raise fail("has a truncated header")
+        raise _record_error("has a truncated header", path, name, story_id)
     dims = struct.unpack_from(f"<{rank}I", raw, offset + 4)
     n_items = math.prod(dims)
     if len(raw) < start + 4 * n_items:
-        raise fail(f"payload is {len(raw) - start} bytes, expected {4 * n_items}")
+        raise _record_error(f"payload is {len(raw) - start} bytes, expected {4 * n_items}",
+                            path, name, story_id)
     data = np.frombuffer(raw, dtype="<f4", count=n_items, offset=start)
-    if not np.all(np.isfinite(data)):
-        raise fail("holds non-finite values")
+    if not np.isfinite(data).all():
+        raise _record_error("holds non-finite values", path, name, story_id)
     return data.astype(np.float64).reshape(dims), start + 4 * n_items
+
+
+def _record_error(message: str, path, name: str | None, story_id: str | None) -> DataError:
+    """The DataError of a bad tensor record; built only when one is raised,
+    since ``decode_tensor`` runs once per tensor file of a corpus."""
+    what = "tensor" if name is None else f"tensor {name!r}"
+    return DataError(f"{what} {message}", path=str(path), story_id=story_id)
 
 
 def stack_rows(rows, op: str) -> Array:

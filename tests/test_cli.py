@@ -3,6 +3,7 @@ the end-to-end pipeline."""
 
 import json
 import re
+import shutil
 import struct
 from pathlib import Path
 from types import SimpleNamespace
@@ -410,7 +411,7 @@ class TestFileBoundary:
                                                       monkeypatch, case):
         argv, summary = MISSING_OUTPUT_DIR_CASES[case](trained, tmp_path)
 
-        def no_loading(*args):
+        def no_loading(*args, **kwargs):
             raise AssertionError("the manifest was loaded before the output was checked")
 
         monkeypatch.setattr(bmrnn.cli, "load_manifest", no_loading)
@@ -427,6 +428,102 @@ class TestFileBoundary:
         err = capsys.readouterr().err
         assert str(model) in err and "model is 8 -> 16 dims, the corpus 16 -> 16" in err
         assert not (tmp_path / "r.json").exists()
+
+
+@pytest.fixture(scope="module")
+def clean_run(tmp_path_factory):
+    """A 12-story corpus, its detected skips, a model trained on them and
+    the bytes of the model's test-split report."""
+    tmp = tmp_path_factory.mktemp("clean_run")
+    corpus = make_corpus(tmp, stories=12)
+    skips = detect(tmp, corpus)
+    t = SimpleNamespace(manifest=str(corpus / "manifest.jsonl"), skips=str(skips),
+                        model=train_model(tmp, corpus, skips))
+    assert run(eval_argv(t, t.model, tmp / "r.json") + ["--split", "test"]) == 0
+    t.report = (tmp / "r.json").read_bytes()
+    return t
+
+
+class TestSplitLoading:
+    """Each stage reads the tensor files of the stories it uses: detect-skips
+    every story, train the train and val stories, eval those of its split.
+    Every stage checks every manifest line."""
+
+    @staticmethod
+    def stage(name, manifest, t, d):
+        """Run one stage on ``manifest`` with the clean run's skips and model."""
+        return run({
+            "detect-skips": ["detect-skips", "--manifest", str(manifest),
+                             "--out", str(d / "s.jsonl")],
+            "train": ["train", "--manifest", str(manifest), "--skips", t.skips,
+                      "--out", str(d / "m.bin"), "--epochs", "1", "--negatives", "3",
+                      "--hidden", "4"],
+            "eval": ["eval", "--manifest", str(manifest), "--skips", t.skips,
+                     "--model", str(t.model), "--split", "test", "--report", str(d / "r.json")],
+        }[name])
+
+    @staticmethod
+    def copy(t, d):
+        """A copy of the clean corpus in ``d``; returns its manifest."""
+        shutil.copytree(Path(t.manifest).parent, d / "corpus")
+        return d / "corpus" / "manifest.jsonl"
+
+    def corrupt_copy(self, t, d, split, kind):
+        """A copy of the clean corpus whose first story of ``split`` has a
+        non-finite or a rank-3 embedding file: (manifest, file, story, message)."""
+        manifest = self.copy(t, d)
+        sid = next(e["story_id"] for e in map(json.loads, manifest.read_text().splitlines())
+                   if e["split"] == split)
+        victim = manifest.parent / "tensors" / f"{sid}.emb.bmt"
+        arr = read_tensor(victim)
+        if kind == "non-finite":
+            arr[0, :] = np.nan
+            message = "non-finite"
+        else:
+            arr, message = arr[None], "rank 3"
+        write_tensor(victim, arr)
+        return manifest, victim, sid, message
+
+    @pytest.mark.parametrize("kind", ["non-finite", "rank"])
+    def test_bad_train_tensor_fails_train_and_detect_skips_but_not_eval(
+            self, clean_run, tmp_path, capsys, kind):
+        manifest, victim, sid, message = self.corrupt_copy(clean_run, tmp_path, "train", kind)
+        assert self.stage("eval", manifest, clean_run, tmp_path) == 0
+        assert (tmp_path / "r.json").read_bytes() == clean_run.report
+        for name in ("train", "detect-skips"):
+            capsys.readouterr()
+            assert self.stage(name, manifest, clean_run, tmp_path) == 2, name
+            err = capsys.readouterr().err
+            assert str(victim) in err and sid in err and message in err
+
+    @pytest.mark.parametrize("kind", ["non-finite", "rank"])
+    def test_bad_test_tensor_fails_eval_but_not_train(self, clean_run, tmp_path, capsys, kind):
+        manifest, victim, sid, message = self.corrupt_copy(clean_run, tmp_path, "test", kind)
+        capsys.readouterr()
+        assert self.stage("eval", manifest, clean_run, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert str(victim) in err and sid in err and message in err
+        assert self.stage("train", manifest, clean_run, tmp_path) == 0
+
+    @pytest.mark.parametrize("edit, where", [
+        (lambda lines: [json.dumps({**json.loads(lines[0]), "n": 0})] + lines[1:],
+         "line 1: n must be a positive integer"),
+        (lambda lines: [json.dumps({k: v for k, v in json.loads(lines[0]).items()
+                                    if k != "sentence_file"})] + lines[1:],
+         "line 1: missing keys sentence_file"),
+        (lambda lines: lines + [json.dumps({**json.loads(lines[0]), "split": "val"})],
+         "line 13: duplicate story_id 'story_00000' (first on line 1)"),
+    ], ids=["n-zero", "missing-key", "duplicate-in-two-splits"])
+    def test_bad_manifest_line_of_another_split_fails_eval(self, clean_run, tmp_path, capsys,
+                                                           edit, where):
+        manifest = self.copy(clean_run, tmp_path)
+        lines = manifest.read_text().splitlines()
+        assert json.loads(lines[0])["split"] == "train" and len(lines) == 12
+        manifest.write_text("\n".join(edit(lines)) + "\n")
+        capsys.readouterr()
+        assert self.stage("eval", manifest, clean_run, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert str(manifest) in err and where in err
 
 
 class TestNumericalFailures:

@@ -380,6 +380,19 @@ class TestCorpusIO:
         ds = load_manifest(manifest)
         assert [r.story_id for r in ds.records] == [r.story_id for r in corpus.records]
 
+    @pytest.mark.parametrize("splits", [("train",), ("val",), ("test",), ("train", "val"),
+                                        ("test", "train"), ()])
+    def test_split_load_is_the_full_load_filtered(self, tmp_path, splits):
+        _, manifest = self.small_corpus(tmp_path, n=12)
+        want = [r for r in load_manifest(manifest).records if r.split in splits]
+        got = load_manifest(manifest, splits).records
+        assert [r.story_id for r in got] == [r.story_id for r in want]
+        for a, b in zip(got, want):
+            assert a.split == b.split and a.N == b.N
+            for x, y in ((a.story.x, b.story.x), (a.story.raw_fc, b.story.raw_fc),
+                         (a.sentences.v, b.sentences.v)):
+                npt.assert_array_equal(x, y)
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError, match="manifest.jsonl"):
             load_manifest(tmp_path / "manifest.jsonl")
