@@ -144,9 +144,12 @@ def affinity_propagation(
     still returns its clustering, so skip detection degrades gracefully.
 
     ``preference`` (the self-similarity placed on the diagonal) defaults to
-    the median of each story's off-diagonal similarities.  Assignment ties
-    are broken toward the lowest exemplar index, so output is deterministic.
-    ``sim.s`` is left unchanged.
+    the median of each story's off-diagonal similarities.  Each row's second
+    maximum is read at a second ``argmax``, and the column sums take the
+    faster of two forms that add in the same order, so every message keeps
+    the bits of the textbook update.  One masked ``argmax`` over the stack
+    assigns every point, ties going to the lowest exemplar index.  ``sim.s``
+    is left unchanged.
     """
     check_clustering(damping, max_iter, convergence_window)
     S = np.array(sim.s, dtype=float, order="C")
@@ -175,17 +178,19 @@ def affinity_propagation(
     rows, offsets, keep = AS.reshape(B * n, n), np.arange(B * n) * n, 1.0 - damping
     first, second, col_pos = np.empty((B, n, 1)), np.empty(B * n), np.empty((B, n))
     first_recorded = max_iter - convergence_window
+    # Rp.sum(1) adds rows from 0.0 in order, as the row adds do, so both keep the bits;
+    # adds win on tall stacks (B 300, n 5: 16 vs 35 us), sum on short (12, 40: 3.5 vs 8.7)
+    row_adds = B >= 8 * n
     # the exemplar masks of the last window; rows never written stay empty
     ring = np.zeros((convergence_window, B, n), dtype=bool)
 
     for it in range(max_iter):
         # r(i,k) = s(i,k) - max_{k' != k} [a(i,k') + s(i,k')]
         np.add(A, S, out=AS)
-        top = rows.argmax(1)
-        top += offsets          # flat index of each row's maximum
+        top = rows.argmax(1) + offsets      # flat index of each row's maximum
         np.take(as_, top, out=first.ravel())
         as_[top] = -np.inf
-        rows.max(1, out=second)
+        np.take(as_, rows.argmax(1) + offsets, out=second)    # exact, whichever tie wins
         np.subtract(S, first, out=T)
         t_[top] = s_[top] - second
         R *= damping
@@ -196,7 +201,12 @@ def affinity_propagation(
         # a(k,k) = sum_{i' != k} max(0, r(i',k))
         np.maximum(R, 0.0, out=Rp)
         rp_diag[:] = 0.0
-        Rp.sum(1, out=col_pos)
+        if row_adds:
+            col_pos.fill(0.0)
+            for i in range(n):
+                col_pos += Rp[:, i]
+        else:
+            Rp.sum(1, out=col_pos)
         np.subtract((r_diag + col_pos)[:, None], Rp, out=T)
         np.minimum(0.0, T, out=T)
         t_diag[:] = col_pos
@@ -206,26 +216,26 @@ def affinity_propagation(
         if it >= first_recorded:
             np.greater(r_diag + a_diag, 0, out=ring[it - first_recorded])
 
-    evidence, stable = r_diag + a_diag, (ring == ring[0]).all((0, 2))
+    is_exemplar, stable = r_diag + a_diag > 0, (ring == ring[0]).all((0, 2))
+    converged = is_exemplar.any(1) & stable
+    # degenerate run (heavy damping, tiny max_iter): fall back to the most self-confident point
+    empty = np.flatnonzero(~is_exemplar.any(1))
+    is_exemplar[empty, (r_diag + a_diag)[empty].argmax(1)] = True
+    # each point's best exemplar by a+s; other columns read -inf, ties go to the lowest index
     np.add(A, S, out=AS)
+    np.copyto(AS, -np.inf, where=~is_exemplar[:, None, :])
+    labels = AS.argmax(2)
+    np.copyto(labels, np.arange(n), where=is_exemplar)
     assignments = []
-    for b in range(B):
-        exemplars = np.flatnonzero(evidence[b] > 0)
-        converged = bool(exemplars.size > 0 and stable[b])
-        if exemplars.size == 0:
-            # degenerate run (e.g. heavy damping, tiny max_iter): fall back to
-            # the single most self-confident point so the result is still usable
-            exemplars = np.array([int(np.argmax(evidence[b]))])
-        # assign every point to the best exemplar by a+s; argmax over the
-        # ascending exemplar list breaks ties toward the lowest index
-        best = np.argmax(AS[b][:, exemplars], axis=1)
-        labels = exemplars[best]
-        labels[exemplars] = exemplars
-        clusters = [np.flatnonzero(labels == e).tolist() for e in exemplars]
-        assignments.append(ClusterAssignment(labels, clusters, exemplars.tolist(), converged))
+    for exemplar_of, labels_b, converged_b in zip(labels, labels.tolist(), converged.tolist()):
+        members = {e: [] for e in sorted(set(labels_b))}      # ascending exemplars
+        for i, e in enumerate(labels_b):
+            members[e].append(i)
+        assignments.append(ClusterAssignment(exemplar_of, list(members.values()),
+                                             list(members), converged_b))
     if single:
         return assignments[0]
-    return ClusterStack(assignments, all(a.converged for a in assignments))
+    return ClusterStack(assignments, bool(converged.all()))
 
 
 def build_skip_matrix(assignment: ClusterAssignment) -> SkipMatrix:

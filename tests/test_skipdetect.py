@@ -66,6 +66,38 @@ def ap_stacks(draw):
     return stack
 
 
+@st.composite
+def wide_ap_stacks(draw):
+    """(B, n, n) stacks with B 70-120 and n 1-8, so B >= 8 n and the loop
+    takes its column sums by row adds.  Each story's rows are real-valued,
+    integer-valued, duplicated or all zero; one story's similarities are one
+    constant, equal to the preference where one is given: its messages stay
+    0, so it ends with no exemplar and takes the fallback.  Returns the
+    stack, the preference (explicit when n <= 2) and that story's index."""
+    B, n, dim = draw(st.integers(70, 120)), draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    preference = draw((st.none() if n > 2 else st.nothing()) | st.floats(-20.0, 5.0)
+                      | st.integers(-3, 1).map(float))
+    stack = np.empty((B, n, n))
+    for b in range(B):
+        kind = r.choice(["real", "integer", "duplicated", "zero"])
+        X = r.integers(-2, 3, size=(n, dim)).astype(float) if kind == "integer" else (
+            np.zeros((n, dim)) if kind == "zero" else r.normal(size=(n, dim)))
+        if kind == "duplicated":
+            X = X[r.integers(0, max(1, n // 3), size=n)]
+        stack[b] = X @ X.T
+    fallback = int(r.integers(B))
+    stack[fallback] = r.normal() if preference is None else preference
+    return stack, preference, fallback
+
+
+# tied rows: all zero, repeated and integer-valued features
+ZERO_ROWS = np.zeros((5, 5))
+REPEATED_ROWS = np.array([[1.0, 2.0], [0.0, 1.0], [1.0, 2.0], [0.0, 1.0], [1.0, 2.0]])
+REPEATED_ROWS = REPEATED_ROWS @ REPEATED_ROWS.T
+INTEGER_ROWS = np.array([[2.0, -1.0, 0.0], [1.0, 1.0, -2.0], [0.0, 2.0, 1.0], [-1.0, 0.0, 2.0]])
+INTEGER_ROWS = INTEGER_ROWS @ INTEGER_ROWS.T
+
 # n = 2 under heavy damping and preference 0: the first story keeps both
 # points as exemplars, the second ends with no positive self-evidence and
 # takes the single-exemplar fallback
@@ -202,6 +234,12 @@ class TestAffinityPropagation:
            max_iter=st.integers(1, 250), window=st.integers(1, 30))
     @example(sim=SimilarityMatrix(s=np.ones((4, 4))), damping=0.5, preference=None,
              max_iter=3, window=10)
+    @example(sim=SimilarityMatrix(s=ZERO_ROWS), damping=0.9, preference=None,
+             max_iter=200, window=15)
+    @example(sim=SimilarityMatrix(s=REPEATED_ROWS), damping=0.9, preference=None,
+             max_iter=200, window=15)
+    @example(sim=SimilarityMatrix(s=INTEGER_ROWS), damping=0.5, preference=-1.0,
+             max_iter=100, window=10)
     def test_equals_allocating_oracle(self, sim, damping, preference, max_iter, window):
         kwargs = dict(damping=damping, preference=preference, max_iter=max_iter,
                       convergence_window=window)
@@ -215,6 +253,10 @@ class TestAffinityPropagation:
            max_iter=st.integers(1, 250), window=st.integers(1, 30))
     @example(stack=np.ones((3, 5, 5)), damping=0.5, preference=None, max_iter=3, window=10)
     @example(stack=FALLBACK_MIX, damping=0.99, preference=0.0, max_iter=5, window=2)
+    @example(stack=np.stack([ZERO_ROWS, REPEATED_ROWS, ZERO_ROWS]), damping=0.9,
+             preference=None, max_iter=200, window=15)
+    @example(stack=np.stack([INTEGER_ROWS, INTEGER_ROWS]), damping=0.5, preference=0.0,
+             max_iter=100, window=10)
     def test_stack_equals_oracle_per_story(self, stack, damping, preference, max_iter, window):
         kwargs = dict(damping=damping, preference=preference, max_iter=max_iter,
                       convergence_window=window)
@@ -224,6 +266,26 @@ class TestAffinityPropagation:
         for g, w in zip(got.assignments, want):
             assert_same_assignment(g, w)
         assert got.converged is all(w.converged for w in want)
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=wide_ap_stacks(), damping=st.floats(0.5, 0.99), max_iter=st.integers(1, 80),
+           window=st.integers(1, 30))
+    def test_wide_stack_equals_oracle_per_story(self, case, damping, max_iter, window):
+        stack, preference, fallback = case
+        assert len(stack) >= 8 * stack.shape[-1]        # the row-add column sums
+        kwargs = dict(damping=damping, preference=preference, max_iter=max_iter,
+                      convergence_window=window)
+        got = affinity_propagation(SimilarityMatrix(s=stack), **kwargs)
+        assert type(got) is ClusterStack and len(got.assignments) == len(stack)
+        want = [ap_oracle.affinity_propagation(SimilarityMatrix(s=s), **kwargs) for s in stack]
+        for g, w in zip(got.assignments, want):
+            assert_same_assignment(g, w)
+        assert type(got.converged) is bool
+        assert got.converged is all(w.converged for w in want)
+        if stack.shape[-1] > 1:     # a lone point always keeps itself as exemplar
+            n = stack.shape[-1]
+            assert (got.assignments[fallback].exemplars, got.assignments[fallback].clusters,
+                    got.assignments[fallback].converged) == ([0], [list(range(n))], False)
 
     def test_stack_mixes_fallback_and_regular_stories(self):
         got = affinity_propagation(SimilarityMatrix(s=FALLBACK_MIX), damping=0.99, preference=0.0,
