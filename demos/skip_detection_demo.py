@@ -33,7 +33,7 @@ def main() -> None:
     print(f"story {record.story_id}: {record.story.N} steps, "
           f"planted scenes {planted.clusters}")
 
-    sim = similarity(record.story.raw_fc)
+    sim = similarity(record.raw_fc)
     print("\nsimilarity matrix (inner products of the raw features):")
     with np.printoptions(precision=1, suppress=True):
         print(sim.s)

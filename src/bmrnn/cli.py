@@ -47,6 +47,7 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 AP_STACK_ENTRIES = 1 << 18   # B * n * n of a detect-skips stack: 2 MiB per float64 buffer
+_NETWORK_KINDS = ("embedding_file", "sentence_file")   # the tensors train and eval read
 
 
 class _Parser(argparse.ArgumentParser):
@@ -255,7 +256,7 @@ def _cmd_detect_skips(opts: dict) -> int:
     check_clustering(opts["damping"], opts["max_iter"], opts["window"])
     if opts["window"] > opts["max_iter"]:    # the convergence flag could never be set
         raise ConfigError(f"--window {opts['window']} exceeds --max-iter {opts['max_iter']}")
-    dataset = load_manifest(opts["manifest"])
+    dataset = load_manifest(opts["manifest"], kinds=("feature_file",))
     # Stories too short to cluster get a fixed clustering: a 1-photo story is
     # one singleton and, without --preference, a 2-photo story one cluster.
     # The default preference is then the pair's one similarity, on which AP
@@ -266,7 +267,7 @@ def _cmd_detect_skips(opts: dict) -> int:
         group = [i for i, rec in enumerate(dataset.records) if rec.N == n]
         size = max(1, AP_STACK_ENTRIES // (n * n))   # stories per stack
         for stack in (group[k:k + size] for k in range(0, len(group), size)):
-            sims = [similarity(dataset.records[i].story.raw_fc, normalize=opts["normalize"]).s
+            sims = [similarity(dataset.records[i].raw_fc, normalize=opts["normalize"]).s
                     for i in stack]
             result = affinity_propagation(
                 SimilarityMatrix(s=np.stack(sims)), damping=opts["damping"],
@@ -296,12 +297,12 @@ def _cmd_detect_skips(opts: dict) -> int:
 
 
 def _cmd_train(opts: dict) -> int:
-    dataset = load_manifest(opts["manifest"], splits=("train", "val"))
+    dataset = load_manifest(opts["manifest"], ("train", "val"), kinds=_NETWORK_KINDS)
     records = dataset.split("train")
     if len(records) < 2:      # a story's negatives are the other training stories
         raise DataError(f"training needs at least 2 stories in split 'train', found "
                         f"{len(records)}", path=str(opts["manifest"]))
-    skips = load_skips(opts["skips"])
+    skips = load_skips(opts["skips"], {rec.story_id for rec in dataset.records})
     ccfg = CompatibilityConfig(
         alpha=opts["alpha"],
         gamma=opts["gamma"],
@@ -340,8 +341,8 @@ def _cmd_train(opts: dict) -> int:
 
 
 def _cmd_eval(opts: dict) -> int:
-    records = load_manifest(opts["manifest"], splits=(opts["split"],)).records
-    skips = load_skips(opts["skips"])
+    records = load_manifest(opts["manifest"], (opts["split"],), kinds=_NETWORK_KINDS).records
+    skips = load_skips(opts["skips"], {rec.story_id for rec in records})
     params = load_model(opts["model"])
     if not records:
         raise DataError(f"no stories in split {opts['split']!r}", path=str(opts["manifest"]))

@@ -93,45 +93,49 @@ _MANIFEST_FIELDS = {
 }
 
 
-def _json_lines(path, what: str, fields: dict, defaults=None):
-    """(line number, object) per non-blank line of a JSON-lines file, with
-    ``defaults`` filled in.  An unreadable or non-UTF-8 file, invalid JSON, a
-    line that is not an object, or a key missing or rejected by its ``fields``
-    entry, a (check, description) pair, is a DataError naming the file and line."""
+def _checked(line_no: int, obj: dict, fields: dict, **at) -> dict:
+    """``obj`` if it passes ``fields``, (check, description) pairs by key; else a DataError."""
+    missing = [k for k in fields if k not in obj]
+    if missing:
+        raise DataError(f"line {line_no}: missing keys {', '.join(missing)}", **at)
+    for key, (ok, kind) in fields.items():
+        if not ok(obj[key]):
+            raise DataError(f"line {line_no}: {key} must be {kind}, got {json.dumps(obj[key])}",
+                            **at)
+    return obj
+
+
+def _json_lines(path, what: str, fields: dict):
+    """(line number, object) per non-blank line of a JSON-lines file.  An unreadable
+    or non-UTF-8 file, invalid JSON, a line that is not an object, or one that
+    fails ``fields`` is a DataError naming the file and line."""
     for line_no, line in enumerate(read_file(path, what, text=True).splitlines(), start=1):
         if not line.strip():
             continue
-        where = f"line {line_no}"
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as e:
-            raise DataError(f"{where}: invalid JSON ({e.msg})", path=str(path)) from None
+            raise DataError(f"line {line_no}: invalid JSON ({e.msg})", path=str(path)) from None
         if not isinstance(obj, dict):
-            raise DataError(f"{where}: expected a JSON object, got {line.strip()[:40]}",
+            raise DataError(f"line {line_no}: expected a JSON object, got {line.strip()[:40]}",
                             path=str(path))
-        obj = {**(defaults or {}), **obj}
-        missing = [k for k in fields if k not in obj]
-        if missing:
-            raise DataError(f"{where}: missing keys {', '.join(missing)}", path=str(path))
-        for key, (ok, kind) in fields.items():
-            if not ok(obj[key]):
-                raise DataError(f"{where}: {key} must be {kind}, got {json.dumps(obj[key])}",
-                                path=str(path))
-        yield line_no, obj
+        yield line_no, _checked(line_no, obj, fields, path=str(path))
 
 
 @dataclass
 class StoryRecord:
-    """One story: photo stream (with raw features) plus its sentences."""
+    """One story: photo stream, sentences and the (N, D) raw features that only
+    skip detection reads; None for each kind a stage does not load."""
 
     story_id: str
     split: str
-    story: StoryStream
-    sentences: SentenceSequence
+    story: StoryStream | None
+    sentences: SentenceSequence | None
+    raw_fc: np.ndarray | None = None
 
     @property
     def N(self) -> int:
-        return self.story.N
+        return len(self.raw_fc) if self.story is None else self.story.N
 
 
 @dataclass
@@ -192,12 +196,27 @@ def write_skips(path, records: list[SkipRecord]) -> None:
                              for r in records), "skip file")
 
 
-def load_skips(path) -> dict[str, SkipRecord]:
+def load_skips(path, story_ids=None) -> dict[str, SkipRecord]:
+    """The skip records of ``story_ids`` (every record when None) by story id.
+    Every line's JSON, story id and its uniqueness are checked first; the
+    other keys, the partition and the chains only for the records returned,
+    so a malformed record of a story the stage did not load is not an error."""
+    lines: dict[str, tuple[int, dict]] = {}
+    for line_no, d in _json_lines(path, "skip file", {}):
+        if not isinstance(d.get("story_id"), str):   # raises the full check's error
+            _checked(line_no, {"planted": False, **d}, _SKIP_FIELDS, path=str(path))
+        if d["story_id"] in lines:
+            raise DataError(f"line {line_no}: duplicate story_id {d['story_id']!r}",
+                            path=str(path))
+        lines[d["story_id"]] = line_no, d
     out: dict[str, SkipRecord] = {}
-    for line_no, d in _json_lines(path, "skip file", _SKIP_FIELDS, {"planted": False}):
-        rec = SkipRecord(d["story_id"], d["clusters"], [tuple(p) for p in d["skips"]],
-                         d["converged"], d["planted"])
-        where = dict(path=str(path), story_id=rec.story_id)
+    for sid, (line_no, d) in lines.items():
+        if story_ids is not None and sid not in story_ids:
+            continue
+        where = dict(path=str(path), story_id=sid)
+        d = _checked(line_no, {"planted": False, **d}, _SKIP_FIELDS, **where)
+        rec = SkipRecord(sid, d["clusters"], [tuple(p) for p in d["skips"]], d["converged"],
+                         d["planted"])
         covered = sorted(i for c in rec.clusters for i in c)
         if covered != list(range(len(covered))):
             raise DataError(f"line {line_no}: clusters do not partition 0..{len(covered) - 1}",
@@ -205,9 +224,7 @@ def load_skips(path) -> dict[str, SkipRecord]:
         if sorted(rec.pairs) != sorted(cluster_chains(rec.clusters)):
             raise DataError(f"line {line_no}: skips are not the time-ordered chains of the "
                             "clusters", **where)
-        if rec.story_id in out:
-            raise DataError(f"line {line_no}: duplicate story_id {rec.story_id!r}", path=str(path))
-        out[rec.story_id] = rec
+        out[sid] = rec
     return out
 
 
@@ -346,14 +363,8 @@ def generate_synthetic(cfg: SynthConfig) -> SynthCorpus:
                 + rng.normal(shape=cfg.embed_dim) * cfg.noise_sigma
             )
 
-        records.append(
-            StoryRecord(
-                story_id=story_id,
-                split=split,
-                story=StoryStream(story_id=story_id, x=xs, raw_fc=raw_fc),
-                sentences=SentenceSequence(story_id=story_id, v=vs),
-            )
-        )
+        records.append(StoryRecord(story_id, split, StoryStream(story_id, xs),
+                                   SentenceSequence(story_id, vs), raw_fc))
         skips[story_id] = SkipRecord(
             story_id=story_id,
             clusters=sorted(clusters),
@@ -381,7 +392,7 @@ def write_corpus(corpus: SynthCorpus, out_dir) -> Path:
     for rec in corpus.records:
         entry = {"story_id": rec.story_id, "n": rec.N, "split": rec.split}
         for key, kind, t in zip(_FILE_KEYS, ("feat", "emb", "sent"),
-                                (rec.story.raw_fc, rec.story.x, rec.sentences.v)):
+                                (rec.raw_fc, rec.story.x, rec.sentences.v)):
             entry[key] = f"tensors/{rec.story_id}.{kind}.bmt"
             write_tensor(out / entry[key], t)
         lines.append(json.dumps(entry, sort_keys=True) + "\n")
@@ -391,15 +402,18 @@ def write_corpus(corpus: SynthCorpus, out_dir) -> Path:
     return manifest_path
 
 
-def load_manifest(path, splits: tuple[str, ...] | None = None) -> Dataset:
+def load_manifest(path, splits: tuple[str, ...] | None = None, *,
+                  kinds: tuple[str, ...] = _FILE_KEYS) -> Dataset:
     """Load a manifest and the stories of ``splits``, a collection of split
     names (every story when None), in manifest order.
 
     Every line is checked, whatever its split: its JSON, keys, value types
-    and the uniqueness of its story id.  Tensor files are read and checked
-    only for the stories loaded, so a bad tensor file of a split left out
-    is not an error here.  ``detect-skips`` loads every story, ``train`` the
-    ``train`` and ``val`` stories, and ``eval`` the stories of its split."""
+    and the uniqueness of its story id.  Only the stories loaded have tensor
+    files read, only those of ``kinds`` (manifest keys), each checked against
+    the line's ``n``: a bad file of a split or kind left out is no error here.
+    ``detect-skips`` reads every story's ``feature_file``, ``train`` the
+    ``embedding_file`` and ``sentence_file`` of the ``train`` and ``val``
+    stories, and ``eval`` those of its split."""
     # os.path joins, not a Path per tensor file (1.4 against 6.6 us a join); the
     # directory keeps pathlib's form, so a written corpus's messages are unchanged
     base = os.path.dirname(Path(path))
@@ -414,8 +428,8 @@ def load_manifest(path, splits: tuple[str, ...] | None = None) -> Dataset:
         line_of[sid] = line_no
         if splits is not None and entry["split"] not in splits:
             continue
-        loaded = []
-        for key in _FILE_KEYS:
+        loaded = {}
+        for key in kinds:
             tensor_path = os.path.join(base, entry[key])
             t = read_tensor(tensor_path, story_id=sid)
             where = dict(path=tensor_path, story_id=sid)
@@ -428,8 +442,8 @@ def load_manifest(path, splits: tuple[str, ...] | None = None) -> Dataset:
             if dims.setdefault(key, t.shape[1]) != t.shape[1]:
                 raise DataError(f"{key} dim {t.shape[1]} differs from earlier stories' "
                                 f"{dims[key]}", **where)
-            loaded.append(t)
-        raw_fc, x, v = loaded
-        records.append(StoryRecord(sid, entry["split"], StoryStream(sid, x=x, raw_fc=raw_fc),
-                                   SentenceSequence(sid, v=v)))
+            loaded[key] = t
+        raw_fc, x, v = map(loaded.get, _FILE_KEYS)
+        records.append(StoryRecord(sid, entry["split"], x if x is None else StoryStream(sid, x),
+                                   v if v is None else SentenceSequence(sid, v), raw_fc))
     return Dataset(records=records)

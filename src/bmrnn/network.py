@@ -169,28 +169,16 @@ class BMRNNParams:
 
 @dataclass
 class StoryStream:
-    """One photo stream: embeddings x, plus optional raw features.
-
-    ``x`` is an (N, D) array, one row per photo; ``raw_fc`` holds the
-    pre-embedding feature rows consumed only by skip detection.  Both
-    accept a list of rows.
-    """
+    """One photo stream: its embeddings ``x``, an (N, D) array, one row per
+    photo; a list of rows is accepted too."""
 
     story_id: str
     x: np.ndarray
-    raw_fc: np.ndarray | None = None
 
     def __post_init__(self):
         self.x = stack_rows(self.x, "story_stream")
         if len(self.x) < 1:
             raise DataError("story must contain at least one step", story_id=self.story_id)
-        if self.raw_fc is not None:
-            self.raw_fc = stack_rows(self.raw_fc, "story_stream")
-            if len(self.raw_fc) != len(self.x):
-                raise DataError(
-                    f"raw feature count {len(self.raw_fc)} != step count {len(self.x)}",
-                    story_id=self.story_id,
-                )
 
     @property
     def N(self) -> int:
@@ -229,17 +217,13 @@ class StoryGroup(NamedTuple):
 
 
 class ForwardTrace(NamedTuple):
-    """Everything the backward pass needs.  ``fwd`` and ``bwd`` are each
-    direction's (5, B, N, H) sweep trace: rows z, r, s, h~ and h of every step
-    (s is zero on a step without a skip ancestor); ``merged`` is the (B, N, D)
-    output.  ``bmrnn_backward`` reads ``visits`` (None for two separate arrays):
-    both as one (5, 2, N + 1, B, H) array, of which ``bmrnn_forward``'s are
-    views, slot k + 1 holding visit k and slot 0 the zero state before it."""
+    """Everything the backward pass needs: the (B, N, D) output ``merged``
+    and ``visits``, both directions' sweep trace as one (5, 2, N + 1, B, H)
+    array of rows z, r, s, h~ and h (s is zero on a step without a skip
+    ancestor), slot k + 1 holding visit k and slot 0 the zero state before it."""
 
-    fwd: np.ndarray
-    bwd: np.ndarray
     merged: np.ndarray
-    visits: np.ndarray | None = None
+    visits: np.ndarray
 
 
 def init_bmrnn_params(
@@ -305,11 +289,11 @@ def bmrnn_forward(params: BMRNNParams, group: StoryGroup) -> ForwardTrace:
         step = sgru_forward(cells, xp[:, k], T[4, :, k], T[4, sides, anc[..., k], rows],
                             has[..., k, None])
         T[:, :, k + 1] = step._replace(h=np.where(live[:, :, k], step.h, 0.0))
-    fwd, bwd = T[:, 0, 1:].swapaxes(1, 2), T[:, 1, :0:-1].swapaxes(1, 2)
+    h_f, h_b = T[4, 0, 1:].swapaxes(0, 1), T[4, 1, :0:-1].swapaxes(0, 1)   # in time order
     # one matrix-vector product per step, not one GEMM: the reduction to a
     # plain bidirectional GRU is compared bit for bit, and a GEMM rounds differently
-    merged = matvecs(params.merge_f, fwd[4]) + matvecs(params.merge_b, bwd[4]) + params.b_merge
-    return ForwardTrace(fwd, bwd, merged, T)
+    merged = matvecs(params.merge_f, h_f) + matvecs(params.merge_b, h_b) + params.b_merge
+    return ForwardTrace(merged, T)
 
 
 def bmrnn_backward(params: BMRNNParams, group: StoryGroup, trace: ForwardTrace, dH: np.ndarray):

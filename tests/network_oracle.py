@@ -8,10 +8,27 @@ program's former ``sgru_forward`` and ``sgru_backward``, which evaluate the
 skip terms only on a step with a skip ancestor.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from bmrnn.cells import StepTrace, _sigmoid, sgru_inputs, sgru_param_grads
-from bmrnn.network import ForwardTrace
+
+
+class OracleTrace(NamedTuple):
+    """One story's (5, N, H) sweep trace of each direction, in time order,
+    and its (N, D) merged output."""
+
+    fwd: np.ndarray
+    bwd: np.ndarray
+    merged: np.ndarray
+
+
+def time_order(visits):
+    """(fwd, bwd): each direction's (5, B, N, H) trace, in time order, from
+    a ``ForwardTrace.visits`` array of shape (5, 2, N + 1, B, H), whose slot
+    k + 1 holds visit k (backward visit k is step N-1-k) and slot 0 the zero state."""
+    return visits[:, 0, 1:].swapaxes(1, 2), visits[:, 1, :0:-1].swapaxes(1, 2)
 
 
 def step_forward(params, xp_t, h_prev, h_skip=None):
@@ -94,13 +111,13 @@ def sweep_backward(cell, grads, x, anc, order, T, dh, dX):
     dX += sgru_param_grads(cell, grads, x, H_prev, T[1], H_skip, T[2], dA)
 
 
-def forward(params, story, skips) -> ForwardTrace:
+def forward(params, story, skips) -> OracleTrace:
     n, (anc_f, anc_b) = story.N, ancestor_maps(skips)
     fwd = sweep(params.fwd, story.x, anc_f, range(n))
     bwd = sweep(params.bwd, story.x, anc_b, range(n - 1, -1, -1))
     merged = np.stack([params.merge_f @ fwd[4, t] + params.merge_b @ bwd[4, t] + params.b_merge
                        for t in range(n)])
-    return ForwardTrace(fwd, bwd, merged)
+    return OracleTrace(fwd, bwd, merged)
 
 
 def backward(params, story, skips, trace, dH):

@@ -94,7 +94,7 @@ def test_3_skip_structure_recovery():
     corpus = generate_synthetic(SynthConfig(num_stories=200, seed=0))
     tp = fp = fn = 0
     for rec in corpus.records:
-        sim = similarity(rec.story.raw_fc)
+        sim = similarity(rec.raw_fc)
         detected = set(build_skip_matrix(affinity_propagation(sim)).pairs)
         truth = set(corpus.skips[rec.story_id].pairs)
         tp += len(detected & truth)

@@ -168,8 +168,10 @@ class TestDataErrors:
         corpus = make_corpus(tmp_path, stories=6)
         victim = corpus / "tensors" / "story_00002.emb.bmt"
         write_tensor(victim, read_tensor(victim)[None])
-        code = run(["detect-skips", "--manifest", str(corpus / "manifest.jsonl"),
-                    "--out", str(tmp_path / "s.jsonl")])
+        skips = detect(tmp_path, corpus)      # detect-skips reads no embedding file
+        code = run(["train", "--manifest", str(corpus / "manifest.jsonl"),
+                    "--skips", str(skips), "--out", str(tmp_path / "m.bin"),
+                    "--epochs", "1", "--negatives", "3", "--hidden", "4"])
         assert code == 2
         err = capsys.readouterr().err
         assert str(victim) in err and "story_00002" in err and "rank 3" in err
@@ -445,20 +447,24 @@ def clean_run(tmp_path_factory):
 
 
 class TestSplitLoading:
-    """Each stage reads the tensor files of the stories it uses: detect-skips
-    every story, train the train and val stories, eval those of its split.
-    Every stage checks every manifest line."""
+    """Each stage reads only the tensor files and skip records it uses:
+    detect-skips every story's feature file, train the embedding and
+    sentence files and skip records of the train and val stories, eval
+    those of its split.  Every stage checks every manifest line, and every
+    skip-file line's JSON, story id and the uniqueness of that id."""
 
     @staticmethod
-    def stage(name, manifest, t, d):
-        """Run one stage on ``manifest`` with the clean run's skips and model."""
+    def stage(name, manifest, t, d, skips=None):
+        """Run one stage on ``manifest`` with the clean run's skips (or
+        ``skips``) and model."""
+        skips = t.skips if skips is None else str(skips)
         return run({
             "detect-skips": ["detect-skips", "--manifest", str(manifest),
                              "--out", str(d / "s.jsonl")],
-            "train": ["train", "--manifest", str(manifest), "--skips", t.skips,
+            "train": ["train", "--manifest", str(manifest), "--skips", skips,
                       "--out", str(d / "m.bin"), "--epochs", "1", "--negatives", "3",
                       "--hidden", "4"],
-            "eval": ["eval", "--manifest", str(manifest), "--skips", t.skips,
+            "eval": ["eval", "--manifest", str(manifest), "--skips", skips,
                      "--model", str(t.model), "--split", "test", "--report", str(d / "r.json")],
         }[name])
 
@@ -468,42 +474,117 @@ class TestSplitLoading:
         shutil.copytree(Path(t.manifest).parent, d / "corpus")
         return d / "corpus" / "manifest.jsonl"
 
-    def corrupt_copy(self, t, d, split, kind):
+    def corrupt_copy(self, t, d, split, kind, ext="emb"):
         """A copy of the clean corpus whose first story of ``split`` has a
-        non-finite or a rank-3 embedding file: (manifest, file, story, message)."""
+        non-finite, a rank-3 or a one-step-short tensor file of kind ``ext``:
+        (manifest, file, story, message)."""
         manifest = self.copy(t, d)
         sid = next(e["story_id"] for e in map(json.loads, manifest.read_text().splitlines())
                    if e["split"] == split)
-        victim = manifest.parent / "tensors" / f"{sid}.emb.bmt"
+        victim = manifest.parent / "tensors" / f"{sid}.{ext}.bmt"
         arr = read_tensor(victim)
         if kind == "non-finite":
             arr[0, :] = np.nan
             message = "non-finite"
-        else:
+        elif kind == "rank":
             arr, message = arr[None], "rank 3"
+        else:
+            arr, message = arr[:-1], f"has {len(arr) - 1} steps, manifest declares {len(arr)}"
         write_tensor(victim, arr)
         return manifest, victim, sid, message
 
+    def assert_fails(self, name, manifest, t, d, capsys, *named, skips=None):
+        """``name`` exits 2 and its error names each of ``named``."""
+        capsys.readouterr()
+        assert self.stage(name, manifest, t, d, skips) == 2, name
+        err = capsys.readouterr().err
+        assert all(str(part) in err for part in named), err
+
+    def assert_eval_unchanged(self, manifest, t, d, skips=None):
+        assert self.stage("eval", manifest, t, d, skips) == 0
+        assert (d / "r.json").read_bytes() == t.report
+
     @pytest.mark.parametrize("kind", ["non-finite", "rank"])
-    def test_bad_train_tensor_fails_train_and_detect_skips_but_not_eval(
-            self, clean_run, tmp_path, capsys, kind):
+    def test_bad_train_embedding_fails_train_only(self, clean_run, tmp_path, capsys, kind):
         manifest, victim, sid, message = self.corrupt_copy(clean_run, tmp_path, "train", kind)
-        assert self.stage("eval", manifest, clean_run, tmp_path) == 0
-        assert (tmp_path / "r.json").read_bytes() == clean_run.report
-        for name in ("train", "detect-skips"):
-            capsys.readouterr()
-            assert self.stage(name, manifest, clean_run, tmp_path) == 2, name
-            err = capsys.readouterr().err
-            assert str(victim) in err and sid in err and message in err
+        self.assert_eval_unchanged(manifest, clean_run, tmp_path)
+        assert self.stage("detect-skips", manifest, clean_run, tmp_path) == 0
+        assert (tmp_path / "s.jsonl").read_bytes() == Path(clean_run.skips).read_bytes()
+        self.assert_fails("train", manifest, clean_run, tmp_path, capsys, victim, sid, message)
 
     @pytest.mark.parametrize("kind", ["non-finite", "rank"])
     def test_bad_test_tensor_fails_eval_but_not_train(self, clean_run, tmp_path, capsys, kind):
         manifest, victim, sid, message = self.corrupt_copy(clean_run, tmp_path, "test", kind)
-        capsys.readouterr()
-        assert self.stage("eval", manifest, clean_run, tmp_path) == 2
-        err = capsys.readouterr().err
-        assert str(victim) in err and sid in err and message in err
+        self.assert_fails("eval", manifest, clean_run, tmp_path, capsys, victim, sid, message)
         assert self.stage("train", manifest, clean_run, tmp_path) == 0
+
+    @pytest.mark.parametrize("kind", ["non-finite", "rank", "steps"])
+    def test_bad_feature_file_fails_detect_skips_only(self, clean_run, tmp_path, capsys, kind):
+        manifest, victim, sid, message = self.corrupt_copy(clean_run, tmp_path, "test", kind,
+                                                           ext="feat")
+        self.assert_fails("detect-skips", manifest, clean_run, tmp_path, capsys,
+                          victim, sid, message)
+        assert self.stage("train", manifest, clean_run, tmp_path) == 0
+        self.assert_eval_unchanged(manifest, clean_run, tmp_path)
+
+    BAD_RECORDS = {
+        "partition": (lambda r: {**r, "clusters": [[i + 1 for i in c] for c in r["clusters"]]},
+                      "clusters do not partition"),
+        "chains": (lambda r: {**r, "skips": r["skips"] + [[0, 1]]},
+                   "skips are not the time-ordered chains of the clusters"),
+        "type": (lambda r: {**r, "converged": "yes"}, 'converged must be true or false, got "yes"'),
+    }
+
+    @staticmethod
+    def skip_copy(t, d, edit):
+        """The clean skip file's lines through ``edit``, written to ``d``: its path."""
+        path = d / "skips.jsonl"
+        path.write_text("\n".join(edit(Path(t.skips).read_text().splitlines())) + "\n")
+        return path
+
+    @staticmethod
+    def first_of(t, split):
+        """(line number, story id) of the first ``split`` story's skip record:
+        detect-skips writes the records in manifest order."""
+        entries = map(json.loads, Path(t.manifest).read_text().splitlines())
+        return next((no, e["story_id"]) for no, e in enumerate(entries, 1) if e["split"] == split)
+
+    def bad_record_copy(self, t, d, split, case):
+        """The clean skip file with the first ``split`` story's record broken by
+        ``case``: (path, line number, story id, message)."""
+        edit, message = self.BAD_RECORDS[case]
+        no, sid = self.first_of(t, split)
+        path = self.skip_copy(t, d, lambda lines: [
+            json.dumps(edit(json.loads(line))) if i == no else line
+            for i, line in enumerate(lines, 1)])
+        return path, no, sid, message
+
+    @pytest.mark.parametrize("case", BAD_RECORDS)
+    def test_bad_skip_record_of_a_train_story_does_not_fail_eval(self, clean_run, tmp_path,
+                                                                 case):
+        path, *_ = self.bad_record_copy(clean_run, tmp_path, "train", case)
+        self.assert_eval_unchanged(clean_run.manifest, clean_run, tmp_path, path)
+
+    @pytest.mark.parametrize("case", BAD_RECORDS)
+    def test_bad_skip_record_of_a_test_story_fails_eval(self, clean_run, tmp_path, capsys,
+                                                        case):
+        path, no, sid, message = self.bad_record_copy(clean_run, tmp_path, "test", case)
+        self.assert_fails("eval", clean_run.manifest, clean_run, tmp_path, capsys,
+                          path, f"line {no}: {message}", f"story: {sid}", skips=path)
+
+    @pytest.mark.parametrize("edit, where", [
+        (lambda lines: ['{"story_id": "story_00000"'] + lines[1:],
+         "line 1: invalid JSON (Expecting ',' delimiter)"),
+        (lambda lines: [json.dumps({**json.loads(lines[0]), "story_id": 0})] + lines[1:],
+         "line 1: story_id must be a string, got 0"),
+        (lambda lines: lines + lines[:1], "line 13: duplicate story_id 'story_00000'"),
+    ], ids=["invalid-json", "story-id-type", "duplicate"])
+    def test_bad_skip_line_of_a_train_story_fails_eval(self, clean_run, tmp_path, capsys,
+                                                       edit, where):
+        assert self.first_of(clean_run, "train") == (1, "story_00000")
+        path = self.skip_copy(clean_run, tmp_path, edit)
+        self.assert_fails("eval", clean_run.manifest, clean_run, tmp_path, capsys,
+                          f"{where} (file: {path})", skips=path)
 
     @pytest.mark.parametrize("edit, where", [
         (lambda lines: [json.dumps({**json.loads(lines[0]), "n": 0})] + lines[1:],
@@ -520,10 +601,7 @@ class TestSplitLoading:
         lines = manifest.read_text().splitlines()
         assert json.loads(lines[0])["split"] == "train" and len(lines) == 12
         manifest.write_text("\n".join(edit(lines)) + "\n")
-        capsys.readouterr()
-        assert self.stage("eval", manifest, clean_run, tmp_path) == 2
-        err = capsys.readouterr().err
-        assert str(manifest) in err and where in err
+        self.assert_fails("eval", manifest, clean_run, tmp_path, capsys, manifest, where)
 
 
 class TestNumericalFailures:
@@ -719,7 +797,7 @@ class TestDetectSkipsStacks:
             if rec.N == 1:
                 want.append(SkipRecord(rec.story_id, [[0]], [], True))
                 continue
-            a = affinity_propagation(similarity(rec.story.raw_fc))
+            a = affinity_propagation(similarity(rec.raw_fc))
             want.append(SkipRecord(rec.story_id, sorted(sorted(c) for c in a.clusters),
                                    list(build_skip_matrix(a).pairs), a.converged))
         write_skips(tmp_path / "want.jsonl", want)
@@ -748,7 +826,7 @@ class TestDetectSkipsStacks:
         two = [rec for rec in load_manifest(manifest).records if rec.N == 2]
         for rec in two:
             # AP at the default preference ties the two points: one cluster, unconverged
-            a = affinity_propagation(similarity(rec.story.raw_fc))
+            a = affinity_propagation(similarity(rec.raw_fc))
             assert (a.clusters, a.converged) == ([[0, 1]], False)
         stacks = []
 
@@ -862,8 +940,8 @@ def random_corpora(draw):
                     a[t] = 0.0
                 elif kind == "repeat" and t > 0:
                     a[t] = a[t - 1]
-        records.append(StoryRecord(sid, split, StoryStream(sid, emb, feat),
-                                   SentenceSequence(sid, sent)))
+        records.append(StoryRecord(sid, split, StoryStream(sid, emb),
+                                   SentenceSequence(sid, sent), feat))
         skips[sid] = SkipRecord(sid, [[t] for t in range(n)], [], True, planted=True)
     return SynthCorpus(records=records, skips=skips, config=None)
 

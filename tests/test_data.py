@@ -162,6 +162,34 @@ class TestSkipRecordIO:
         with pytest.raises(DataError, match="duplicate"):
             load_skips(path)
 
+    def test_only_the_requested_records_are_checked(self, tmp_path):
+        path = tmp_path / "skips.jsonl"
+        write_skips(path, self.records())
+        bad = {"story_id": "c", "clusters": [[0, 3]], "skips": "none", "converged": 1}
+        path.write_text(path.read_text() + json.dumps(bad) + "\n")
+        back = load_skips(path, {"b", "a", "z"})
+        assert list(back) == ["a", "b"] and back["a"].pairs == [(0, 2)]
+        assert load_skips(path, ()) == {}
+        with pytest.raises(DataError) as exc_info:
+            load_skips(path, {"c"})
+        assert str(exc_info.value) == (f'line 3: skips must be integer pairs, got "none" '
+                                       f"(file: {path}, story: c)")
+
+    @pytest.mark.parametrize("line, message", [
+        ({"clusters": [[0]], "converged": True}, "missing keys story_id, skips"),
+        ({"story_id": 7, "converged": True}, "missing keys clusters, skips"),
+        ({"story_id": 7, "clusters": [[0]], "skips": [], "converged": True},
+         "story_id must be a string, got 7"),
+    ])
+    def test_a_line_without_a_story_id_fails_whatever_is_requested(self, tmp_path, line,
+                                                                    message):
+        path = tmp_path / "skips.jsonl"
+        write_skips(path, self.records())
+        path.write_text(path.read_text() + json.dumps(line) + "\n")
+        with pytest.raises(DataError) as exc_info:
+            load_skips(path, ())
+        assert str(exc_info.value) == f"line 3: {message} (file: {path})"
+
 
 class TestSynthConfig:
     def test_defaults_valid(self):
@@ -204,7 +232,7 @@ class TestGenerator:
         for rec in corpus.records[:10]:
             assert rec.N == 5
             assert rec.story.x[0].shape == (16,)
-            assert rec.story.raw_fc[0].shape == (16,)
+            assert rec.raw_fc[0].shape == (16,)
             assert rec.sentences.v[0].shape == (16,)
 
     def test_planted_structure(self):
@@ -247,7 +275,7 @@ class TestGenerator:
         c = generate_synthetic(SynthConfig(num_stories=6, seed=10))
         for ra, rb in zip(a.records, b.records):
             npt.assert_array_equal(np.stack(ra.story.x), np.stack(rb.story.x))
-            npt.assert_array_equal(np.stack(ra.story.raw_fc), np.stack(rb.story.raw_fc))
+            npt.assert_array_equal(np.stack(ra.raw_fc), np.stack(rb.raw_fc))
             npt.assert_array_equal(np.stack(ra.sentences.v), np.stack(rb.sentences.v))
             assert a.skips[ra.story_id] == b.skips[rb.story_id]
         assert not np.array_equal(
@@ -260,7 +288,7 @@ class TestGenerator:
         for rec in corpus.records:
             skip = corpus.skips[rec.story_id]
             means = [
-                np.mean([rec.story.raw_fc[t] for t in c], axis=0) for c in skip.clusters
+                np.mean([rec.raw_fc[t] for t in c], axis=0) for c in skip.clusters
             ]
             for i in range(len(means)):
                 for j in range(i + 1, len(means)):
@@ -280,11 +308,11 @@ class TestGenerator:
                     # features stay scene-like even where the embedding is occluded
                     anc = next(p for p, q in skip.pairs if q == t)
                     assert (
-                        rec.story.raw_fc[t] @ rec.story.raw_fc[anc]
+                        rec.raw_fc[t] @ rec.raw_fc[anc]
                         > 0.5 * cfg.scene_separation**2
                     )
                 else:
-                    visible_pairs.append((rec.story.raw_fc[t], rec.story.x[t]))
+                    visible_pairs.append((rec.raw_fc[t], rec.story.x[t]))
         # all occluded embeddings approximate one shared gap vector
         occluded_x = np.stack(occluded_x)
         spread = np.linalg.norm(occluded_x - occluded_x.mean(axis=0), axis=1)
@@ -303,7 +331,7 @@ class TestGenerator:
         corpus = generate_synthetic(SynthConfig(num_stories=100, seed=2))
         tp = fp = fn = 0
         for rec in corpus.records:
-            sim = similarity(rec.story.raw_fc)
+            sim = similarity(rec.raw_fc)
             detected = set(build_skip_matrix(affinity_propagation(sim)).pairs)
             truth = set(corpus.skips[rec.story_id].pairs)
             tp += len(detected & truth)
@@ -333,8 +361,8 @@ class TestCorpusIO:
                 np.stack(orig.story.x).astype(np.float32).astype(np.float64),
             )
             npt.assert_array_equal(
-                np.stack(back.story.raw_fc),
-                np.stack(orig.story.raw_fc).astype(np.float32).astype(np.float64),
+                np.stack(back.raw_fc),
+                np.stack(orig.raw_fc).astype(np.float32).astype(np.float64),
             )
             npt.assert_array_equal(
                 np.stack(back.sentences.v),
@@ -350,7 +378,7 @@ class TestCorpusIO:
         def assert_rows(a, n, d):
             assert isinstance(a, np.ndarray) and a.dtype == np.float64 and a.shape == (n, d)
 
-        for a in (rec.story.x, rec.story.raw_fc, rec.sentences.v):
+        for a in (rec.story.x, rec.raw_fc, rec.sentences.v):
             assert_rows(a, rec.N, 16)
         params = init_bmrnn_params(16, 6, 16, SeededRng(0))
         skip = skips[rec.story_id]
@@ -389,9 +417,26 @@ class TestCorpusIO:
         assert [r.story_id for r in got] == [r.story_id for r in want]
         for a, b in zip(got, want):
             assert a.split == b.split and a.N == b.N
-            for x, y in ((a.story.x, b.story.x), (a.story.raw_fc, b.story.raw_fc),
+            for x, y in ((a.story.x, b.story.x), (a.raw_fc, b.raw_fc),
                          (a.sentences.v, b.sentences.v)):
                 npt.assert_array_equal(x, y)
+
+    @pytest.mark.parametrize("kinds", [("feature_file",), ("embedding_file", "sentence_file"),
+                                       ("embedding_file",)])
+    def test_kind_load_is_the_full_load_without_the_others(self, tmp_path, kinds):
+        _, manifest = self.small_corpus(tmp_path, n=12)
+        want = load_manifest(manifest, ("train", "test")).records
+        got = load_manifest(manifest, ("train", "test"), kinds=kinds).records
+        assert [(r.story_id, r.split, r.N) for r in got] == [
+            (r.story_id, r.split, r.N) for r in want]
+        for a, b in zip(got, want):
+            for key, x, y in (("feature_file", a.raw_fc, b.raw_fc),
+                              ("embedding_file", a.story and a.story.x, b.story.x),
+                              ("sentence_file", a.sentences and a.sentences.v, b.sentences.v)):
+                if key in kinds:
+                    npt.assert_array_equal(x, y)
+                else:
+                    assert x is None
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError, match="manifest.jsonl"):

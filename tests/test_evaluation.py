@@ -158,8 +158,9 @@ def mixed_length_corpus(lengths, seed):
 def duplicate_record(rec, skip, sid):
     """A copy of a story under another id: its steps, sentences and skip
     record."""
-    story = StoryStream(sid, rec.story.x.copy(), rec.story.raw_fc)
-    return (StoryRecord(sid, rec.split, story, SentenceSequence(sid, rec.sentences.v.copy())),
+    story = StoryStream(sid, rec.story.x.copy())
+    return (StoryRecord(sid, rec.split, story, SentenceSequence(sid, rec.sentences.v.copy()),
+                        rec.raw_fc),
             dataclasses.replace(skip, story_id=sid))
 
 

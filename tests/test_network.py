@@ -228,8 +228,9 @@ class TestSweepTrace:
         sk = SkipMatrix(n=n, pairs=tuple(cluster_chains(clusters)))
         trace = bmrnn_forward(p, StoryGroup.of([StoryStream(story_id="s", x=x)], [sk]))
         anc_f, anc_b = network_oracle.ancestor_maps(sk)
-        for T, cell, anc, order in ((trace.fwd, p.fwd, anc_f, range(n)),
-                                    (trace.bwd, p.bwd, anc_b, range(n - 1, -1, -1))):
+        fwd, bwd = network_oracle.time_order(trace.visits)
+        for T, cell, anc, order in ((fwd, p.fwd, anc_f, range(n)),
+                                    (bwd, p.bwd, anc_b, range(n - 1, -1, -1))):
             assert T.shape == (5, 1, n, hidden)
             T = T[:, 0]
             for t, (z, r, s, h_tilde, h) in per_step_sweep(cell, x, anc, order).items():
@@ -282,10 +283,11 @@ class TestGroupSweep:
         grads, dX = bmrnn_backward(p, group, trace, dH)
         assert trace.merged.shape == (B, N, out_dim) and grads.flat.shape == (B, p.flat.size)
         assert dX.shape == (B, N, in_dim)
+        fwd, bwd = network_oracle.time_order(trace.visits)
         for b, (story, sk, n) in enumerate(zip(stories, matrices, lengths)):
             want = network_oracle.forward(p, story, sk)
-            npt.assert_array_equal(trace.fwd[:, b, :n], want.fwd)
-            npt.assert_array_equal(trace.bwd[:, b, :n], want.bwd)
+            npt.assert_array_equal(fwd[:, b, :n], want.fwd)
+            npt.assert_array_equal(bwd[:, b, :n], want.bwd)
             npt.assert_array_equal(trace.merged[b, :n], want.merged)
             want_grads, want_dX = network_oracle.backward(p, story, sk, want, dH[b, :n])
             for (name, g), (_, w) in zip(grads.named_tensors(), want_grads.named_tensors(),
@@ -675,10 +677,6 @@ class TestStoryStream:
     def test_mixed_dims_rejected(self):
         with pytest.raises(ShapeMismatchError):
             StoryStream(story_id="s", x=[np.zeros(2), np.zeros(3)])
-
-    def test_raw_fc_count_mismatch(self):
-        with pytest.raises(DataError):
-            StoryStream(story_id="s", x=[np.zeros(2)] * 2, raw_fc=[np.zeros(4)])
 
 
 class TestModelFile:
