@@ -256,18 +256,18 @@ def _cmd_detect_skips(opts: dict) -> int:
     check_clustering(opts["damping"], opts["max_iter"], opts["window"])
     if opts["window"] > opts["max_iter"]:    # the convergence flag could never be set
         raise ConfigError(f"--window {opts['window']} exceeds --max-iter {opts['max_iter']}")
-    dataset = load_manifest(opts["manifest"], kinds=("feature_file",))
+    stories = load_manifest(opts["manifest"], kinds=("feature_file",))
     # Stories too short to cluster get a fixed clustering: a 1-photo story is
     # one singleton and, without --preference, a 2-photo story one cluster.
     # The default preference is then the pair's one similarity, on which AP
     # ties exactly and, unconverged, keeps exemplar 0 whatever the similarity.
     fixed = {1: [[0]], 2: [[0, 1]]} if opts["preference"] is None else {1: [[0]]}
     assignment_of = {}     # record index -> its ClusterAssignment
-    for n in {rec.N for rec in dataset.records} - fixed.keys():
-        group = [i for i, rec in enumerate(dataset.records) if rec.N == n]
+    for n in {rec.N for rec in stories} - fixed.keys():
+        group = [i for i, rec in enumerate(stories) if rec.N == n]
         size = max(1, AP_STACK_ENTRIES // (n * n))   # stories per stack
         for stack in (group[k:k + size] for k in range(0, len(group), size)):
-            sims = [similarity(dataset.records[i].raw_fc, normalize=opts["normalize"]).s
+            sims = [similarity(stories[i].raw_fc, normalize=opts["normalize"]).s
                     for i in stack]
             result = affinity_propagation(
                 SimilarityMatrix(s=np.stack(sims)), damping=opts["damping"],
@@ -276,7 +276,7 @@ def _cmd_detect_skips(opts: dict) -> int:
             assignment_of.update(zip(stack, result.assignments))
     records = []
     n_converged = n_pairs = 0
-    for i, rec in enumerate(dataset.records):
+    for i, rec in enumerate(stories):
         if rec.N in fixed:
             clusters, converged = fixed[rec.N], True
             pairs = cluster_chains(clusters)
@@ -297,12 +297,12 @@ def _cmd_detect_skips(opts: dict) -> int:
 
 
 def _cmd_train(opts: dict) -> int:
-    dataset = load_manifest(opts["manifest"], ("train", "val"), kinds=_NETWORK_KINDS)
-    records = dataset.split("train")
+    loaded = load_manifest(opts["manifest"], ("train", "val"), kinds=_NETWORK_KINDS)
+    records = [rec for rec in loaded if rec.split == "train"]
     if len(records) < 2:      # a story's negatives are the other training stories
         raise DataError(f"training needs at least 2 stories in split 'train', found "
                         f"{len(records)}", path=str(opts["manifest"]))
-    skips = load_skips(opts["skips"], {rec.story_id for rec in dataset.records})
+    skips = load_skips(opts["skips"], {rec.story_id for rec in loaded})
     ccfg = CompatibilityConfig(
         alpha=opts["alpha"],
         gamma=opts["gamma"],
@@ -323,7 +323,7 @@ def _cmd_train(opts: dict) -> int:
     out_path = Path(opts["out"])
     ckpt = train(
         records,
-        dataset.split("val"),
+        [rec for rec in loaded if rec.split == "val"],
         skips,
         cfg,
         ccfg,
@@ -341,7 +341,7 @@ def _cmd_train(opts: dict) -> int:
 
 
 def _cmd_eval(opts: dict) -> int:
-    records = load_manifest(opts["manifest"], (opts["split"],), kinds=_NETWORK_KINDS).records
+    records = load_manifest(opts["manifest"], (opts["split"],), kinds=_NETWORK_KINDS)
     skips = load_skips(opts["skips"], {rec.story_id for rec in records})
     params = load_model(opts["model"])
     if not records:

@@ -37,7 +37,6 @@ __all__ = [
     "write_tensor",
     "read_tensor",
     "StoryRecord",
-    "Dataset",
     "SkipRecord",
     "check_skip_records",
     "write_skips",
@@ -136,14 +135,6 @@ class StoryRecord:
     @property
     def N(self) -> int:
         return len(self.raw_fc) if self.story is None else self.story.N
-
-
-@dataclass
-class Dataset:
-    records: list[StoryRecord]
-
-    def split(self, name: str) -> list[StoryRecord]:
-        return [r for r in self.records if r.split == name]
 
 
 @dataclass
@@ -403,7 +394,7 @@ def write_corpus(corpus: SynthCorpus, out_dir) -> Path:
 
 
 def load_manifest(path, splits: tuple[str, ...] | None = None, *,
-                  kinds: tuple[str, ...] = _FILE_KEYS) -> Dataset:
+                  kinds: tuple[str, ...] = _FILE_KEYS) -> list[StoryRecord]:
     """Load a manifest and the stories of ``splits``, a collection of split
     names (every story when None), in manifest order.
 
@@ -446,4 +437,4 @@ def load_manifest(path, splits: tuple[str, ...] | None = None, *,
         raw_fc, x, v = map(loaded.get, _FILE_KEYS)
         records.append(StoryRecord(sid, entry["split"], x if x is None else StoryStream(sid, x),
                                    v if v is None else SentenceSequence(sid, v), raw_fc))
-    return Dataset(records=records)
+    return records

@@ -18,10 +18,11 @@ skip edges (each edge carries gradient exactly once per pair).
 
 from __future__ import annotations
 
-import copy
+import functools
+import itertools
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -68,96 +69,79 @@ BUCKET_PADDING = 0.25
 BUCKET_STEPS = 512
 
 
-def bmrnn_layout(input_dim: int, hidden_dim: int, output_dim: int):
-    """(name, shape) of all 29 tensors in canonical order: the model file's."""
+@functools.cache
+def _table(input_dim: int, hidden_dim: int, output_dim: int):
+    """(name, start, end, shape) of all 29 tensors in canonical order, the
+    model file's: each one's slice of a model's parameter vector."""
     cell, merge = sgru_layout(input_dim, hidden_dim), (output_dim, hidden_dim)
-    return [(f"{d}.{n}", shape) for d in ("fwd", "bwd") for n, shape in cell] + [
-        ("merge_f", merge), ("merge_b", merge), ("b_merge", (output_dim,))
-    ]
+    shapes = [(f"{d}.{n}", shape) for d in ("fwd", "bwd") for n, shape in cell] + [
+        ("merge_f", merge), ("merge_b", merge), ("b_merge", (output_dim,))]
+    ends = itertools.accumulate(math.prod(shape) for _, shape in shapes)
+    return tuple((name, end - math.prod(shape), end, shape)
+                 for (name, shape), end in zip(shapes, ends))
 
 
-@dataclass
+def _view(flat: np.ndarray, start: int, end: int, shape: tuple[int, ...]) -> np.ndarray:
+    """One tensor of a (..., P) buffer, its leading axes first."""
+    return flat[..., start:end].reshape(flat.shape[:-1] + shape)
+
+
 class BMRNNParams:
     """Parameters of both directional passes plus the linear merge.
 
     The two directions share dimensions but never values; training updates
     them independently.  All 29 tensors live in one contiguous float64
-    buffer ``flat``, in canonical order; the fields are views into it, so
-    an in-place write to a field is a write to ``flat`` and whole-model
+    buffer ``flat``, in canonical order, and are read through the table of
+    the model's ``dims`` (input, hidden, output): ``named_tensors()``,
+    ``fwd``, ``bwd``, ``cells`` and the merge tensors are views into it, so
+    an in-place write to one is a write to ``flat``, and whole-model
     operations (zeroing, copying, optimizer steps) act on ``flat`` at once.
+    ``flat`` is one (P,) parameter vector, or a (B, P) buffer whose views
+    carry the B axis first.  ``cells`` views both directions' (adjacent)
+    cells as one of (2, B, ...) tensors, B = 1 for (P,).
     """
 
-    fwd: SGRUParams
-    bwd: SGRUParams
-    merge_f: np.ndarray   # (output_dim, hidden_dim)
-    merge_b: np.ndarray   # (output_dim, hidden_dim)
-    b_merge: np.ndarray   # (output_dim,)
-    flat: np.ndarray = field(init=False, repr=False)
-    cells: SGRUParams = field(init=False, repr=False)
-
-    def __post_init__(self):
-        """Copy the given tensors into one buffer, checking every shape."""
-        named = dict(self.named_tensors())
-        for name in ("fwd.W_zx", "merge_f"):   # every other shape follows from these two
-            if np.ndim(named[name]) != 2:
-                raise ShapeMismatchError(name, np.shape(named[name]), ("rows", "cols"))
-        layout = self.layout()
-        for name, shape in layout:
-            if np.shape(named[name]) != shape:
-                raise ShapeMismatchError(name, np.shape(named[name]), shape)
-        self._bind(np.concatenate([np.ravel(named[n]) for n, _ in layout], dtype=float))
-
-    def _bind(self, flat: np.ndarray) -> None:
-        """Make ``flat`` the buffer and every field a view into it; the leading
-        axes of a (..., P) buffer lead every field too.  ``cells`` views both
-        directions' (adjacent) cells as one of (2, B, ...) tensors, B = 1 for (P,)."""
-        layout = self.layout()
-        size = sum(math.prod(shape) for name, shape in layout if name.startswith("fwd."))
+    def __init__(self, flat: np.ndarray, dims: tuple[int, int, int]):
+        table = _table(*dims)
+        cell = table[: len(SGRUParams.NAMES)]     # the forward cell's; the backward's follows
+        size = cell[-1][2]
         rows = flat.reshape(-1, flat.shape[-1])[:, : 2 * size]
-        both, views, start = rows.reshape(-1, 2, size).transpose(1, 0, 2), {}, 0
-        for name, shape in layout:
-            end = start + math.prod(shape)
-            views[name] = flat[..., start:end].reshape(*flat.shape[:-1], *shape)
-            if name.startswith("fwd."):
-                views["both" + name[3:]] = both[..., start:end].reshape(2, -1, *shape)
-            start = end
-        self.flat, self.cells = flat, SGRUParams.from_named(views, "both.")
-        self.fwd = SGRUParams.from_named(views, "fwd.")
-        self.bwd = SGRUParams.from_named(views, "bwd.")
-        self.merge_f, self.merge_b, self.b_merge = (
-            views["merge_f"], views["merge_b"], views["b_merge"]
-        )
+        both = rows.reshape(-1, 2, size).swapaxes(0, 1)             # (2, B, size)
+        self.flat, self.dims = flat, dims
+        self.cells = SGRUParams(**{name[4:]: _view(both, *entry) for name, *entry in cell})
+        self.merge_f, self.merge_b, self.b_merge = (_view(flat, *entry) for _, *entry in table[-3:])
+
+    @classmethod
+    def from_named(cls, tensors: dict) -> "BMRNNParams":
+        """A model copied from ``{name: array}`` into one new buffer, checking
+        every shape against the table of the dims read off ``fwd.W_zx`` and
+        ``merge_f``."""
+        for name in ("fwd.W_zx", "merge_f"):   # every other shape follows from these two
+            if np.ndim(tensors[name]) != 2:
+                raise ShapeMismatchError(name, np.shape(tensors[name]), ("rows", "cols"))
+        (hidden, input_dim), output = np.shape(tensors["fwd.W_zx"]), len(tensors["merge_f"])
+        table = _table(input_dim, hidden, output)
+        for name, _, _, shape in table:
+            if np.shape(tensors[name]) != shape:
+                raise ShapeMismatchError(name, np.shape(tensors[name]), shape)
+        flat = np.concatenate([np.ravel(tensors[name]) for name, *_ in table], dtype=float)
+        return cls(flat, (input_dim, hidden, output))
 
     def with_flat(self, flat: np.ndarray) -> "BMRNNParams":
-        """Tensors of this model's shapes over ``flat``: one (P,) parameter
-        vector, or a (B, P) buffer whose fields carry the B axis first."""
-        out = copy.copy(self)
-        out._bind(flat)
-        return out
+        """Tensors of this model's shapes over ``flat``, (P,) or (B, P)."""
+        return BMRNNParams(flat, self.dims)
 
-    @property
-    def input_dim(self) -> int:
-        return self.fwd.input_dim
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.fwd.hidden_dim
-
-    @property
-    def output_dim(self) -> int:
-        return self.merge_f.shape[-2]
-
-    def layout(self):
-        return bmrnn_layout(self.input_dim, self.hidden_dim, self.output_dim)
+    input_dim = property(lambda self: self.dims[0])
+    hidden_dim = property(lambda self: self.dims[1])
+    output_dim = property(lambda self: self.dims[2])
+    # each direction's cell, as views; the sweeps read ``cells``
+    fwd = property(lambda self: SGRUParams.from_named(dict(self.named_tensors()), "fwd."))
+    bwd = property(lambda self: SGRUParams.from_named(dict(self.named_tensors()), "bwd."))
 
     def named_tensors(self):
-        for name, t in self.fwd.named_tensors():
-            yield f"fwd.{name}", t
-        for name, t in self.bwd.named_tensors():
-            yield f"bwd.{name}", t
-        yield "merge_f", self.merge_f
-        yield "merge_b", self.merge_b
-        yield "b_merge", self.b_merge
+        """(name, view) of every tensor, in canonical order."""
+        for name, *entry in _table(*self.dims):
+            yield name, _view(self.flat, *entry)
 
     def copy(self) -> "BMRNNParams":
         return self.with_flat(self.flat.copy())
@@ -229,14 +213,13 @@ class ForwardTrace(NamedTuple):
 def init_bmrnn_params(
     input_dim: int, hidden_dim: int, output_dim: int, rng: SeededRng
 ) -> BMRNNParams:
-    """Random init for both passes and the merge; biases (incl. merge) zero."""
-    return BMRNNParams(
-        fwd=init_sgru_params(input_dim, hidden_dim, rng),
-        bwd=init_sgru_params(input_dim, hidden_dim, rng),
-        merge_f=init_params(output_dim, hidden_dim, rng),
-        merge_b=init_params(output_dim, hidden_dim, rng),
-        b_merge=np.zeros(output_dim),
-    )
+    """Random init for both passes and the merge; biases (incl. merge) zero.
+    Draws all of the forward cell, then the backward one, then the merge maps."""
+    named = {f"{d}.{n}": t for d in ("fwd", "bwd")
+             for n, t in init_sgru_params(input_dim, hidden_dim, rng).named_tensors()}
+    for name in ("merge_f", "merge_b"):
+        named[name] = init_params(output_dim, hidden_dim, rng)
+    return BMRNNParams.from_named({**named, "b_merge": np.zeros(output_dim)})
 
 
 def story_groups(stories: list[StoryStream], skip_matrices: list[SkipMatrix]):
@@ -386,7 +369,7 @@ def load_model(path) -> BMRNNParams:
     if offset != len(raw):
         raise DataError("trailing bytes after last tensor", path=str(path))
 
-    expected = [name for name, _ in bmrnn_layout(0, 0, 0)]
+    expected = [name for name, *_ in _table(0, 0, 0)]
     missing = [n for n in expected if n not in named]
     unknown = [n for n in named if n not in expected]
     if missing:
@@ -394,13 +377,7 @@ def load_model(path) -> BMRNNParams:
     if unknown:
         raise DataError(f"unknown tensors: {', '.join(unknown)}", path=str(path))
     try:
-        return BMRNNParams(
-            fwd=SGRUParams.from_named(named, "fwd."),
-            bwd=SGRUParams.from_named(named, "bwd."),
-            merge_f=named["merge_f"],
-            merge_b=named["merge_b"],
-            b_merge=named["b_merge"],
-        )
+        return BMRNNParams.from_named(named)
     except ShapeMismatchError as e:
         raise DataError(
             f"tensor {e.op!r} has shape {e.left}, expected {e.right}", path=str(path)

@@ -225,6 +225,20 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert "fwd.b_z" in err and "(1,)" in err and "(6,)" in err
 
+    def test_eval_rejects_model_with_rank_1_recurrent_matrix(self, tmp_path, capsys):
+        corpus = make_corpus(tmp_path, stories=6)
+        skips = detect(tmp_path, corpus)
+        params = init_bmrnn_params(16, 6, 16, SeededRng(0))
+        tensors = [(n, t[0] if n == "fwd.W_zh" else t) for n, t in params.named_tensors()]
+        model = tmp_path / "m.bin"
+        save_model(model, SimpleNamespace(named_tensors=lambda: tensors))
+        code = run(["eval", "--manifest", str(corpus / "manifest.jsonl"),
+                    "--skips", str(skips), "--model", str(model),
+                    "--report", str(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'fwd.W_zh' has shape (6,), expected (6, 6)" in err and str(model) in err
+
     def test_skip_record_must_cover_its_story(self, tmp_path, capsys):
         corpus = make_corpus(tmp_path, stories=12)
         skips = detect(tmp_path, corpus)
@@ -791,7 +805,7 @@ class TestDetectSkipsStacks:
         manifest = write_mixed_corpus(tmp_path / "c", lengths=(1, 3, 5, 8), per_length=3)
         out = tmp_path / "skips.jsonl"
         assert run(["detect-skips", "--manifest", str(manifest), "--out", str(out)]) == 0
-        records = load_manifest(manifest).records
+        records = load_manifest(manifest)
         want = []
         for rec in records:
             if rec.N == 1:
@@ -823,7 +837,7 @@ class TestDetectSkipsStacks:
     def test_two_photo_stories_are_one_cluster_unless_a_preference_is_given(
             self, tmp_path, monkeypatch):
         manifest = write_mixed_corpus(tmp_path / "c", lengths=(2, 3), per_length=3)
-        two = [rec for rec in load_manifest(manifest).records if rec.N == 2]
+        two = [rec for rec in load_manifest(manifest) if rec.N == 2]
         for rec in two:
             # AP at the default preference ties the two points: one cluster, unconverged
             a = affinity_propagation(similarity(rec.raw_fc))

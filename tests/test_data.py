@@ -351,9 +351,9 @@ class TestCorpusIO:
 
     def test_round_trip(self, tmp_path):
         corpus, manifest = self.small_corpus(tmp_path)
-        ds = load_manifest(manifest)
-        assert [r.story_id for r in ds.records] == [r.story_id for r in corpus.records]
-        for orig, back in zip(corpus.records, ds.records):
+        loaded = load_manifest(manifest)
+        assert [r.story_id for r in loaded] == [r.story_id for r in corpus.records]
+        for orig, back in zip(corpus.records, loaded):
             assert back.split == orig.split
             assert back.N == orig.N
             npt.assert_array_equal(
@@ -371,9 +371,9 @@ class TestCorpusIO:
 
     def test_sequences_are_arrays_end_to_end(self, tmp_path):
         corpus, manifest = self.small_corpus(tmp_path)
-        ds = load_manifest(manifest)
+        loaded = load_manifest(manifest)
         skips = load_skips(manifest.parent / "planted_skips.jsonl")
-        rec, other = ds.records[0], ds.records[1]
+        rec, other = loaded[:2]
 
         def assert_rows(a, n, d):
             assert isinstance(a, np.ndarray) and a.dtype == np.float64 and a.shape == (n, d)
@@ -405,15 +405,15 @@ class TestCorpusIO:
     def test_blank_lines_skipped(self, tmp_path):
         corpus, manifest = self.small_corpus(tmp_path)
         manifest.write_text("\n" + manifest.read_text().replace("\n", "\n \t\n"))
-        ds = load_manifest(manifest)
-        assert [r.story_id for r in ds.records] == [r.story_id for r in corpus.records]
+        loaded = load_manifest(manifest)
+        assert [r.story_id for r in loaded] == [r.story_id for r in corpus.records]
 
     @pytest.mark.parametrize("splits", [("train",), ("val",), ("test",), ("train", "val"),
                                         ("test", "train"), ()])
     def test_split_load_is_the_full_load_filtered(self, tmp_path, splits):
         _, manifest = self.small_corpus(tmp_path, n=12)
-        want = [r for r in load_manifest(manifest).records if r.split in splits]
-        got = load_manifest(manifest, splits).records
+        want = [r for r in load_manifest(manifest) if r.split in splits]
+        got = load_manifest(manifest, splits)
         assert [r.story_id for r in got] == [r.story_id for r in want]
         for a, b in zip(got, want):
             assert a.split == b.split and a.N == b.N
@@ -425,8 +425,8 @@ class TestCorpusIO:
                                        ("embedding_file",)])
     def test_kind_load_is_the_full_load_without_the_others(self, tmp_path, kinds):
         _, manifest = self.small_corpus(tmp_path, n=12)
-        want = load_manifest(manifest, ("train", "test")).records
-        got = load_manifest(manifest, ("train", "test"), kinds=kinds).records
+        want = load_manifest(manifest, ("train", "test"))
+        got = load_manifest(manifest, ("train", "test"), kinds=kinds)
         assert [(r.story_id, r.split, r.N) for r in got] == [
             (r.story_id, r.split, r.N) for r in want]
         for a, b in zip(got, want):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import network_oracle
-from bmrnn.cells import SGRUParams, gru_forward, sgru_inputs
+from bmrnn.cells import gru_forward, sgru_inputs
 from bmrnn.errors import DataError, ShapeMismatchError
 from bmrnn.network import (
     BUCKET_PADDING,
@@ -31,11 +31,10 @@ from bmrnn.skips import SkipMatrix, cluster_chains
 from gru_oracle import gru_backward
 
 
-def sgru_from_scalars(vals):
-    """1x1 weights and length-1 biases from {tensor name: value}."""
-    return SGRUParams.from_named(
-        {n: np.full((1,) if n.startswith("b") else (1, 1), float(v)) for n, v in vals.items()}
-    )
+def scalars(vals, prefix=""):
+    """{prefix + name: tensor}: 1x1 weights and length-1 biases from {name: value}."""
+    return {prefix + n: np.full((1,) if n.startswith("b") else (1, 1), float(v))
+            for n, v in vals.items()}
 
 
 FWD = dict(W_zx=0.3, W_zh=-0.2, W_rx=0.1, W_rh=0.4, W_sx=0.2, W_sh=-0.1,
@@ -45,13 +44,8 @@ BWD = dict(W_zx=-0.3, W_zh=0.2, W_rx=-0.1, W_rh=-0.4, W_sx=0.15, W_sh=0.05,
 
 
 def scalar_net():
-    return BMRNNParams(
-        fwd=sgru_from_scalars(FWD),
-        bwd=sgru_from_scalars(BWD),
-        merge_f=np.array([[0.7]]),
-        merge_b=np.array([[-0.6]]),
-        b_merge=np.array([0.05]),
-    )
+    return BMRNNParams.from_named({**scalars(FWD, "fwd."), **scalars(BWD, "bwd."),
+                                   **scalars(dict(merge_f=0.7, merge_b=-0.6, b_merge=0.05))})
 
 
 def straight_line_step(p, x, h, hp):
@@ -116,16 +110,32 @@ class TestForward:
         with pytest.raises(ShapeMismatchError):
             bmrnn_forward(p, StoryGroup.of([story], [SkipMatrix(n=4, pairs=())]))
 
-    @pytest.mark.parametrize("name", ["fwd.W_zx", "merge_f"])
+    @pytest.mark.parametrize("name", ["fwd.W_zx", "merge_f", "fwd.W_zh"])
     def test_tensor_with_too_few_dims_rejected(self, name):
-        # the dims are read off these two tensors' shapes, so their rank comes first
+        # the dims are read off fwd.W_zx's and merge_f's shapes, so their rank comes
+        # first; every other tensor, fwd.W_zh too, is checked against them
         p = init_bmrnn_params(2, 3, 2, SeededRng(4))
         named = dict(p.named_tensors())
-        named[name] = named[name][0] if name == "fwd.W_zx" else np.zeros(())
+        named[name] = named[name][0] if name.startswith("fwd.") else np.zeros(())
         with pytest.raises(ShapeMismatchError, match=name):
-            BMRNNParams(fwd=SGRUParams.from_named(named, "fwd."),
-                        bwd=SGRUParams.from_named(named, "bwd."), merge_f=named["merge_f"],
-                        merge_b=named["merge_b"], b_merge=named["b_merge"])
+            BMRNNParams.from_named(named)
+
+    @pytest.mark.parametrize("batch", [(), (3,)])
+    def test_every_view_shares_the_buffer(self, batch):
+        p = init_bmrnn_params(2, 3, 4, SeededRng(6))
+        assert BMRNNParams.from_named(dict(p.named_tensors())).flat.tobytes() == p.flat.tobytes()
+        q = p.zeros_like(*batch)
+        q.flat[:] = np.arange(q.flat.size).reshape(q.flat.shape)
+        views = [t for _, t in q.named_tensors()]
+        for cell in (q.fwd, q.bwd, q.cells):
+            views += [t for _, t in cell.named_tensors()]
+        for t in views + [q.merge_f, q.merge_b, q.b_merge]:
+            assert np.shares_memory(t, q.flat)
+        for name, t in q.cells.named_tensors():
+            assert t.shape[:2] == (2, batch[0] if batch else 1)
+            for d, cell in enumerate((q.fwd, q.bwd)):
+                npt.assert_array_equal(t[d].reshape(getattr(cell, name).shape),
+                                       getattr(cell, name))
 
     def test_deterministic(self):
         rng = SeededRng(5)
@@ -313,7 +323,7 @@ class TestGroupSweep:
                                for b in range(B)], [SkipMatrix(n=n, pairs=((0, 2),))] * B)
         grads, _ = bmrnn_backward(p, group, bmrnn_forward(p, group), rng.normal(size=(B, n, 5)))
         assert (grads.input_dim, grads.hidden_dim, grads.output_dim) == (2, 3, 5)
-        assert grads.layout() == p.layout()
+        assert grads.dims == p.dims
         assert grads.flat.shape == (B, p.flat.size)
         grads.flat[:] = np.arange(grads.flat.size).reshape(B, -1)
         start = 0
@@ -325,7 +335,7 @@ class TestGroupSweep:
 
     def test_a_group_builds_no_per_story_objects(self, monkeypatch):
         made = {"SkipMatrix": 0, "BMRNNParams": 0}
-        for cls, method in ((SkipMatrix, "__post_init__"), (BMRNNParams, "_bind")):
+        for cls, method in ((SkipMatrix, "__post_init__"), (BMRNNParams, "__init__")):
             def counted(self, *args, _fn=getattr(cls, method), _name=cls.__name__):
                 made[_name] += 1
                 return _fn(self, *args)
@@ -443,9 +453,10 @@ class TestTimeReversal:
         story = StoryStream(story_id="s", x=xs)
         merged = bmrnn_forward(p, StoryGroup.of([story], [sk])).merged[0]
 
-        swapped = BMRNNParams(
-            fwd=p.bwd, bwd=p.fwd, merge_f=p.merge_b, merge_b=p.merge_f, b_merge=p.b_merge
-        )
+        swapped = BMRNNParams.from_named({
+            **{f"fwd.{n}": t for n, t in p.bwd.named_tensors()},
+            **{f"bwd.{n}": t for n, t in p.fwd.named_tensors()},
+            "merge_f": p.merge_b, "merge_b": p.merge_f, "b_merge": p.b_merge})
         rev_sk = SkipMatrix(
             n=n, pairs=tuple((n - 1 - t, n - 1 - q) for q, t in sk.pairs)
         )
@@ -782,6 +793,14 @@ class TestModelFile:
         path = tmp_path / "m.bmrn"
         save_model(path, SimpleNamespace(named_tensors=lambda: tensors))
         with pytest.raises(DataError, match=r"'fwd\.b_z' has shape \(1,\), expected \(3,\)"):
+            load_model(path)
+
+    def test_rank_1_recurrent_matrix_names_tensor_and_shapes(self, tmp_path):
+        p = init_bmrnn_params(2, 4, 2, SeededRng(27))
+        tensors = [(n, t[0] if n == "fwd.W_zh" else t) for n, t in p.named_tensors()]
+        path = tmp_path / "m.bmrn"
+        save_model(path, SimpleNamespace(named_tensors=lambda: tensors))
+        with pytest.raises(DataError, match=r"'fwd\.W_zh' has shape \(4,\), expected \(4, 4\)"):
             load_model(path)
 
     @pytest.mark.parametrize("record, size, message", [
