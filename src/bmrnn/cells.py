@@ -22,7 +22,7 @@ With no ancestor the skip term vanishes and the cell is bit-identical to the
 baseline cell on its first nine tensors: ``SGRUParams`` is ``GRUParams`` with
 the four skip tensors added.
 
-A sweep steps B padded rows of one cell, or of two stacked ones, at once; its
+A sweep steps B rows of one cell, or of two stacked ones, at once; its
 input products and gradients come from ``sgru_inputs`` and ``sgru_param_grads``.
 
 Gradients are hand-written analytic derivatives of the above; they are

@@ -86,13 +86,12 @@ def summarize_ranks(per_story_ranks: list[tuple[str, int]], pool_size: int) -> R
 
 
 def merged_stack(params: BMRNNParams, groups, like: SequenceStack) -> SequenceStack:
-    """The merged outputs of ``network.story_groups``' buckets as a stack
+    """The merged outputs of ``network.story_groups``' groups as a stack
     shaped like ``like``, the story at input position i in row i: one
-    forward per bucket, zero past each story's own steps."""
+    forward per group, zero past each story's own steps."""
     out = SequenceStack(np.zeros_like(like.padded), like.lengths)
     for rows, group in groups:
-        merged = bmrnn_forward(params, group).merged
-        out.padded[rows, :group.N] = np.where(group.live(), merged, 0.0)
+        out.padded[rows, :group.N] = bmrnn_forward(params, group).merged
     return out
 
 

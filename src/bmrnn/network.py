@@ -7,13 +7,14 @@ edges.  Neither pass sees the other's state; a linear merge combines the two
 hidden sequences into the output sequence H = {h_0..h_{N-1}} used to score
 sentence sequences.
 
-Stories are swept together as a zero-padded ``StoryGroup``, and one loop
-steps both passes over one (2, B, H) state: visit k is step k forward and
-step N-1-k backward.  Each story keeps the bits of a sweep of its own from
-zero state (a padded step stores one).  A training minibatch is one group; a
-sweep over a whole split takes ``story_groups``' length buckets.  Full
-backpropagation through time is implemented, including gradient flow across
-skip edges (each edge carries gradient exactly once per pair).
+Stories are swept together as a ``StoryGroup``, longest first, and one
+loop steps both passes over one (2, B, H) state: visit k is step k forward
+and step N_b-1-k backward of each story longer than k, so a sweep steps only
+live steps.  Each story keeps the bits of a sweep of its own from zero
+state.  A training minibatch is one group; a sweep over a whole split takes
+``story_groups``' groups.  Full backpropagation through time is implemented,
+including gradient flow across skip edges (each edge carries gradient
+exactly once per pair).
 """
 
 from __future__ import annotations
@@ -61,11 +62,10 @@ __all__ = [
 MODEL_MAGIC = b"BMRN"
 MODEL_VERSION = 1
 
-# story_groups' buckets.  A group step costs nearly the same at any B, so
-# stories of near lengths share steps, up to a quarter of them padding.  The
-# cap bounds a sweep's arrays: one group of 1,000 steps made glibc give back
-# and re-fault about 920 pages per call; 512 halves that (README has the figures)
-BUCKET_PADDING = 0.25
+# story_groups' cap on a group's live steps.  A visit costs nearly the same
+# at any B, so a split sweeps in as few groups as the cap allows; the cap
+# bounds a sweep's arrays, which glibc gives back and re-faults on every call
+# once they grow past its trim threshold (README has the figures)
 BUCKET_STEPS = 512
 
 
@@ -170,41 +170,53 @@ class StoryStream:
 
 
 class StoryGroup(NamedTuple):
-    """B stories swept together, zero-padded to the longest, N steps: their
-    (B, N, D) inputs, (2, B, N) skip ancestors, -1 for none and on padded
-    steps (row 0 for the forward pass, row 1, each step's skip descendant,
-    whose state it reads, for the backward pass), and (B,) lengths."""
+    """B stories, longest first (ties in input order), one slot per live
+    step.  Visit k steps forward step k and backward step N_b-1-k of the m_k
+    stories longer than k, in slots ``starts[k]`` to ``starts[k + 1]``, a
+    prefix of the visit before's stories; slot 0 is the zero state.  ``x``
+    (S + 1, D) is each forward slot's input, ``fore`` the forward slot of
+    each backward slot's step, ``skips`` (2, S + 1) each slot's skip
+    ancestor's slot, 0 for none (for the backward pass, the step's skip
+    descendant), ``slots`` (2, B, N) the slot of each story's step t, 0 past
+    its length, and ``lengths`` (B,), both in input order."""
 
     x: np.ndarray
+    fore: np.ndarray
     skips: np.ndarray
+    slots: np.ndarray
+    starts: np.ndarray
     lengths: np.ndarray
 
     @property
     def N(self) -> int:
-        return self.x.shape[1]
-
-    def live(self) -> np.ndarray:
-        """(B, N, 1): whether each step is one of its story's own."""
-        return (np.arange(self.N) < self.lengths[:, None])[..., None]
+        return self.slots.shape[2]
 
     @classmethod
     def of(cls, stories: list[StoryStream], skip_matrices: list[SkipMatrix]) -> "StoryGroup":
         lengths = [s.N for s in stories]
         if not stories or lengths != [m.n for m in skip_matrices]:
             raise ShapeMismatchError("story group", lengths, [m.n for m in skip_matrices])
-        x = np.zeros((len(stories), max(lengths), stories[0].x.shape[1]))
-        skips = np.full((2, *x.shape[:2]), -1)
-        for b, (story, m) in enumerate(zip(stories, skip_matrices)):
-            x[b, : story.N] = story.x
-            skips[:, b, : story.N] = m.ancestors, m.descendants
-        return cls(x, skips, np.array(lengths))
+        order = np.argsort([-n for n in lengths], kind="stable")
+        live = np.arange(max(lengths)) < np.array(lengths)[order, None]   # longest first
+        starts, (rows, steps) = np.cumsum([1, *live.sum(0)]), np.nonzero(live)
+        ends = live.sum(1)[rows] - 1                    # backward step t is visit N_b-1-t
+        fwd, bwd = starts[steps] + rows, starts[ends - steps] + rows
+        x, fore = np.zeros((starts[-1], stories[0].x.shape[1])), np.zeros(starts[-1], int)
+        x[fwd], fore[bwd] = np.concatenate([stories[b].x for b in order]), fwd
+        anc, desc = (np.concatenate([getattr(skip_matrices[b], kind) for b in order])
+                     for kind in ("ancestors", "descendants"))
+        skips, slots = np.zeros((2, starts[-1]), int), np.zeros((2, *live.shape), int)
+        skips[0, fwd] = np.where(anc >= 0, starts[anc] + rows, 0)
+        skips[1, bwd] = np.where(desc >= 0, starts[ends - desc] + rows, 0)
+        slots[:, order[rows], steps] = fwd, bwd
+        return cls(x, fore, skips, slots, starts, np.array(lengths))
 
 
 class ForwardTrace(NamedTuple):
-    """Everything the backward pass needs: the (B, N, D) output ``merged``
-    and ``visits``, both directions' sweep trace as one (5, 2, N + 1, B, H)
-    array of rows z, r, s, h~ and h (s is zero on a step without a skip
-    ancestor), slot k + 1 holding visit k and slot 0 the zero state before it."""
+    """Everything the backward pass needs: the (B, N, D) output ``merged``,
+    in input order and zero past each story's length, and ``visits``, both
+    directions' trace as one (5, 2, S + 1, H) array of rows z, r, s, h~ and h
+    (s is zero on a step without a skip ancestor) by the group's slots."""
 
     merged: np.ndarray
     visits: np.ndarray
@@ -223,37 +235,28 @@ def init_bmrnn_params(
 
 
 def story_groups(stories: list[StoryStream], skip_matrices: list[SkipMatrix]):
-    """[(positions, group)]: the stories, sorted by length, in zero-padded
-    ``StoryGroup`` buckets, with their positions in the input.  A bucket
-    closes before a longer story would make its padding more than
-    ``BUCKET_PADDING`` of its B * N steps, or B * N more than
-    ``BUCKET_STEPS``; a story longer than the cap has a bucket of its own."""
-    buckets: list[list[int]] = []
-    live = 0                       # the steps of the last bucket's own stories
-    for i in sorted(range(len(stories)), key=lambda i: stories[i].N):
-        n = stories[i].N
-        steps = (len(buckets[-1]) + 1) * n if buckets else 0
-        if not buckets or steps > BUCKET_STEPS or steps - live - n > BUCKET_PADDING * steps:
-            buckets.append([])
-            live = 0
-        buckets[-1].append(i)
-        live += n
+    """[(positions, group)]: the stories, longest first (ties in input
+    order), in ``StoryGroup``s, with their positions in the input.  A group
+    closes before the next story would take its live steps past
+    ``BUCKET_STEPS``; a story longer than that has a group of its own."""
+    groups: list[list[int]] = []
+    for i in sorted(range(len(stories)), key=lambda i: -stories[i].N):
+        if not groups or steps + stories[i].N > BUCKET_STEPS:
+            groups.append([])
+            steps = 0
+        groups[-1].append(i)
+        steps += stories[i].N
     return [(pos, StoryGroup.of([stories[i] for i in pos], [skip_matrices[i] for i in pos]))
-            for pos in buckets]
+            for pos in groups]
 
 
-def _paired(fwd: np.ndarray, bwd: np.ndarray) -> np.ndarray:
-    """(2, B, N, ...): a forward- and a backward-pass array, the second reversed
-    in time (time order to visit order and back), as one new C-ordered array:
-    numpy multiplies a strided 1-wide operand without BLAS, which rounds differently."""
-    return np.array([fwd, bwd[:, ::-1]])
-
-
-def _ancestors(group: StoryGroup) -> np.ndarray:
-    """(2, B, N): the trace slot of each visit's skip ancestor, 0 for none;
-    backward visit k is step N-1-k, and its ancestor, descendant d, visit N-1-d."""
-    anc, desc = group.skips
-    return _paired(anc + 1, np.where(desc >= 0, group.N - desc, 0))
+def _visits(group: StoryGroup, h: np.ndarray):
+    """(first slot, end slot, previous states) of each visit: the (2, m_k, H)
+    states of the visit before's first m_k slots in ``h``, zero at visit 0."""
+    starts = group.starts.tolist()
+    for k, (lo, hi) in enumerate(zip(starts, starts[1:])):
+        yield lo, hi, (h[:, starts[k - 1] : starts[k - 1] + hi - lo] if k
+                       else np.zeros((2, hi - lo, h.shape[-1])))
 
 
 def bmrnn_forward(params: BMRNNParams, group: StoryGroup) -> ForwardTrace:
@@ -263,65 +266,61 @@ def bmrnn_forward(params: BMRNNParams, group: StoryGroup) -> ForwardTrace:
     The forward pass walks t = 0..N-1 with skip ancestors p < t; the
     backward pass walks t = N-1..0 with the transposed skips, so its
     "previous" state at step t is that of step t+1.  Visit k steps both over
-    one (2, B, H) state; a padded step stores a zero state."""
-    cells, anc, live = params.cells, _ancestors(group), _paired(group.live(), group.live())
-    T = np.zeros((5, 2, group.N + 1, len(group.x), cells.hidden_dim))   # slot 0: the zero state
-    xp = sgru_inputs(cells, _paired(group.x, group.x).swapaxes(1, 2))    # (2, N, B, 4, H)
-    has, sides, rows = anc > 0, np.arange(2)[:, None], np.arange(len(group.x))
-    for k in range(group.N):
-        step = sgru_forward(cells, xp[:, k], T[4, :, k], T[4, sides, anc[..., k], rows],
-                            has[..., k, None])
-        T[:, :, k + 1] = step._replace(h=np.where(live[:, :, k], step.h, 0.0))
-    h_f, h_b = T[4, 0, 1:].swapaxes(0, 1), T[4, 1, :0:-1].swapaxes(0, 1)   # in time order
+    one (2, m_k, H) state."""
+    cells, anc = params.cells, group.skips
+    T = np.zeros((5, *anc.shape, cells.hidden_dim))       # slot 0: the zero state
+    xp = sgru_inputs(cells, np.stack([group.x, group.x[group.fore]])[:, None])[:, 0]
+    has, sides = anc > 0, np.arange(2)[:, None]
+    for lo, hi, h_prev in _visits(group, T[4]):
+        T[:, :, lo:hi] = sgru_forward(cells, xp[:, lo:hi], h_prev, T[4, sides, anc[:, lo:hi]],
+                                      has[:, lo:hi, None])
     # one matrix-vector product per step, not one GEMM: the reduction to a
     # plain bidirectional GRU is compared bit for bit, and a GEMM rounds differently
-    merged = matvecs(params.merge_f, h_f) + matvecs(params.merge_b, h_b) + params.b_merge
-    return ForwardTrace(merged, T)
+    merged = matvecs(params.merge_f, T[4, 0, group.fore]) + matvecs(params.merge_b, T[4, 1])
+    merged += params.b_merge
+    merged[0] = 0.0                  # slot 0: past each story's length
+    return ForwardTrace(merged[group.slots[1]], T)
 
 
 def bmrnn_backward(params: BMRNNParams, group: StoryGroup, trace: ForwardTrace, dH: np.ndarray):
     """Backpropagate a group's (B, N, D) dL/dH, one row per merged output,
     back to params and x; rows past a story's length are ignored.  Returns
     the gradients, shaped like params with the B axis first (one (B, P)
-    buffer), and the (B, N, input_dim) dL/dx, zero on padded steps.
+    buffer), and the (B, N, input_dim) dL/dx, zero past each story's length.
 
-    BPTT walks ``trace.visits`` backwards.  A padded step has zero dh and no
-    skip: in the forward pass the carry out of it into its story's last step
-    is a zero (+0.0 or -0.0), which leaves that step unchanged; in the
-    backward pass the carry flows only from a story's steps into padded ones.
-    """
-    B, n = group.skips.shape[1:]
+    BPTT walks the visits of ``trace.visits`` backwards over the same rows;
+    each story's carry starts from zero at its last visit."""
+    B, n = group.slots.shape[1:]
     if dH.shape[:2] != (B, n):
         raise ShapeMismatchError("bmrnn_backward", dH.shape[:2], (B, n))
-    grads, dX, cells, T = params.zeros_like(B), np.zeros_like(group.x), params.cells, trace.visits
-    # a GEMM's bits depend on its row count, so a padded group's products run per
-    # story over its own steps; unpadded, stacked ones (per story was 11% slower)
+    grads, dX = params.zeros_like(B), np.zeros((B, n, params.input_dim))
+    cells, T, anc, sides = params.cells, trace.visits, group.skips, np.arange(2)[:, None]
+    # a GEMM's bits depend on its row count, so a mixed group's products run per
+    # story over its own steps, read by slot in time order; an equal one's stacked
     parts = ([(slice(None), slice(None))] if group.lengths.min() == n
              else [(slice(b, b + 1), slice(0, m)) for b, m in enumerate(group.lengths)])
-    dh = np.zeros((2, B, n, params.hidden_dim))      # in visit order
-    # numpy multiplies some views of the trace without BLAS, so the merge takes a copy
-    dh_f, dh_b, H = dh[0], dh[1, :, ::-1], _paired(*T[4, :, 1:].swapaxes(1, 2))
-    for i, s in parts:
-        grads.merge_f[i] += dH[i, s].mT @ H[0, i, s]
-        grads.merge_b[i] += dH[i, s].mT @ H[1, i, s]
-        grads.b_merge[i] += dH[i, s].sum(axis=-2)
-        dh_f[i, s], dh_b[i, s] = dH[i, s] @ params.merge_f, dH[i, s] @ params.merge_b
-    sides, rows, anc = np.arange(2)[:, None], np.arange(B), _ancestors(group)
-    H_skip, has = T[4, sides[..., None], anc, rows[:, None]], (anc > 0)[..., None]   # slot 0: zero
-    carry, dA = np.zeros((2, B, cells.hidden_dim)), np.empty((2, B, n, 4, cells.hidden_dim))
-    skip_acc = np.zeros((2, B, n + 1, cells.hidden_dim))   # by slot; rows without a skip add at 0
-    for k in reversed(range(n)):
-        dA[:, :, k], carry, dh_skip = sgru_backward(
-            cells, T[4, :, k], H_skip[:, :, k], has[:, :, k], T[:, :, k + 1],
-            dh[:, :, k] + carry + skip_acc[:, :, k + 1])
-        skip_acc[sides, rows, anc[..., k]] += dh_skip
+    parts = [(i, s, (sides[..., None], group.slots[:, i, s])) for i, s in parts]
+    dh, skip_acc = np.zeros((2, *T.shape[1:]))      # dL/dh, and the skip edges' part, by slot
+    for i, s, at in parts:
+        dh[at] = dH[i, s] @ params.merge_f, dH[i, s] @ params.merge_b
+    H_skip, has = T[4, sides, anc], (anc > 0)[..., None]     # slot 0: zero
+    carry, dA = np.zeros((2, B, cells.hidden_dim)), np.zeros((*anc.shape, 4, cells.hidden_dim))
+    for lo, hi, h_prev in reversed(list(_visits(group, T[4]))):
+        dA[:, lo:hi], carry[:, : hi - lo], dh_skip = sgru_backward(
+            cells, h_prev, H_skip[:, lo:hi], has[:, lo:hi], T[:, :, lo:hi],
+            dh[:, lo:hi] + carry[:, : hi - lo] + skip_acc[:, lo:hi])
+        skip_acc[sides, anc[:, lo:hi]] += dh_skip       # rows without a skip add at 0
     # the parameter gradients run in time order: a GEMM over reversed steps rounds differently
-    H_skip[1], dA[1] = H_skip[1, :, ::-1], dA[1, :, ::-1]      # numpy copies overlapping views
-    H_prev, R, S = (_paired(*a.swapaxes(1, 2)) for a in (T[4, :, :-1], T[1, :, 1:], T[2, :, 1:]))
-    for i, s in parts:
+    for i, s, at in parts:
+        H = T[4][at]
+        grads.merge_f[i] += dH[i, s].mT @ H[0]
+        grads.merge_b[i] += dH[i, s].mT @ H[1]
+        grads.b_merge[i] += dH[i, s].sum(axis=-2)
+        H_prev = np.zeros_like(H)
+        H_prev[0, :, 1:], H_prev[1, :, :-1] = H[0, :, :-1], H[1, :, 1:]
         g = SGRUParams(**{k: t[:, i] for k, t in vars(grads.cells).items()})
-        for d in sgru_param_grads(cells, g, group.x[None, i, s], H_prev[:, i, s], R[:, i, s],
-                                  H_skip[:, i, s], S[:, i, s], dA[:, i, s]):
+        for d in sgru_param_grads(cells, g, group.x[None, group.slots[0, i, s]], H_prev,
+                                  T[1][at], H_skip[at], T[2][at], dA[at]):
             dX[i, s] += d      # the forward direction's, then the backward's
     return grads, dX
 

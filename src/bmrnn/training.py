@@ -27,6 +27,7 @@ from .network import (
     BMRNNParams,
     StoryGroup,
     StoryStream,
+    _table,
     bmrnn_backward,
     bmrnn_forward,
     init_bmrnn_params,
@@ -160,9 +161,10 @@ def init_optimizer_state(params: BMRNNParams, cfg: TrainConfig) -> OptimizerStat
 
 
 def global_grad_norm(grads: BMRNNParams) -> float:
-    # one partial sum per tensor: np.sum over the whole buffer would add in
-    # another order and change the low bits of the norm
-    return float(np.sqrt(sum(float(np.sum(g * g)) for _, g in grads.named_tensors())))
+    # one partial sum per tensor, over its slice of the squared buffer: np.sum
+    # over the whole buffer would add in another order and change the low bits
+    sq = grads.flat * grads.flat
+    return float(np.sqrt(sum(float(np.sum(sq[..., a:b])) for _, a, b, _ in _table(*grads.dims))))
 
 
 def clip_gradients(grads: BMRNNParams, max_norm: float) -> float:
@@ -222,10 +224,10 @@ def story_loss_and_grads(
     the gradient a (P,) row of its group's gradient buffer, in the order of
     ``BMRNNParams.flat``.
 
-    The minibatch is one ``StoryGroup``, padded to its longest story, so it
-    takes one forward and one backward.  The losses run per story, in order,
-    on its own steps and the (sentences, negatives_V, negatives_H,
-    partition) that ``targets`` yields; story i is step ``step + i``.
+    The minibatch is one ``StoryGroup``, so it takes one forward and one
+    backward.  The losses run per story, in order, on its own steps and the
+    (sentences, negatives_V, negatives_H, partition) that ``targets``
+    yields; story i is step ``step + i``.
 
     Divergence is detected on the merged hidden states, not just the loss:
     NaN scores make every hinge comparison false, which would silently

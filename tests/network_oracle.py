@@ -1,9 +1,9 @@
 """The network one story and one step at a time, kept as a test oracle.
 
-The program sweeps a zero-padded group of stories, of one length or of
-several, stepping both directions over one (2, B, H) state, and merges every
-step with one batched product; each story of a group must get, on its own
-steps, the bits this per-story code gets.  The per-row cell steps here are the
+The program sweeps a group of stories, of one length or of several, longest
+first, stepping both directions over the (2, m, H) state of the stories still
+live, and merges every step with one batched product; each story of a group
+must get, on its own steps, the bits this per-story code gets.  The per-row cell steps here are the
 program's former ``sgru_forward`` and ``sgru_backward``, which evaluate the
 skip terms only on a step with a skip ancestor.
 """
@@ -24,11 +24,12 @@ class OracleTrace(NamedTuple):
     merged: np.ndarray
 
 
-def time_order(visits):
-    """(fwd, bwd): each direction's (5, B, N, H) trace, in time order, from
-    a ``ForwardTrace.visits`` array of shape (5, 2, N + 1, B, H), whose slot
-    k + 1 holds visit k (backward visit k is step N-1-k) and slot 0 the zero state."""
-    return visits[:, 0, 1:].swapaxes(1, 2), visits[:, 1, :0:-1].swapaxes(1, 2)
+def time_order(visits, group):
+    """(fwd, bwd): each direction's (5, B, N, H) trace, in time order and
+    the group's input order, zero past each story's length, from a
+    ``ForwardTrace.visits`` array of shape (5, 2, S + 1, H), read through
+    ``group.slots`` (slot 0 holds the zero state)."""
+    return visits[:, 0][:, group.slots[0]], visits[:, 1][:, group.slots[1]]
 
 
 def step_forward(params, xp_t, h_prev, h_skip=None):

@@ -75,7 +75,7 @@ def test_each_sweep_calls_the_cell_once_per_step(monkeypatch):
     bmrnn_backward(p, group, trace, np.ones((5, n, 2)))
     assert calls == {"sgru_forward": n, "sgru_backward": n}
 
-    # stories of lengths 2, 7 and 4 are padded to 7 steps: 7 calls each way
+    # stories of lengths 2, 7 and 4 take the 7 visits of the longest: 7 calls each way
     calls.update(sgru_forward=0, sgru_backward=0)
     stories = [StoryStream(story_id=f"p{m}", x=rng.normal(size=(m, 3))) for m in (2, 7, 4)]
     group = StoryGroup.of(stories, [SkipMatrix(n=2, pairs=((0, 1),)), sk,
@@ -129,8 +129,8 @@ def test_every_note_applies_and_every_divisor_is_counted(monkeypatch):
                  "training.clip_gradients", "training.train", "evaluation.evaluate"):
         assert calls[name], name
     assert under("network.bmrnn_forward", "training.train")        # the h' refresh
-    # each minibatch, of several lengths, is one padded group: one forward and
-    # one backward, whose note is the padded length
+    # each minibatch, of several lengths, is one group: one forward and one
+    # backward, whose note is the length of its longest story
     minibatches = cfg.epochs * -(-len(split["train"]) // cfg.batch_size)
     assert len(calls["training.story_loss_and_grads"]) == minibatches
     for name in ("network.bmrnn_forward", "network.bmrnn_backward"):
@@ -140,6 +140,23 @@ def test_every_note_applies_and_every_divisor_is_counted(monkeypatch):
     assert under("evaluation.evaluate", "training.train")          # validation
     assert under("network.bmrnn_forward", "evaluation.evaluate")
     assert under("objective.compatibility", "evaluation.evaluate")
+
+
+def test_a_split_under_the_cap_is_one_sweep_of_its_longest_story(monkeypatch):
+    calls = []
+
+    def counted(*args, _fn=bmrnn.network.sgru_forward):
+        calls.append(len(args[2][0]))        # the rows the visit steps
+        return _fn(*args)
+    monkeypatch.setattr(bmrnn.network, "sgru_forward", counted)
+    # 8 stories each of lengths 1, 3, 4 and 7, taking turns: 120 live steps,
+    # under the cap, so one group steps them all in 7 visits
+    corpus = mixed_corpus(lengths=(1, 3, 4, 7), per_length=8)
+    assert sum(rec.story.N for rec in corpus.records) <= bmrnn.network.BUCKET_STEPS
+    params = init_bmrnn_params(16, 4, 16, SeededRng(0))
+    bmrnn.evaluation.evaluate(params, corpus.records, corpus.skips, CompatibilityConfig())
+    # visit k steps only the stories longer than k
+    assert calls == [32, 24, 24, 16, 8, 8, 8]
 
 
 def test_detect_skips_clusters_each_multi_photo_length_once(tmp_path, monkeypatch):

@@ -12,7 +12,6 @@ import network_oracle
 from bmrnn.cells import gru_forward, sgru_inputs
 from bmrnn.errors import DataError, ShapeMismatchError
 from bmrnn.network import (
-    BUCKET_PADDING,
     BUCKET_STEPS,
     MODEL_MAGIC,
     MODEL_VERSION,
@@ -236,9 +235,10 @@ class TestSweepTrace:
         p = init_bmrnn_params(in_dim, hidden, 2, SeededRng(seed))
         x = np.random.default_rng(seed).normal(size=(n, in_dim))
         sk = SkipMatrix(n=n, pairs=tuple(cluster_chains(clusters)))
-        trace = bmrnn_forward(p, StoryGroup.of([StoryStream(story_id="s", x=x)], [sk]))
+        group = StoryGroup.of([StoryStream(story_id="s", x=x)], [sk])
+        trace = bmrnn_forward(p, group)
         anc_f, anc_b = network_oracle.ancestor_maps(sk)
-        fwd, bwd = network_oracle.time_order(trace.visits)
+        fwd, bwd = network_oracle.time_order(trace.visits, group)
         for T, cell, anc, order in ((fwd, p.fwd, anc_f, range(n)),
                                     (bwd, p.bwd, anc_b, range(n - 1, -1, -1))):
             assert T.shape == (5, 1, n, hidden)
@@ -260,9 +260,9 @@ def random_skips(rng, n):
 
 
 class TestGroupSweep:
-    """A group of stories is swept over one (B, H) state, the shorter ones
-    zero-padded to the longest; each story must get, on its own steps, the
-    bits of the per-story oracle."""
+    """A group of stories is swept longest first, each visit stepping the
+    stories still live; each story must get, on its own steps, the bits of
+    the per-story oracle."""
 
     @settings(max_examples=40, deadline=None)
     @given(lengths=st.lists(st.integers(1, 40), min_size=1, max_size=12), mixed=st.booleans(),
@@ -275,7 +275,7 @@ class TestGroupSweep:
              any_skips=False, seed=1)
     def test_each_story_matches_the_per_story_oracle(self, lengths, mixed, in_dim, hidden,
                                                      out_dim, any_skips, seed):
-        # without mixed, every story takes the first length: a group with no padding
+        # without mixed, every story takes the first length: every visit steps them all
         lengths = lengths if mixed else [lengths[0]] * len(lengths)
         B, N = len(lengths), max(lengths)
         rng = np.random.default_rng(seed)
@@ -288,12 +288,12 @@ class TestGroupSweep:
                     else SkipMatrix(n=n, pairs=()) for n in lengths]
         group = StoryGroup.of(stories, matrices)
         trace = bmrnn_forward(p, group)
-        # padded rows of dH carry noise too: the backward pass must ignore them
+        # rows of dH past a story's length carry noise too: the backward pass must ignore them
         dH = rng.normal(size=(B, N, out_dim))
         grads, dX = bmrnn_backward(p, group, trace, dH)
         assert trace.merged.shape == (B, N, out_dim) and grads.flat.shape == (B, p.flat.size)
         assert dX.shape == (B, N, in_dim)
-        fwd, bwd = network_oracle.time_order(trace.visits)
+        fwd, bwd = network_oracle.time_order(trace.visits, group)
         for b, (story, sk, n) in enumerate(zip(stories, matrices, lengths)):
             want = network_oracle.forward(p, story, sk)
             npt.assert_array_equal(fwd[:, b, :n], want.fwd)
@@ -353,22 +353,57 @@ class TestGroupSweep:
         # one gradient object for the group, and no skip matrix at all
         assert made == {"SkipMatrix": 0, "BMRNNParams": 1}
 
-    def test_stories_of_mixed_lengths_are_padded(self):
+    def test_stories_of_mixed_lengths_take_one_slot_per_live_step(self):
         rng = np.random.default_rng(2)
         stories = [StoryStream(story_id=f"s{n}", x=rng.normal(size=(n, 2))) for n in (3, 1, 4)]
         matrices = [SkipMatrix(n=3, pairs=((0, 2),)), SkipMatrix(n=1, pairs=()),
                     SkipMatrix(n=4, pairs=((1, 3),))]
         group = StoryGroup.of(stories, matrices)
         assert group.N == 4 and group.lengths.tolist() == [3, 1, 4]
+        # longest first: visit k holds the stories longer than k, (s4, s3, s1), (s4, s3), ...
+        assert group.starts.tolist() == [1, 4, 6, 8, 9] and group.x.shape == (9, 2)
+        # forward step t is visit t; backward step t is visit N_b-1-t
+        assert group.slots.tolist() == [[[2, 5, 7, 0], [3, 0, 0, 0], [1, 4, 6, 8]],
+                                        [[7, 5, 2, 0], [3, 0, 0, 0], [8, 6, 4, 1]]]
+        assert not group.x[0].any() and group.fore[0] == 0 and not group.skips[:, 0].any()
         for b, (story, sk) in enumerate(zip(stories, matrices)):
-            npt.assert_array_equal(group.x[b, : story.N], story.x)
-            assert not group.x[b, story.N :].any()
-            assert group.skips[:, b, : story.N].tolist() == [sk.ancestors.tolist(),
-                                                              sk.descendants.tolist()]
-            assert (group.skips[:, b, story.N :] == -1).all()
-        assert group.live()[..., 0].tolist() == [[True] * 3 + [False], [True] + [False] * 3,
-                                                 [True] * 4]
-        assert StoryGroup.of(stories[:1], matrices[:1]).live().all()
+            fwd, bwd = group.slots[:, b, : story.N]
+            npt.assert_array_equal(group.x[fwd], story.x)
+            npt.assert_array_equal(group.fore[bwd], fwd)
+            assert group.skips[0, fwd].tolist() == [fwd[a] if a >= 0 else 0 for a in sk.ancestors]
+            assert group.skips[1, bwd].tolist() == [bwd[d] if d >= 0 else 0
+                                                    for d in sk.descendants]
+        assert StoryGroup.of(stories[:1], matrices[:1]).starts.tolist() == [1, 2, 3, 4]
+
+    @settings(max_examples=40, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=9),
+           skipped=st.lists(st.booleans(), min_size=9, max_size=9),
+           seed=st.integers(0, 2**32 - 1))
+    # 1-step stories among longer ones, with and without skips
+    @example(lengths=[1, 5, 1, 3], skipped=[True, False] * 4 + [True], seed=0)
+    def test_a_shuffled_group_has_one_slot_per_step_and_answers_in_input_order(
+            self, lengths, skipped, seed):
+        rng = np.random.default_rng(seed)
+        lengths = rng.permutation(lengths).tolist()
+        p = init_bmrnn_params(3, 4, 2, SeededRng(seed))
+        stories = [StoryStream(story_id=f"s{b}", x=rng.normal(size=(n, 3)))
+                   for b, n in enumerate(lengths)]
+        matrices = [random_skips(rng, n) if skip else SkipMatrix(n=n, pairs=())
+                    for n, skip in zip(lengths, skipped)]
+        group = StoryGroup.of(stories, matrices)
+        trace = bmrnn_forward(p, group)
+        dH = rng.normal(size=(len(lengths), max(lengths), 2))
+        grads, dX = bmrnn_backward(p, group, trace, dH)
+        assert trace.visits.shape == (5, 2, sum(lengths) + 1, 4)
+        assert not trace.visits[:, :, 0].any()          # slot 0: the zero state
+        for b, (story, sk, n) in enumerate(zip(stories, matrices, lengths)):
+            alone = StoryGroup.of([story], [sk])
+            want = bmrnn_forward(p, alone)
+            want_grads, want_dX = bmrnn_backward(p, alone, want, dH[None, b, :n])
+            npt.assert_array_equal(trace.merged[b, :n], want.merged[0])
+            npt.assert_array_equal(grads.flat[b], want_grads.flat[0])
+            npt.assert_array_equal(dX[b, :n], want_dX[0])
+            assert not trace.merged[b, n:].any() and not dX[b, n:].any()
 
     def test_a_skip_matrix_of_another_length_is_rejected(self):
         stories = [StoryStream(story_id=f"s{n}", x=np.zeros((n, 2))) for n in (3, 4)]
@@ -383,40 +418,38 @@ class TestGroupSweep:
 
 
 class TestStoryGroups:
-    """``story_groups`` buckets the stories of a whole split by length for
-    the sweeps over it: the h' refresh, validation and ``eval``."""
+    """``story_groups`` cuts the stories of a whole split into groups of at
+    most ``BUCKET_STEPS`` live steps for the sweeps over it: the h' refresh,
+    validation and ``eval``."""
 
     @staticmethod
     def bucket(lengths):
-        # story i's steps all hold i, so a group's rows name their stories
+        # story i's steps all hold i, so a group's slots name their stories
         stories = [StoryStream(story_id=f"s{i}", x=np.full((n, 1), float(i)))
                    for i, n in enumerate(lengths)]
         return story_groups(stories, [SkipMatrix(n=n, pairs=()) for n in lengths])
 
     @settings(max_examples=200, deadline=None)
     @given(lengths=st.lists(st.integers(1, 40), min_size=1, max_size=80))
-    # 1-step stories among long ones; near lengths sharing a padded bucket
+    # 1-step stories among long ones
     @example(lengths=[1, 40, 1, 39, 1, 2, 40, 1])
     @example(lengths=[3, 4, 3, 4, 12, 11])
-    # more 40-step stories than the cap holds in one bucket
+    # more 40-step stories than the cap holds in one group
     @example(lengths=[40] * (BUCKET_STEPS // 40 + 2) + [1])
-    def test_each_story_once_in_buckets_within_the_bounds(self, lengths):
+    def test_each_story_once_longest_first_within_the_cap(self, lengths):
         groups = self.bucket(lengths)
-        # each position exactly once, ascending by length, ties in input order
+        # each position exactly once, longest first, ties in input order
         order = [i for pos, _ in groups for i in pos]
-        assert order == sorted(range(len(lengths)), key=lambda i: lengths[i])
+        assert order == sorted(range(len(lengths)), key=lambda i: -lengths[i])
         for pos, group in groups:
             assert group.lengths.tolist() == [lengths[i] for i in pos]
-            npt.assert_array_equal(group.x[:, 0, 0], pos)
-            steps = len(pos) * group.N
-            if len(pos) > 1:
-                assert steps - sum(lengths[i] for i in pos) <= BUCKET_PADDING * steps
-                assert steps <= BUCKET_STEPS
-        # a bucket closes only when the next story would break a bound
-        for (pos, group), (after, _) in zip(groups, groups[1:]):
-            steps = (len(pos) + 1) * lengths[after[0]]
-            padding = steps - sum(lengths[i] for i in pos) - lengths[after[0]]
-            assert steps > BUCKET_STEPS or padding > BUCKET_PADDING * steps
+            npt.assert_array_equal(group.x[group.slots[0, :, 0], 0], pos)
+            steps = sum(lengths[i] for i in pos)
+            assert len(group.x) == steps + 1
+            assert steps <= BUCKET_STEPS or len(pos) == 1
+        # a group closes only when the next story would take it past the cap
+        for (pos, _), (after, _) in zip(groups, groups[1:]):
+            assert sum(lengths[i] for i in pos) + lengths[after[0]] > BUCKET_STEPS
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 40), count=st.integers(1, 120))
@@ -430,16 +463,16 @@ class TestStoryGroups:
                                               for k in range(0, count, per_bucket)]
         assert all(group.lengths.min() == group.N for _, group in groups)
 
-    def test_the_padding_bound_and_the_cap_each_close_a_bucket(self):
-        # a 1- and a 2-step story share 4 steps, 1 of them padding (the bound);
-        # a 3-step story would make it 3 of 9
-        assert [pos for pos, _ in self.bucket([2, 1, 3])] == [[1, 0], [2]]
-        # equal lengths never pad, so only the cap splits them
+    def test_the_cap_closes_a_group(self):
+        # mixed lengths share a group however they differ
+        assert [pos for pos, _ in self.bucket([2, 1, 40, 3])] == [[2, 3, 0, 1]]
+        # the next story closes a group only by passing the cap
+        assert [pos for pos, _ in self.bucket([BUCKET_STEPS - 1, 2, 1])] == [[0], [1, 2]]
         over = BUCKET_STEPS // 8 + 1
         assert [len(pos) for pos, _ in self.bucket([8] * over)] == [over - 1, 1]
-        # stories longer than the cap sweep one to a bucket
+        # stories longer than the cap sweep one to a group
         n = BUCKET_STEPS + 1
-        assert [pos for pos, _ in self.bucket([n, n])] == [[0], [1]]
+        assert [pos for pos, _ in self.bucket([n, n, 1])] == [[0], [1], [2]]
 
 
 class TestTimeReversal:

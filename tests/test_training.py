@@ -7,6 +7,8 @@ import json
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bmrnn.training
 import network_oracle
@@ -113,6 +115,16 @@ class TestClipGradients:
         # direction preserved: a single positive scale relates old and new
         for (_, g), old in zip(grads.named_tensors(), before):
             npt.assert_allclose(g, old * (5.0 / 50.0), rtol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(dims=st.tuples(st.integers(1, 39), st.integers(1, 39), st.integers(1, 39)),
+           scale=st.sampled_from([1e-8, 1e-3, 1.0, 1e3, 1e8]), seed=st.integers(0, 2**32 - 1))
+    def test_norm_has_the_bits_of_one_sum_per_tensor_view(self, dims, scale, seed):
+        grads = init_bmrnn_params(*dims, SeededRng(0)).zeros_like()
+        grads.flat[:] = scale * np.random.default_rng(seed).normal(size=grads.flat.shape)
+        # the order of sums the norm keeps: each tensor's squares, then the tensors in turn
+        want = float(np.sqrt(sum(float(np.sum(g * g)) for _, g in grads.named_tensors())))
+        assert global_grad_norm(grads) == want
 
     def test_small_norm_untouched(self):
         params = tiny_params()
