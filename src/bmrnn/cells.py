@@ -43,7 +43,6 @@ __all__ = [
     "GRUParams",
     "SGRUParams",
     "StepTrace",
-    "init_gru_params",
     "init_sgru_params",
     "gru_forward",
     "sgru_inputs",
@@ -130,29 +129,14 @@ class StepTrace(NamedTuple):
     h: Array
 
 
-def init_gru_params(input_dim: int, hidden_dim: int, rng: SeededRng) -> GRUParams:
-    """Uniform fan-in-scaled weights, zero biases."""
-    return GRUParams(
-        W_zx=init_params(hidden_dim, input_dim, rng),
-        W_zh=init_params(hidden_dim, hidden_dim, rng),
-        W_rx=init_params(hidden_dim, input_dim, rng),
-        W_rh=init_params(hidden_dim, hidden_dim, rng),
-        W_hx=init_params(hidden_dim, input_dim, rng),
-        W_hh=init_params(hidden_dim, hidden_dim, rng),
-        b_z=np.zeros(hidden_dim),
-        b_r=np.zeros(hidden_dim),
-        b_h=np.zeros(hidden_dim),
-    )
-
-
 def init_sgru_params(input_dim: int, hidden_dim: int, rng: SeededRng) -> SGRUParams:
-    return SGRUParams(
-        **vars(init_gru_params(input_dim, hidden_dim, rng)),
-        W_sx=init_params(hidden_dim, input_dim, rng),
-        W_sh=init_params(hidden_dim, hidden_dim, rng),
-        W_hp=init_params(hidden_dim, hidden_dim, rng),
-        b_s=np.zeros(hidden_dim),
-    )
+    """Uniform fan-in-scaled weights, zero biases.  The draw order is W_zx,
+    W_zh, W_rx, W_rh, W_hx, W_hh, then W_sx, W_sh, W_hp: every model file
+    depends on it."""
+    drawn = {n: init_params(hidden_dim, input_dim if n.endswith("x") else hidden_dim, rng)
+             for n in ("W_zx", "W_zh", "W_rx", "W_rh", "W_hx", "W_hh", "W_sx", "W_sh", "W_hp")}
+    return SGRUParams.from_named(
+        {**drawn, **{n: np.zeros(hidden_dim) for n in ("b_z", "b_r", "b_s", "b_h")}})
 
 
 def _sigmoid(x: Array) -> Array:

@@ -302,7 +302,7 @@ def _cmd_train(opts: dict) -> int:
     if len(records) < 2:      # a story's negatives are the other training stories
         raise DataError(f"training needs at least 2 stories in split 'train', found "
                         f"{len(records)}", path=str(opts["manifest"]))
-    skips = load_skips(opts["skips"], {rec.story_id for rec in loaded})
+    skips = load_skips(opts["skips"], {rec.story_id: rec.N for rec in loaded})
     ccfg = CompatibilityConfig(
         alpha=opts["alpha"],
         gamma=opts["gamma"],
@@ -342,11 +342,11 @@ def _cmd_train(opts: dict) -> int:
 
 def _cmd_eval(opts: dict) -> int:
     records = load_manifest(opts["manifest"], (opts["split"],), kinds=_NETWORK_KINDS)
-    skips = load_skips(opts["skips"], {rec.story_id for rec in records})
+    skips = load_skips(opts["skips"], {rec.story_id: rec.N for rec in records})
     params = load_model(opts["model"])
     if not records:
         raise DataError(f"no stories in split {opts['split']!r}", path=str(opts["manifest"]))
-    widths = (records[0].story.x.shape[1], records[0].sentences.v.shape[1])
+    widths = (records[0].story.rows.shape[1], records[0].sentences.rows.shape[1])
     if (params.input_dim, params.output_dim) != widths:
         raise DataError(f"model is {params.input_dim} -> {params.output_dim} dims, the corpus "
                         f"{widths[0]} -> {widths[1]}", path=str(opts["model"]))

@@ -27,9 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .network import StoryStream
-from .numeric import SeededRng, decode_tensor, encode_tensor, read_file, write_file
-from .objective import SentenceSequence, SubStoryPartition
+from .numeric import SeededRng, Sequence, decode_tensor, encode_tensor, read_file, write_file
+from .objective import SubStoryPartition
 from .skips import SkipMatrix, cluster_chains
 
 __all__ = [
@@ -128,8 +127,8 @@ class StoryRecord:
 
     story_id: str
     split: str
-    story: StoryStream | None
-    sentences: SentenceSequence | None
+    story: Sequence | None
+    sentences: Sequence | None
     raw_fc: np.ndarray | None = None
 
     @property
@@ -171,15 +170,19 @@ class SkipRecord:
 
 def check_skip_records(records: list[StoryRecord], skips_by_id: dict[str, SkipRecord]) -> None:
     """Every story has a skip record, and the record covers the story's steps."""
-    for rec in records:
-        skip = skips_by_id.get(rec.story_id)
+    _check_coverage({rec.story_id: rec.N for rec in records}, skips_by_id)
+
+
+def _check_coverage(lengths: dict[str, int], skips_by_id: dict[str, SkipRecord], path=None):
+    """Every story of ``lengths``, {story_id: steps}, has a skip record of its
+    length; else a DataError naming the story and ``path``, the skip file."""
+    for sid, n in lengths.items():
+        skip = skips_by_id.get(sid)
         if skip is None:
-            raise DataError("no skip record for story", story_id=rec.story_id)
-        if skip.n != rec.N:
-            raise DataError(
-                f"skip record covers {skip.n} steps, the story has {rec.N}",
-                story_id=rec.story_id,
-            )
+            raise DataError("no skip record for story", path=path, story_id=sid)
+        if skip.n != n:
+            raise DataError(f"skip record covers {skip.n} steps, the story has {n}",
+                            path=path, story_id=sid)
 
 
 def write_skips(path, records: list[SkipRecord]) -> None:
@@ -187,11 +190,13 @@ def write_skips(path, records: list[SkipRecord]) -> None:
                              for r in records), "skip file")
 
 
-def load_skips(path, story_ids=None) -> dict[str, SkipRecord]:
-    """The skip records of ``story_ids`` (every record when None) by story id.
-    Every line's JSON, story id and its uniqueness are checked first; the
-    other keys, the partition and the chains only for the records returned,
-    so a malformed record of a story the stage did not load is not an error."""
+def load_skips(path, lengths=None) -> dict[str, SkipRecord]:
+    """The skip records of the stories in ``lengths``, ``{story_id: steps}``
+    (every record when None), by story id.  Every line's JSON, story id and
+    its uniqueness are checked first; the other keys, the partition and the
+    chains only for the records returned, so a malformed record of a story
+    the stage did not load is not an error; a story of ``lengths`` without a
+    record of its length is."""
     lines: dict[str, tuple[int, dict]] = {}
     for line_no, d in _json_lines(path, "skip file", {}):
         if not isinstance(d.get("story_id"), str):   # raises the full check's error
@@ -202,7 +207,7 @@ def load_skips(path, story_ids=None) -> dict[str, SkipRecord]:
         lines[d["story_id"]] = line_no, d
     out: dict[str, SkipRecord] = {}
     for sid, (line_no, d) in lines.items():
-        if story_ids is not None and sid not in story_ids:
+        if lengths is not None and sid not in lengths:
             continue
         where = dict(path=str(path), story_id=sid)
         d = _checked(line_no, {"planted": False, **d}, _SKIP_FIELDS, **where)
@@ -216,6 +221,7 @@ def load_skips(path, story_ids=None) -> dict[str, SkipRecord]:
             raise DataError(f"line {line_no}: skips are not the time-ordered chains of the "
                             "clusters", **where)
         out[sid] = rec
+    _check_coverage(lengths or {}, out, str(path))
     return out
 
 
@@ -354,8 +360,8 @@ def generate_synthetic(cfg: SynthConfig) -> SynthCorpus:
                 + rng.normal(shape=cfg.embed_dim) * cfg.noise_sigma
             )
 
-        records.append(StoryRecord(story_id, split, StoryStream(story_id, xs),
-                                   SentenceSequence(story_id, vs), raw_fc))
+        records.append(StoryRecord(story_id, split, Sequence(story_id, xs),
+                                   Sequence(story_id, vs), raw_fc))
         skips[story_id] = SkipRecord(
             story_id=story_id,
             clusters=sorted(clusters),
@@ -383,7 +389,7 @@ def write_corpus(corpus: SynthCorpus, out_dir) -> Path:
     for rec in corpus.records:
         entry = {"story_id": rec.story_id, "n": rec.N, "split": rec.split}
         for key, kind, t in zip(_FILE_KEYS, ("feat", "emb", "sent"),
-                                (rec.raw_fc, rec.story.x, rec.sentences.v)):
+                                (rec.raw_fc, rec.story.rows, rec.sentences.rows)):
             entry[key] = f"tensors/{rec.story_id}.{kind}.bmt"
             write_tensor(out / entry[key], t)
         lines.append(json.dumps(entry, sort_keys=True) + "\n")
@@ -435,6 +441,6 @@ def load_manifest(path, splits: tuple[str, ...] | None = None, *,
                                 f"{dims[key]}", **where)
             loaded[key] = t
         raw_fc, x, v = map(loaded.get, _FILE_KEYS)
-        records.append(StoryRecord(sid, entry["split"], x if x is None else StoryStream(sid, x),
-                                   v if v is None else SentenceSequence(sid, v), raw_fc))
+        records.append(StoryRecord(sid, entry["split"], x if x is None else Sequence(sid, x),
+                                   v if v is None else Sequence(sid, v), raw_fc))
     return records

@@ -23,7 +23,6 @@ import functools
 import itertools
 import math
 import struct
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -40,13 +39,12 @@ from .cells import (
 )
 from .errors import DataError, ShapeMismatchError
 from .numeric import (
-    SeededRng, decode_tensor, encode_tensor, init_params, read_file, stack_rows, write_file,
+    SeededRng, Sequence, decode_tensor, encode_tensor, init_params, read_file, write_file,
 )
 from .skips import SkipMatrix
 
 __all__ = [
     "BMRNNParams",
-    "StoryStream",
     "StoryGroup",
     "ForwardTrace",
     "story_groups",
@@ -151,24 +149,6 @@ class BMRNNParams:
         return self.with_flat(np.zeros((*batch, self.flat.shape[-1])))
 
 
-@dataclass
-class StoryStream:
-    """One photo stream: its embeddings ``x``, an (N, D) array, one row per
-    photo; a list of rows is accepted too."""
-
-    story_id: str
-    x: np.ndarray
-
-    def __post_init__(self):
-        self.x = stack_rows(self.x, "story_stream")
-        if len(self.x) < 1:
-            raise DataError("story must contain at least one step", story_id=self.story_id)
-
-    @property
-    def N(self) -> int:
-        return len(self.x)
-
-
 class StoryGroup(NamedTuple):
     """B stories, longest first (ties in input order), one slot per live
     step.  Visit k steps forward step k and backward step N_b-1-k of the m_k
@@ -192,7 +172,7 @@ class StoryGroup(NamedTuple):
         return self.slots.shape[2]
 
     @classmethod
-    def of(cls, stories: list[StoryStream], skip_matrices: list[SkipMatrix]) -> "StoryGroup":
+    def of(cls, stories: list[Sequence], skip_matrices: list[SkipMatrix]) -> "StoryGroup":
         lengths = [s.N for s in stories]
         if not stories or lengths != [m.n for m in skip_matrices]:
             raise ShapeMismatchError("story group", lengths, [m.n for m in skip_matrices])
@@ -201,8 +181,8 @@ class StoryGroup(NamedTuple):
         starts, (rows, steps) = np.cumsum([1, *live.sum(0)]), np.nonzero(live)
         ends = live.sum(1)[rows] - 1                    # backward step t is visit N_b-1-t
         fwd, bwd = starts[steps] + rows, starts[ends - steps] + rows
-        x, fore = np.zeros((starts[-1], stories[0].x.shape[1])), np.zeros(starts[-1], int)
-        x[fwd], fore[bwd] = np.concatenate([stories[b].x for b in order]), fwd
+        x, fore = np.zeros((starts[-1], stories[0].rows.shape[1])), np.zeros(starts[-1], int)
+        x[fwd], fore[bwd] = np.concatenate([stories[b].rows for b in order]), fwd
         anc, desc = (np.concatenate([getattr(skip_matrices[b], kind) for b in order])
                      for kind in ("ancestors", "descendants"))
         skips, slots = np.zeros((2, starts[-1]), int), np.zeros((2, *live.shape), int)
@@ -234,7 +214,7 @@ def init_bmrnn_params(
     return BMRNNParams.from_named({**named, "b_merge": np.zeros(output_dim)})
 
 
-def story_groups(stories: list[StoryStream], skip_matrices: list[SkipMatrix]):
+def story_groups(stories: list[Sequence], skip_matrices: list[SkipMatrix]):
     """[(positions, group)]: the stories, longest first (ties in input
     order), in ``StoryGroup``s, with their positions in the input.  A group
     closes before the next story would take its live steps past

@@ -1,15 +1,17 @@
-"""Seeded randomness, weight initialization, row stacking, the tensor
-record codec and the file boundary for the whole package.
+"""Seeded randomness, weight initialization, row stacking, the sequence
+type, the tensor record codec and the file boundary for the whole package.
 
 Vectors are 1-D float64 numpy arrays and matrices are 2-D float64 numpy
-arrays, row-major; a sequence of N steps is one (N, D) matrix. Disk formats
-store float32, so the codec widens to float64 on the way in.
+arrays, row-major; a sequence of N steps is one (N, D) matrix, and a
+story's photo stream and its sentences are each one ``Sequence``. Disk
+formats store float32, so the codec widens to float64 on the way in.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +96,24 @@ def stack_rows(rows, op: str) -> Array:
     if rows.ndim != 2:
         raise ShapeMismatchError(op, rows.shape, ("steps", "dim"))
     return rows.astype(float, copy=False)
+
+
+@dataclass
+class Sequence:
+    """One story's photo stream or its sentences: ``rows``, an (N, D) array,
+    one row per step; a list of equal-shape rows is accepted too."""
+
+    story_id: str
+    rows: Array
+
+    def __post_init__(self):
+        self.rows = stack_rows(self.rows, "sequence")
+        if len(self.rows) < 1:
+            raise DataError("sequence must contain at least one step", story_id=self.story_id)
+
+    @property
+    def N(self) -> int:
+        return len(self.rows)
 
 
 class SeededRng:

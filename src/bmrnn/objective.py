@@ -28,12 +28,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeMismatchError
-from .numeric import SeededRng, stack_rows
+from .numeric import SeededRng, Sequence, stack_rows
 
 __all__ = [
     "SubStoryPartition",
     "CompatibilityConfig",
-    "SentenceSequence",
     "SequenceStack",
     "LossResult",
     "compatibility",
@@ -118,25 +117,6 @@ class CompatibilityConfig:
 
 
 @dataclass
-class SentenceSequence:
-    """One story's sentence embeddings: an (N, D) array, one row per step
-    (a list of rows is accepted)."""
-
-    story_id: str
-    v: np.ndarray
-
-    def __post_init__(self):
-        self.v = stack_rows(self.v, "sentence_sequence")
-        if len(self.v) < 1:
-            raise DataError("sentence sequence must contain at least one step",
-                            story_id=self.story_id)
-
-    @property
-    def N(self) -> int:
-        return len(self.v)
-
-
-@dataclass
 class SequenceStack:
     """C sequences of one width, zero-padded into one (C, N_max, D) float64
     array, with their lengths as a (C,) int array."""
@@ -146,8 +126,8 @@ class SequenceStack:
 
     @classmethod
     def of(cls, seqs) -> "SequenceStack":
-        """Stack SentenceSequences or (N, D) arrays."""
-        arrays = [s.v if isinstance(s, SentenceSequence) else stack_rows(s, "compatibility")
+        """Stack Sequences or (N, D) arrays."""
+        arrays = [s.rows if isinstance(s, Sequence) else stack_rows(s, "compatibility")
                   for s in seqs]
         if min(map(len, arrays), default=0) < 1:
             raise DataError("cannot score an empty sequence or an empty stack")
@@ -223,7 +203,7 @@ class LossResult:
 
 def contrastive_loss(
     H: np.ndarray,
-    V: SentenceSequence,
+    V: Sequence,
     negatives_V: SequenceStack,
     negatives_H: SequenceStack,
     partition: SubStoryPartition,

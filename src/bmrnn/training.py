@@ -26,7 +26,6 @@ from .network import (
     FLOAT32_MAX,
     BMRNNParams,
     StoryGroup,
-    StoryStream,
     _table,
     bmrnn_backward,
     bmrnn_forward,
@@ -34,10 +33,9 @@ from .network import (
     save_model,
     story_groups,
 )
-from .numeric import SeededRng, read_file, write_file
+from .numeric import SeededRng, Sequence, read_file, write_file
 from .objective import (
     CompatibilityConfig,
-    SentenceSequence,
     SequenceStack,
     SubStoryPartition,
     contrastive_loss,
@@ -211,7 +209,7 @@ def update_step(
 
 def story_loss_and_grads(
     params: BMRNNParams,
-    stories: list[StoryStream],
+    stories: list[Sequence],
     skip_matrices: list[SkipMatrix],
     targets,
     ccfg: CompatibilityConfig,
@@ -279,8 +277,8 @@ def train(
         raise DataError("training set is empty")
     check_skip_records(train_records + val_records, skips_by_id)
 
-    input_dim = train_records[0].story.x.shape[1]
-    output_dim = train_records[0].sentences.v.shape[1]
+    input_dim = train_records[0].story.rows.shape[1]
+    output_dim = train_records[0].sentences.rows.shape[1]
     rng = SeededRng(cfg.seed)
     if params is None:
         params = init_bmrnn_params(input_dim, hidden_dim, output_dim, rng.spawn(0))
@@ -442,8 +440,8 @@ def _random_check_instance(rng: SeededRng):
     partition = SubStoryPartition(groups=groups)
 
     params = init_bmrnn_params(input_dim, hidden, out_dim, rng)
-    story = StoryStream(story_id="story", x=rng.normal(shape=(n, input_dim)))
-    sentences = SentenceSequence(story_id="story", v=0.3 * rng.normal(shape=(n, out_dim)))
+    story = Sequence("story", rng.normal(shape=(n, input_dim)))
+    sentences = Sequence("story", 0.3 * rng.normal(shape=(n, out_dim)))
     ccfg = CompatibilityConfig(gamma=1.0, negatives_per_positive=2)
     neg_V = SequenceStack.of([0.3 * rng.normal(shape=(n, out_dim)) for _ in range(2)])
     neg_H = SequenceStack.of([0.3 * rng.normal(shape=(n, out_dim)) for _ in range(2)])
@@ -478,7 +476,7 @@ def grad_check(
             ).loss
 
         analytic_by_name = dict(grads.named_tensors(), inputs=d_inputs)
-        for name, tensor in [*params.named_tensors(), ("inputs", story.x)]:
+        for name, tensor in [*params.named_tensors(), ("inputs", story.rows)]:
             analytic = analytic_by_name[name]
             for idx in np.ndindex(tensor.shape):
                 orig = tensor[idx]

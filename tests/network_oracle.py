@@ -114,8 +114,8 @@ def sweep_backward(cell, grads, x, anc, order, T, dh, dX):
 
 def forward(params, story, skips) -> OracleTrace:
     n, (anc_f, anc_b) = story.N, ancestor_maps(skips)
-    fwd = sweep(params.fwd, story.x, anc_f, range(n))
-    bwd = sweep(params.bwd, story.x, anc_b, range(n - 1, -1, -1))
+    fwd = sweep(params.fwd, story.rows, anc_f, range(n))
+    bwd = sweep(params.bwd, story.rows, anc_b, range(n - 1, -1, -1))
     merged = np.stack([params.merge_f @ fwd[4, t] + params.merge_b @ bwd[4, t] + params.b_merge
                        for t in range(n)])
     return OracleTrace(fwd, bwd, merged)
@@ -124,12 +124,12 @@ def forward(params, story, skips) -> OracleTrace:
 def backward(params, story, skips, trace, dH):
     """(gradients shaped like params, dL/dX) of one story."""
     n, (anc_f, anc_b) = story.N, ancestor_maps(skips)
-    grads, dX = params.zeros_like(), np.zeros_like(story.x)
+    grads, dX = params.zeros_like(), np.zeros_like(story.rows)
     grads.merge_f += dH.T @ trace.fwd[4]
     grads.merge_b += dH.T @ trace.bwd[4]
     grads.b_merge += dH.sum(axis=0)
-    sweep_backward(params.fwd, grads.fwd, story.x, anc_f, range(n), trace.fwd,
+    sweep_backward(params.fwd, grads.fwd, story.rows, anc_f, range(n), trace.fwd,
                    dH @ params.merge_f, dX)
-    sweep_backward(params.bwd, grads.bwd, story.x, anc_b,
+    sweep_backward(params.bwd, grads.bwd, story.rows, anc_b,
                    range(n - 1, -1, -1), trace.bwd, dH @ params.merge_b, dX)
     return grads, dX

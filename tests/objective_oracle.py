@@ -13,21 +13,21 @@ import warnings
 import numpy as np
 
 from bmrnn.errors import ConfigError, DataError, ShapeMismatchError
+from bmrnn.numeric import Sequence
 from bmrnn.objective import (
     CompatibilityConfig,
     LossResult,
-    SentenceSequence,
     SubStoryPartition,
 )
 
 
-def _prefix_kernel(H, V: SentenceSequence, partition: SubStoryPartition, cfg):
+def _prefix_kernel(H, V: Sequence, partition: SubStoryPartition, cfg):
     """H as an array, the common-prefix length L, and the kernel over it."""
     H = np.asarray(H, dtype=float)
     if len(H) < 1:
         raise DataError("compatibility needs a non-empty predicted sequence")
-    if H.shape[1:] != V.v.shape[1:]:
-        raise ShapeMismatchError("compatibility", H.shape[1:], V.v.shape[1:])
+    if H.shape[1:] != V.rows.shape[1:]:
+        raise ShapeMismatchError("compatibility", H.shape[1:], V.rows.shape[1:])
     # mismatched lengths (negatives usually differ) score the common prefix;
     # partition members beyond it simply do not contribute
     L = min(len(H), V.N)
@@ -36,33 +36,33 @@ def _prefix_kernel(H, V: SentenceSequence, partition: SubStoryPartition, cfg):
 
 def compatibility(
     H: np.ndarray,
-    V: SentenceSequence,
+    V: Sequence,
     partition: SubStoryPartition,
     cfg: CompatibilityConfig,
 ) -> float:
     """c(H, V) = sum_{a,b<L} K_ab <H_a, V_b> over the common prefix L: the
     alpha-weighted global term plus the per-sub-story local term."""
     H, L, K = _prefix_kernel(H, V, partition, cfg)
-    return float(np.vdot(H[:L], K @ V.v[:L]))
+    return float(np.vdot(H[:L], K @ V.rows[:L]))
 
 
 def compatibility_grad(
     H: np.ndarray,
-    V: SentenceSequence,
+    V: Sequence,
     partition: SubStoryPartition,
     cfg: CompatibilityConfig,
 ) -> np.ndarray:
     """d compatibility / dH, shaped like H: K V over the prefix, zero beyond."""
     H, L, K = _prefix_kernel(H, V, partition, cfg)
     grad = np.zeros_like(H)
-    grad[:L] = K @ V.v[:L]
+    grad[:L] = K @ V.rows[:L]
     return grad
 
 
 def contrastive_loss(
     H: np.ndarray,
-    V: SentenceSequence,
-    negatives_V: list[SentenceSequence],
+    V: Sequence,
+    negatives_V: list[Sequence],
     negatives_H: list[np.ndarray],
     partition: SubStoryPartition,
     cfg: CompatibilityConfig,

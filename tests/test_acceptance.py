@@ -21,13 +21,12 @@ from bmrnn.data import SkipRecord, SynthConfig, generate_synthetic
 from bmrnn.evaluation import evaluate, rank_of_truth, summarize_ranks
 from bmrnn.network import (
     StoryGroup,
-    StoryStream,
     bmrnn_forward,
     init_bmrnn_params,
     load_model,
     save_model,
 )
-from bmrnn.numeric import SeededRng
+from bmrnn.numeric import SeededRng, Sequence
 from bmrnn.objective import CompatibilityConfig
 from bmrnn.skips import SkipMatrix, affinity_propagation, build_skip_matrix, similarity
 from bmrnn.training import TrainConfig, grad_check, train
@@ -45,7 +44,7 @@ def test_1_reduction_equivalence():
         out_dim = int(rng.integers(1, 6))
         params = init_bmrnn_params(input_dim, hidden, out_dim, SeededRng(trial))
         xs = [rng.normal(size=input_dim) for _ in range(n)]
-        story = StoryStream(story_id=f"s{trial}", x=xs)
+        story = Sequence(story_id=f"s{trial}", rows=xs)
 
         merged = bmrnn_forward(
             params, StoryGroup.of([story], [SkipMatrix(n=n, pairs=())])).merged[0]

@@ -21,12 +21,11 @@ import bmrnn.training
 from bmrnn.data import SynthConfig, generate_synthetic
 from bmrnn.network import (
     StoryGroup,
-    StoryStream,
     bmrnn_backward,
     bmrnn_forward,
     init_bmrnn_params,
 )
-from bmrnn.numeric import SeededRng
+from bmrnn.numeric import SeededRng, Sequence
 from bmrnn.objective import CompatibilityConfig
 from bmrnn.skips import SkipMatrix
 from bmrnn.training import TrainConfig, train
@@ -59,7 +58,7 @@ def test_each_sweep_calls_the_cell_once_per_step(monkeypatch):
     n = 7
     p = init_bmrnn_params(3, 4, 2, SeededRng(0))
     rng = np.random.default_rng(0)
-    story = StoryStream(story_id="s", x=rng.normal(size=(n, 3)))
+    story = Sequence(story_id="s", rows=rng.normal(size=(n, 3)))
     sk = SkipMatrix(n=n, pairs=((0, 3), (1, 5), (3, 6)))
     group = StoryGroup.of([story], [sk])
     trace = bmrnn_forward(p, group)
@@ -69,7 +68,7 @@ def test_each_sweep_calls_the_cell_once_per_step(monkeypatch):
 
     # a group of B stories of length n steps them together: still n calls each way
     calls.update(sgru_forward=0, sgru_backward=0)
-    stories = [StoryStream(story_id=f"s{b}", x=rng.normal(size=(n, 3))) for b in range(5)]
+    stories = [Sequence(story_id=f"s{b}", rows=rng.normal(size=(n, 3))) for b in range(5)]
     group = StoryGroup.of(stories, [sk, SkipMatrix(n=n, pairs=())] * 2 + [sk])
     trace = bmrnn_forward(p, group)
     bmrnn_backward(p, group, trace, np.ones((5, n, 2)))
@@ -77,7 +76,7 @@ def test_each_sweep_calls_the_cell_once_per_step(monkeypatch):
 
     # stories of lengths 2, 7 and 4 take the 7 visits of the longest: 7 calls each way
     calls.update(sgru_forward=0, sgru_backward=0)
-    stories = [StoryStream(story_id=f"p{m}", x=rng.normal(size=(m, 3))) for m in (2, 7, 4)]
+    stories = [Sequence(story_id=f"p{m}", rows=rng.normal(size=(m, 3))) for m in (2, 7, 4)]
     group = StoryGroup.of(stories, [SkipMatrix(n=2, pairs=((0, 1),)), sk,
                                     SkipMatrix(n=4, pairs=())])
     trace = bmrnn_forward(p, group)

@@ -8,7 +8,6 @@ from bmrnn.cells import (
     GRUParams,
     SGRUParams,
     gru_forward,
-    init_gru_params,
     init_sgru_params,
     sgru_backward,
     sgru_forward,
@@ -17,7 +16,7 @@ from bmrnn.cells import (
 )
 from bmrnn.errors import ShapeMismatchError
 from bmrnn.network import init_bmrnn_params
-from bmrnn.numeric import SeededRng
+from bmrnn.numeric import SeededRng, init_params
 from gru_oracle import gru_backward
 
 EPS = 1e-5
@@ -152,7 +151,7 @@ class TestGruForward:
     def test_gate_ranges(self):
         rng = SeededRng(5)
         for _ in range(20):
-            p = init_gru_params(3, 4, rng)
+            p = init_sgru_params(3, 4, rng).base
             tr = gru_forward(p, rng.normal(shape=3), rng.normal(shape=4))
             assert np.all(tr.z > 0) and np.all(tr.z < 1)
             assert np.all(tr.r > 0) and np.all(tr.r < 1)
@@ -165,12 +164,29 @@ class TestGruForward:
             gru_forward(zero_gru(2, 3), np.zeros(2), np.zeros(2))
 
     def test_inputs_not_mutated(self):
-        p = init_gru_params(2, 3, SeededRng(1))
+        p = init_sgru_params(2, 3, SeededRng(1)).base
         x, h = np.ones(2), np.full(3, 0.3)
         x0, h0 = x.copy(), h.copy()
         gru_forward(p, x, h)
         npt.assert_array_equal(x, x0)
         npt.assert_array_equal(h, h0)
+
+
+class TestInitSgruParams:
+    @pytest.mark.parametrize("input_dim, hidden_dim", [(3, 4), (2, 2), (1, 5)])
+    def test_draws_the_gru_matrices_then_the_skip_ones(self, input_dim, hidden_dim):
+        rng = SeededRng(11)
+        p = init_sgru_params(input_dim, hidden_dim, rng)
+        by_hand = SeededRng(11)
+        # the order every model file depends on, written out
+        for name, cols in [("W_zx", input_dim), ("W_zh", hidden_dim), ("W_rx", input_dim),
+                           ("W_rh", hidden_dim), ("W_hx", input_dim), ("W_hh", hidden_dim),
+                           ("W_sx", input_dim), ("W_sh", hidden_dim), ("W_hp", hidden_dim)]:
+            npt.assert_array_equal(getattr(p, name), init_params(hidden_dim, cols, by_hand),
+                                   err_msg=name)
+        for name in ("b_z", "b_r", "b_s", "b_h"):
+            npt.assert_array_equal(getattr(p, name), np.zeros(hidden_dim), err_msg=name)
+        assert rng.uniform(0.0, 1.0) == by_hand.uniform(0.0, 1.0)   # nothing more was drawn
 
 
 class TestSgruForward:
@@ -218,7 +234,7 @@ class TestSgruForward:
 
 class TestGruBackward:
     def test_zero_upstream_zero_grads(self):
-        p = init_gru_params(2, 3, SeededRng(3))
+        p = init_sgru_params(2, 3, SeededRng(3)).base
         x, h = np.ones(2), np.full(3, 0.2)
         tr = gru_forward(p, x, h)
         g = gru_backward(p, x, h, tr, np.zeros(3))
@@ -239,7 +255,7 @@ class TestGruBackward:
 
     def test_scalar_cell_finite_differences(self):
         rng = np.random.default_rng(17)
-        p = init_gru_params(1, 1, SeededRng(17))
+        p = init_sgru_params(1, 1, SeededRng(17)).base
         x, h = rng.normal(size=1), rng.normal(size=1)
         g_up = rng.normal(size=1)
         tr = gru_forward(p, x, h)

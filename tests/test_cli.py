@@ -19,9 +19,8 @@ from bmrnn.data import (
     SkipRecord, StoryRecord, SynthCorpus, load_manifest, load_skips, read_tensor, write_corpus,
     write_skips, write_tensor,
 )
-from bmrnn.network import StoryStream, init_bmrnn_params, save_model
-from bmrnn.numeric import SeededRng
-from bmrnn.objective import SentenceSequence
+from bmrnn.network import init_bmrnn_params, save_model
+from bmrnn.numeric import SeededRng, Sequence
 from bmrnn.skips import affinity_propagation, build_skip_matrix, similarity
 from mixed_corpus import write_mixed_corpus
 
@@ -255,6 +254,7 @@ class TestDataErrors:
             assert run([*argv, "--manifest", manifest, "--skips", str(skips)]) == 2
             err = capsys.readouterr().err
             assert "covers 4 steps, the story has 5" in err and short["story_id"] in err
+            assert f"(file: {skips}, story: {short['story_id']})" in err
 
     def test_eval_rejects_non_finite_model(self, tmp_path, capsys):
         corpus = make_corpus(tmp_path, stories=6)
@@ -599,6 +599,18 @@ class TestSplitLoading:
         path = self.skip_copy(clean_run, tmp_path, edit)
         self.assert_fails("eval", clean_run.manifest, clean_run, tmp_path, capsys,
                           f"{where} (file: {path})", skips=path)
+
+    @pytest.mark.parametrize("name, split", [("train", "train"), ("train", "val"),
+                                             ("eval", "test")])
+    @pytest.mark.parametrize("case", ["deleted", "re-keyed"])
+    def test_a_story_without_a_skip_record_fails_naming_the_skip_file(
+            self, clean_run, tmp_path, capsys, name, split, case):
+        no, sid = self.first_of(clean_run, split)
+        path = self.skip_copy(clean_run, tmp_path, lambda lines: [
+            line.replace(f'"{sid}"', '"story_99999"') if i == no else line
+            for i, line in enumerate(lines, 1) if i != no or case == "re-keyed"])
+        self.assert_fails(name, clean_run.manifest, clean_run, tmp_path, capsys,
+                          f"no skip record for story (file: {path}, story: {sid})", skips=path)
 
     @pytest.mark.parametrize("edit, where", [
         (lambda lines: [json.dumps({**json.loads(lines[0]), "n": 0})] + lines[1:],
@@ -954,8 +966,8 @@ def random_corpora(draw):
                     a[t] = 0.0
                 elif kind == "repeat" and t > 0:
                     a[t] = a[t - 1]
-        records.append(StoryRecord(sid, split, StoryStream(sid, emb),
-                                   SentenceSequence(sid, sent), feat))
+        records.append(StoryRecord(sid, split, Sequence(sid, emb),
+                                   Sequence(sid, sent), feat))
         skips[sid] = SkipRecord(sid, [[t] for t in range(n)], [], True, planted=True)
     return SynthCorpus(records=records, skips=skips, config=None)
 

@@ -167,11 +167,11 @@ class TestSkipRecordIO:
         write_skips(path, self.records())
         bad = {"story_id": "c", "clusters": [[0, 3]], "skips": "none", "converged": 1}
         path.write_text(path.read_text() + json.dumps(bad) + "\n")
-        back = load_skips(path, {"b", "a", "z"})
+        back = load_skips(path, {"b": 3, "a": 3})
         assert list(back) == ["a", "b"] and back["a"].pairs == [(0, 2)]
-        assert load_skips(path, ()) == {}
+        assert load_skips(path, {}) == {}
         with pytest.raises(DataError) as exc_info:
-            load_skips(path, {"c"})
+            load_skips(path, {"c": 4})
         assert str(exc_info.value) == (f'line 3: skips must be integer pairs, got "none" '
                                        f"(file: {path}, story: c)")
 
@@ -187,8 +187,20 @@ class TestSkipRecordIO:
         write_skips(path, self.records())
         path.write_text(path.read_text() + json.dumps(line) + "\n")
         with pytest.raises(DataError) as exc_info:
-            load_skips(path, ())
+            load_skips(path, {})
         assert str(exc_info.value) == f"line 3: {message} (file: {path})"
+
+    @pytest.mark.parametrize("lengths, message, story", [
+        ({"a": 3, "z": 2}, "no skip record for story", "z"),
+        ({"b": 3, "a": 4}, "skip record covers 3 steps, the story has 4", "a"),
+    ])
+    def test_a_requested_story_needs_a_record_of_its_length(self, tmp_path, lengths, message,
+                                                            story):
+        path = tmp_path / "skips.jsonl"
+        write_skips(path, self.records())
+        with pytest.raises(DataError) as exc_info:
+            load_skips(path, lengths)
+        assert str(exc_info.value) == f"{message} (file: {path}, story: {story})"
 
 
 class TestSynthConfig:
@@ -231,9 +243,9 @@ class TestGenerator:
         assert len(ids) == 300
         for rec in corpus.records[:10]:
             assert rec.N == 5
-            assert rec.story.x[0].shape == (16,)
+            assert rec.story.rows[0].shape == (16,)
             assert rec.raw_fc[0].shape == (16,)
-            assert rec.sentences.v[0].shape == (16,)
+            assert rec.sentences.rows[0].shape == (16,)
 
     def test_planted_structure(self):
         cfg = SynthConfig(num_stories=50, seed=3)
@@ -274,12 +286,12 @@ class TestGenerator:
         b = generate_synthetic(SynthConfig(num_stories=6, seed=9))
         c = generate_synthetic(SynthConfig(num_stories=6, seed=10))
         for ra, rb in zip(a.records, b.records):
-            npt.assert_array_equal(np.stack(ra.story.x), np.stack(rb.story.x))
+            npt.assert_array_equal(np.stack(ra.story.rows), np.stack(rb.story.rows))
             npt.assert_array_equal(np.stack(ra.raw_fc), np.stack(rb.raw_fc))
-            npt.assert_array_equal(np.stack(ra.sentences.v), np.stack(rb.sentences.v))
+            npt.assert_array_equal(np.stack(ra.sentences.rows), np.stack(rb.sentences.rows))
             assert a.skips[ra.story_id] == b.skips[rb.story_id]
         assert not np.array_equal(
-            np.stack(a.records[0].story.x), np.stack(c.records[0].story.x)
+            np.stack(a.records[0].story.rows), np.stack(c.records[0].story.rows)
         )
 
     def test_scene_centers_separated(self):
@@ -304,7 +316,7 @@ class TestGenerator:
             assert occ, "every default story has a cross-skip"
             for t in range(rec.N):
                 if t in occ:
-                    occluded_x.append(rec.story.x[t])
+                    occluded_x.append(rec.story.rows[t])
                     # features stay scene-like even where the embedding is occluded
                     anc = next(p for p, q in skip.pairs if q == t)
                     assert (
@@ -312,7 +324,7 @@ class TestGenerator:
                         > 0.5 * cfg.scene_separation**2
                     )
                 else:
-                    visible_pairs.append((rec.raw_fc[t], rec.story.x[t]))
+                    visible_pairs.append((rec.raw_fc[t], rec.story.rows[t]))
         # all occluded embeddings approximate one shared gap vector
         occluded_x = np.stack(occluded_x)
         spread = np.linalg.norm(occluded_x - occluded_x.mean(axis=0), axis=1)
@@ -357,16 +369,16 @@ class TestCorpusIO:
             assert back.split == orig.split
             assert back.N == orig.N
             npt.assert_array_equal(
-                np.stack(back.story.x),
-                np.stack(orig.story.x).astype(np.float32).astype(np.float64),
+                np.stack(back.story.rows),
+                np.stack(orig.story.rows).astype(np.float32).astype(np.float64),
             )
             npt.assert_array_equal(
                 np.stack(back.raw_fc),
                 np.stack(orig.raw_fc).astype(np.float32).astype(np.float64),
             )
             npt.assert_array_equal(
-                np.stack(back.sentences.v),
-                np.stack(orig.sentences.v).astype(np.float32).astype(np.float64),
+                np.stack(back.sentences.rows),
+                np.stack(orig.sentences.rows).astype(np.float32).astype(np.float64),
             )
 
     def test_sequences_are_arrays_end_to_end(self, tmp_path):
@@ -378,7 +390,7 @@ class TestCorpusIO:
         def assert_rows(a, n, d):
             assert isinstance(a, np.ndarray) and a.dtype == np.float64 and a.shape == (n, d)
 
-        for a in (rec.story.x, rec.raw_fc, rec.sentences.v):
+        for a in (rec.story.rows, rec.raw_fc, rec.sentences.rows):
             assert_rows(a, rec.N, 16)
         params = init_bmrnn_params(16, 6, 16, SeededRng(0))
         skip = skips[rec.story_id]
@@ -417,8 +429,8 @@ class TestCorpusIO:
         assert [r.story_id for r in got] == [r.story_id for r in want]
         for a, b in zip(got, want):
             assert a.split == b.split and a.N == b.N
-            for x, y in ((a.story.x, b.story.x), (a.raw_fc, b.raw_fc),
-                         (a.sentences.v, b.sentences.v)):
+            for x, y in ((a.story.rows, b.story.rows), (a.raw_fc, b.raw_fc),
+                         (a.sentences.rows, b.sentences.rows)):
                 npt.assert_array_equal(x, y)
 
     @pytest.mark.parametrize("kinds", [("feature_file",), ("embedding_file", "sentence_file"),
@@ -431,8 +443,8 @@ class TestCorpusIO:
             (r.story_id, r.split, r.N) for r in want]
         for a, b in zip(got, want):
             for key, x, y in (("feature_file", a.raw_fc, b.raw_fc),
-                              ("embedding_file", a.story and a.story.x, b.story.x),
-                              ("sentence_file", a.sentences and a.sentences.v, b.sentences.v)):
+                              ("embedding_file", a.story and a.story.rows, b.story.rows),
+                              ("sentence_file", a.sentences and a.sentences.rows, b.sentences.rows)):
                 if key in kinds:
                     npt.assert_array_equal(x, y)
                 else:

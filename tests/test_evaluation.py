@@ -9,14 +9,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import objective_oracle
-from bmrnn.data import StoryRecord, SynthConfig, generate_synthetic
+from bmrnn.data import SkipRecord, StoryRecord, SynthConfig, generate_synthetic
 from bmrnn.errors import DataError
 from bmrnn.evaluation import evaluate, merged_stack, rank_of_truth, summarize_ranks
 from bmrnn.network import (
-    StoryGroup, StoryStream, bmrnn_forward, init_bmrnn_params, story_groups,
+    StoryGroup, bmrnn_forward, init_bmrnn_params, story_groups,
 )
-from bmrnn.numeric import SeededRng
-from bmrnn.objective import CompatibilityConfig, SentenceSequence, SequenceStack
+from bmrnn.numeric import SeededRng, Sequence
+from bmrnn.objective import CompatibilityConfig, SequenceStack
 
 
 class TestRankOfTruth:
@@ -134,6 +134,14 @@ class TestEvaluate:
         with pytest.raises(DataError, match="skip record"):
             evaluate(params, corpus.records, skips, ccfg)
 
+    def test_skip_record_of_another_length(self):
+        corpus, params, ccfg = self.setup_eval()
+        sid = corpus.records[0].story_id
+        skips = {**corpus.skips, sid: SkipRecord(sid, [[0, 1]], [(0, 1)], converged=True)}
+        with pytest.raises(DataError) as exc_info:
+            evaluate(params, corpus.records, skips, ccfg)
+        assert str(exc_info.value) == f"skip record covers 2 steps, the story has 5 (story: {sid})"
+
     def test_no_stories(self):
         corpus, params, ccfg = self.setup_eval()
         with pytest.raises(DataError):
@@ -158,8 +166,8 @@ def mixed_length_corpus(lengths, seed):
 def duplicate_record(rec, skip, sid):
     """A copy of a story under another id: its steps, sentences and skip
     record."""
-    story = StoryStream(sid, rec.story.x.copy())
-    return (StoryRecord(sid, rec.split, story, SentenceSequence(sid, rec.sentences.v.copy()),
+    story = Sequence(sid, rec.story.rows.copy())
+    return (StoryRecord(sid, rec.split, story, Sequence(sid, rec.sentences.rows.copy()),
                         rec.raw_fc),
             dataclasses.replace(skip, story_id=sid))
 

@@ -17,7 +17,6 @@ from bmrnn.network import (
     MODEL_VERSION,
     BMRNNParams,
     StoryGroup,
-    StoryStream,
     bmrnn_backward,
     bmrnn_forward,
     init_bmrnn_params,
@@ -25,7 +24,7 @@ from bmrnn.network import (
     save_model,
     story_groups,
 )
-from bmrnn.numeric import SeededRng, encode_tensor
+from bmrnn.numeric import SeededRng, Sequence, encode_tensor
 from bmrnn.skips import SkipMatrix, cluster_chains
 from gru_oracle import gru_backward
 
@@ -77,7 +76,7 @@ class TestForward:
             hb[t] = h
         want = [0.7 * hf[t] + (-0.6) * hb[t] + 0.05 for t in range(3)]
 
-        story = StoryStream(story_id="s", x=[np.array([v]) for v in xs])
+        story = Sequence(story_id="s", rows=[np.array([v]) for v in xs])
         sk = SkipMatrix(n=3, pairs=((0, 2),))
         trace = bmrnn_forward(scalar_net(), StoryGroup.of([story], [sk]))
         got = [float(m[0]) for m in trace.merged[0]]
@@ -87,7 +86,7 @@ class TestForward:
         rng = SeededRng(2)
         p = init_bmrnn_params(3, 4, 2, rng)
         x = np.array([0.3, -0.2, 0.9])
-        story = StoryStream(story_id="s", x=[x])
+        story = Sequence(story_id="s", rows=[x])
         trace = bmrnn_forward(p, StoryGroup.of([story], [SkipMatrix(n=1, pairs=())]))
         hf = gru_forward(p.fwd.base, x, np.zeros(4)).h
         hb = gru_forward(p.bwd.base, x, np.zeros(4)).h
@@ -98,14 +97,14 @@ class TestForward:
         p = init_bmrnn_params(2, 3, 2, rng)
         for _, t in p.named_tensors():
             t[:] = 0.0
-        story = StoryStream(story_id="s", x=[np.ones(2), -np.ones(2)])
+        story = Sequence(story_id="s", rows=[np.ones(2), -np.ones(2)])
         trace = bmrnn_forward(p, StoryGroup.of([story], [SkipMatrix(n=2, pairs=())]))
         for m in trace.merged[0]:
             npt.assert_array_equal(m, 0.0)
 
     def test_skip_length_mismatch(self):
         p = init_bmrnn_params(2, 3, 2, SeededRng(4))
-        story = StoryStream(story_id="s", x=[np.zeros(2)] * 3)
+        story = Sequence(story_id="s", rows=[np.zeros(2)] * 3)
         with pytest.raises(ShapeMismatchError):
             bmrnn_forward(p, StoryGroup.of([story], [SkipMatrix(n=4, pairs=())]))
 
@@ -140,7 +139,7 @@ class TestForward:
         rng = SeededRng(5)
         p = init_bmrnn_params(3, 4, 2, rng)
         nrng = np.random.default_rng(5)
-        story = StoryStream(story_id="s", x=[nrng.normal(size=3) for _ in range(5)])
+        story = Sequence(story_id="s", rows=[nrng.normal(size=3) for _ in range(5)])
         sk = SkipMatrix(n=5, pairs=((1, 3),))
         a = bmrnn_forward(p, StoryGroup.of([story], [sk]))
         b = bmrnn_forward(p, StoryGroup.of([story], [sk]))
@@ -154,7 +153,7 @@ class TestReduction:
         nrng = np.random.default_rng(8)
         p = init_bmrnn_params(3, 4, 2, rng)
         xs = [nrng.normal(size=3) for _ in range(6)]
-        story = StoryStream(story_id="s", x=xs)
+        story = Sequence(story_id="s", rows=xs)
         trace = bmrnn_forward(p, StoryGroup.of([story], [SkipMatrix(n=6, pairs=())]))
 
         # plain bidirectional recurrence from the embedded base params
@@ -200,7 +199,7 @@ class TestProperties:
         n, clusters = story
         p = init_bmrnn_params(in_dim, hidden, out_dim, SeededRng(seed))
         nrng = np.random.default_rng(seed)
-        stream = StoryStream(story_id="s", x=nrng.normal(size=(n, in_dim)))
+        stream = Sequence(story_id="s", rows=nrng.normal(size=(n, in_dim)))
         sk = SkipMatrix(n=n, pairs=tuple(cluster_chains(clusters)))
         group = StoryGroup.of([stream], [sk])
         trace = bmrnn_forward(p, group)
@@ -211,7 +210,7 @@ class TestProperties:
         assert np.all(np.isfinite(grads.flat))
         assert np.all(np.isfinite(trace.merged)) and np.all(np.isfinite(dX))
         free = bmrnn_forward(p, StoryGroup.of([stream], [SkipMatrix(n=n, pairs=())])).merged
-        npt.assert_array_equal(free[0], plain_bigru(p, stream.x))
+        npt.assert_array_equal(free[0], plain_bigru(p, stream.rows))
 
 
 def per_step_sweep(cell, x, anc, order):
@@ -235,7 +234,7 @@ class TestSweepTrace:
         p = init_bmrnn_params(in_dim, hidden, 2, SeededRng(seed))
         x = np.random.default_rng(seed).normal(size=(n, in_dim))
         sk = SkipMatrix(n=n, pairs=tuple(cluster_chains(clusters)))
-        group = StoryGroup.of([StoryStream(story_id="s", x=x)], [sk])
+        group = StoryGroup.of([Sequence(story_id="s", rows=x)], [sk])
         trace = bmrnn_forward(p, group)
         anc_f, anc_b = network_oracle.ancestor_maps(sk)
         fwd, bwd = network_oracle.time_order(trace.visits, group)
@@ -280,7 +279,7 @@ class TestGroupSweep:
         B, N = len(lengths), max(lengths)
         rng = np.random.default_rng(seed)
         p = init_bmrnn_params(in_dim, hidden, out_dim, SeededRng(seed))
-        stories = [StoryStream(story_id=f"s{b}", x=rng.normal(size=(n, in_dim)))
+        stories = [Sequence(story_id=f"s{b}", rows=rng.normal(size=(n, in_dim)))
                    for b, n in enumerate(lengths)]
         # with any_skips, about a third of the rows are skip-free, so skip and
         # skip-free rows share steps; without, the group has no skip at all
@@ -308,8 +307,8 @@ class TestGroupSweep:
             if not sk.pairs:
                 # the per-step GRU oracle: the same forward bits; its gradients
                 # are sums of per-step outer products, not GEMMs
-                npt.assert_array_equal(trace.merged[b, :n], plain_bigru(p, story.x))
-                gru_grads, gru_dX = plain_bigru_grads(p, story.x, dH[b, :n])
+                npt.assert_array_equal(trace.merged[b, :n], plain_bigru(p, story.rows))
+                gru_grads, gru_dX = plain_bigru_grads(p, story.rows, dH[b, :n])
                 for name, g in [(k, t[b]) for k, t in grads.named_tensors()] + [("dX", dX[b, :n])]:
                     w = gru_dX if name == "dX" else gru_grads.get(name, np.zeros_like(g))
                     npt.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.max(np.abs(w)),
@@ -319,7 +318,7 @@ class TestGroupSweep:
         B, n = 3, 4
         p = init_bmrnn_params(2, 3, 5, SeededRng(0))
         rng = np.random.default_rng(0)
-        group = StoryGroup.of([StoryStream(story_id=f"s{b}", x=rng.normal(size=(n, 2)))
+        group = StoryGroup.of([Sequence(story_id=f"s{b}", rows=rng.normal(size=(n, 2)))
                                for b in range(B)], [SkipMatrix(n=n, pairs=((0, 2),))] * B)
         grads, _ = bmrnn_backward(p, group, bmrnn_forward(p, group), rng.normal(size=(B, n, 5)))
         assert (grads.input_dim, grads.hidden_dim, grads.output_dim) == (2, 3, 5)
@@ -343,7 +342,7 @@ class TestGroupSweep:
         rng = np.random.default_rng(1)
         n, B = 6, 5
         p = init_bmrnn_params(3, 4, 2, SeededRng(1))
-        stories = [StoryStream(story_id=f"s{b}", x=rng.normal(size=(n, 3))) for b in range(B)]
+        stories = [Sequence(story_id=f"s{b}", rows=rng.normal(size=(n, 3))) for b in range(B)]
         sk = SkipMatrix(n=n, pairs=((0, 3), (1, 5), (3, 4)))
         matrices = [sk, SkipMatrix(n=n, pairs=()), sk, SkipMatrix(n=n, pairs=((2, 5),)), sk]
         made.update(SkipMatrix=0, BMRNNParams=0)
@@ -355,7 +354,7 @@ class TestGroupSweep:
 
     def test_stories_of_mixed_lengths_take_one_slot_per_live_step(self):
         rng = np.random.default_rng(2)
-        stories = [StoryStream(story_id=f"s{n}", x=rng.normal(size=(n, 2))) for n in (3, 1, 4)]
+        stories = [Sequence(story_id=f"s{n}", rows=rng.normal(size=(n, 2))) for n in (3, 1, 4)]
         matrices = [SkipMatrix(n=3, pairs=((0, 2),)), SkipMatrix(n=1, pairs=()),
                     SkipMatrix(n=4, pairs=((1, 3),))]
         group = StoryGroup.of(stories, matrices)
@@ -368,7 +367,7 @@ class TestGroupSweep:
         assert not group.x[0].any() and group.fore[0] == 0 and not group.skips[:, 0].any()
         for b, (story, sk) in enumerate(zip(stories, matrices)):
             fwd, bwd = group.slots[:, b, : story.N]
-            npt.assert_array_equal(group.x[fwd], story.x)
+            npt.assert_array_equal(group.x[fwd], story.rows)
             npt.assert_array_equal(group.fore[bwd], fwd)
             assert group.skips[0, fwd].tolist() == [fwd[a] if a >= 0 else 0 for a in sk.ancestors]
             assert group.skips[1, bwd].tolist() == [bwd[d] if d >= 0 else 0
@@ -386,7 +385,7 @@ class TestGroupSweep:
         rng = np.random.default_rng(seed)
         lengths = rng.permutation(lengths).tolist()
         p = init_bmrnn_params(3, 4, 2, SeededRng(seed))
-        stories = [StoryStream(story_id=f"s{b}", x=rng.normal(size=(n, 3)))
+        stories = [Sequence(story_id=f"s{b}", rows=rng.normal(size=(n, 3)))
                    for b, n in enumerate(lengths)]
         matrices = [random_skips(rng, n) if skip else SkipMatrix(n=n, pairs=())
                     for n, skip in zip(lengths, skipped)]
@@ -406,7 +405,7 @@ class TestGroupSweep:
             assert not trace.merged[b, n:].any() and not dX[b, n:].any()
 
     def test_a_skip_matrix_of_another_length_is_rejected(self):
-        stories = [StoryStream(story_id=f"s{n}", x=np.zeros((n, 2))) for n in (3, 4)]
+        stories = [Sequence(story_id=f"s{n}", rows=np.zeros((n, 2))) for n in (3, 4)]
         with pytest.raises(ShapeMismatchError, match="story group"):
             StoryGroup.of(stories, [SkipMatrix(n=n, pairs=()) for n in (3, 5)])
         with pytest.raises(ShapeMismatchError, match="story group"):
@@ -425,7 +424,7 @@ class TestStoryGroups:
     @staticmethod
     def bucket(lengths):
         # story i's steps all hold i, so a group's slots name their stories
-        stories = [StoryStream(story_id=f"s{i}", x=np.full((n, 1), float(i)))
+        stories = [Sequence(story_id=f"s{i}", rows=np.full((n, 1), float(i)))
                    for i, n in enumerate(lengths)]
         return story_groups(stories, [SkipMatrix(n=n, pairs=()) for n in lengths])
 
@@ -483,7 +482,7 @@ class TestTimeReversal:
         n = 5
         xs = [nrng.normal(size=3) for _ in range(n)]
         sk = SkipMatrix(n=n, pairs=((0, 2), (1, 4)))
-        story = StoryStream(story_id="s", x=xs)
+        story = Sequence(story_id="s", rows=xs)
         merged = bmrnn_forward(p, StoryGroup.of([story], [sk])).merged[0]
 
         swapped = BMRNNParams.from_named({
@@ -493,7 +492,7 @@ class TestTimeReversal:
         rev_sk = SkipMatrix(
             n=n, pairs=tuple((n - 1 - t, n - 1 - q) for q, t in sk.pairs)
         )
-        rev = bmrnn_forward(swapped, StoryGroup.of([StoryStream(story_id="r", x=xs[::-1])],
+        rev = bmrnn_forward(swapped, StoryGroup.of([Sequence(story_id="r", rows=xs[::-1])],
                                                    [rev_sk])).merged[0]
         for t in range(n):
             npt.assert_array_equal(rev[t], merged[n - 1 - t])
@@ -535,7 +534,7 @@ class TestBackward:
         rng = SeededRng(10)
         nrng = np.random.default_rng(10)
         p = init_bmrnn_params(2, 3, 2, rng)
-        story = StoryStream(story_id="s", x=[nrng.normal(size=2) for _ in range(4)])
+        story = Sequence(story_id="s", rows=[nrng.normal(size=2) for _ in range(4)])
         group = StoryGroup.of([story], [SkipMatrix(n=4, pairs=((0, 2),))])
         tr = bmrnn_forward(p, group)
         grads, dX = bmrnn_backward(p, group, tr, np.zeros((1, 4, 2)))
@@ -546,7 +545,7 @@ class TestBackward:
 
     def test_upstream_length_mismatch(self):
         p = init_bmrnn_params(2, 3, 2, SeededRng(10))
-        story = StoryStream(story_id="s", x=np.zeros((4, 2)))
+        story = Sequence(story_id="s", rows=np.zeros((4, 2)))
         group = StoryGroup.of([story], [SkipMatrix(n=4, pairs=((0, 2),))])
         tr = bmrnn_forward(p, group)
         for rows in (3, 5):
@@ -557,7 +556,7 @@ class TestBackward:
         rng = SeededRng(11)
         nrng = np.random.default_rng(11)
         p = init_bmrnn_params(2, 3, 2, rng)
-        story = StoryStream(story_id="s", x=[nrng.normal(size=2) for _ in range(4)])
+        story = Sequence(story_id="s", rows=[nrng.normal(size=2) for _ in range(4)])
         group = StoryGroup.of([story], [SkipMatrix(n=4, pairs=())])
         tr = bmrnn_forward(p, group)
         grads, _ = bmrnn_backward(p, group, tr, nrng.normal(size=(1, 4, 2)))
@@ -570,7 +569,7 @@ class TestBackward:
         rng = SeededRng(12)
         nrng = np.random.default_rng(12)
         p = init_bmrnn_params(2, 3, 2, rng)
-        story = StoryStream(story_id="s", x=[nrng.normal(size=2) for _ in range(4)])
+        story = Sequence(story_id="s", rows=[nrng.normal(size=2) for _ in range(4)])
         sk = SkipMatrix(n=4, pairs=((0, 3),))
         group = StoryGroup.of([story], [sk])
         tr = bmrnn_forward(p, group)
@@ -583,12 +582,12 @@ class TestBackward:
         eps = 1e-5
         for t in range(4):
             for i in range(2):
-                xp = [x.copy() for x in story.x]
-                xm = [x.copy() for x in story.x]
+                xp = [x.copy() for x in story.rows]
+                xm = [x.copy() for x in story.rows]
                 xp[t][i] += eps
                 xm[t][i] -= eps
                 lp, lm = (float(sum(np.dot(m, m) for m in bmrnn_forward(
-                    p, StoryGroup.of([StoryStream(story_id="s", x=xs)], [sk])).merged[0]))
+                    p, StoryGroup.of([Sequence(story_id="s", rows=xs)], [sk])).merged[0]))
                     for xs in (xp, xm))
                 assert rel_err(dX[0][t][i], (lp - lm) / (2 * eps)) < 1e-5
 
@@ -600,7 +599,7 @@ class TestBackward:
             n = int(nrng.integers(2, 7))
             hidden = int(nrng.integers(2, 6))
             p = init_bmrnn_params(2, hidden, 2, rng)
-            story = StoryStream(story_id="s", x=[nrng.normal(size=2) for _ in range(n)])
+            story = Sequence(story_id="s", rows=[nrng.normal(size=2) for _ in range(n)])
             n_skips = int(nrng.integers(0, 3))
             pairs = []
             used = set()
@@ -664,13 +663,13 @@ class TestSequenceBackward:
         n, clusters = story
         p = init_bmrnn_params(in_dim, hidden, out_dim, SeededRng(seed))
         nrng = np.random.default_rng(seed)
-        stream = StoryStream(story_id="s", x=nrng.normal(size=(n, in_dim)))
+        stream = Sequence(story_id="s", rows=nrng.normal(size=(n, in_dim)))
         dH = nrng.normal(size=(n, out_dim))
 
         # without skips: the per-step GRU oracle; the skip tensors get no gradient
         free = StoryGroup.of([stream], [SkipMatrix(n=n, pairs=())])
         grads, dX = bmrnn_backward(p, free, bmrnn_forward(p, free), dH[None])
-        want, want_dX = plain_bigru_grads(p, stream.x, dH)
+        want, want_dX = plain_bigru_grads(p, stream.rows, dH)
         for name, g in [(k, t[0]) for k, t in grads.named_tensors()] + [("dX", dX[0])]:
             w = want_dX if name == "dX" else want.get(name, np.zeros_like(g))
             npt.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.max(np.abs(w)), err_msg=name)
@@ -685,7 +684,7 @@ class TestSequenceBackward:
 
         def loss(x):
             return float(np.sum(dH * bmrnn_forward(
-                p, StoryGroup.of([StoryStream(story_id="s", x=x)], [sk])).merged[0]))
+                p, StoryGroup.of([Sequence(story_id="s", rows=x)], [sk])).merged[0]))
 
         def stencil(f):
             return (8.0 * (f(eps) - f(-eps)) - (f(2 * eps) - f(-2 * eps))) / (12.0 * eps)
@@ -694,7 +693,7 @@ class TestSequenceBackward:
             orig = p.flat[i]
             p.flat[i] = orig + d
             try:
-                return loss(stream.x)
+                return loss(stream.rows)
             finally:
                 p.flat[i] = orig
 
@@ -702,25 +701,10 @@ class TestSequenceBackward:
             assert rel_err(grads.flat[0, i], stencil(lambda d: param_loss(i, d))) < 1e-5, i
         for _ in range(5):
             t, j = int(nrng.integers(n)), int(nrng.integers(in_dim))
-            bump = np.zeros_like(stream.x)
+            bump = np.zeros_like(stream.rows)
             bump[t, j] = 1.0
-            fd = stencil(lambda d: loss(stream.x + d * bump))
+            fd = stencil(lambda d: loss(stream.rows + d * bump))
             assert rel_err(dX[0, t, j], fd) < 1e-5, (t, j)
-
-
-class TestStoryStream:
-    def test_empty_story_rejected(self):
-        with pytest.raises(DataError):
-            StoryStream(story_id="s", x=[])
-
-    @pytest.mark.parametrize("x", [np.zeros(3), [1.0, 2.0], np.zeros((2, 3, 4))])
-    def test_steps_of_wrong_rank_rejected(self, x):
-        with pytest.raises(ShapeMismatchError, match="story_stream"):
-            StoryStream(story_id="s", x=x)
-
-    def test_mixed_dims_rejected(self):
-        with pytest.raises(ShapeMismatchError):
-            StoryStream(story_id="s", x=[np.zeros(2), np.zeros(3)])
 
 
 class TestModelFile:

@@ -8,9 +8,9 @@ import pytest
 
 import bmrnn
 from bmrnn.cells import _sigmoid
-from bmrnn.errors import DataError
+from bmrnn.errors import DataError, ShapeMismatchError
 from bmrnn.numeric import (
-    SeededRng, decode_tensor, encode_tensor, init_params, read_file, write_file,
+    SeededRng, Sequence, decode_tensor, encode_tensor, init_params, read_file, write_file,
 )
 
 
@@ -88,6 +88,34 @@ class TestSeededRng:
     def test_choice_without_replacement(self):
         picks = SeededRng(2).choice_without_replacement(10, 10)
         assert sorted(picks.tolist()) == list(range(10))
+
+
+class TestSequence:
+    """A story's photo stream and its sentences are both one Sequence."""
+
+    def test_a_list_of_rows_is_stacked(self):
+        seq = Sequence(story_id="s", rows=[np.ones(2), np.array([1, 2])])
+        assert seq.N == 2 and seq.rows.dtype == np.float64
+        npt.assert_array_equal(seq.rows, [[1.0, 1.0], [1.0, 2.0]])
+
+    def test_a_float_array_is_kept(self):
+        rows = np.zeros((3, 4))
+        assert Sequence(story_id="s", rows=rows).rows is rows
+
+    @pytest.mark.parametrize("rows", [[], np.zeros((0, 4))], ids=["no-rows", "zero-rows"])
+    def test_empty_sequence_names_its_story(self, rows):
+        with pytest.raises(DataError, match=r"at least one step \(story: v7\)"):
+            Sequence(story_id="v7", rows=rows)
+
+    @pytest.mark.parametrize("rows", [np.zeros(3), [1.0, 2.0], np.zeros((2, 3, 4))])
+    def test_steps_of_wrong_rank_rejected(self, rows):
+        with pytest.raises(ShapeMismatchError, match="sequence"):
+            Sequence(story_id="s", rows=rows)
+
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(ShapeMismatchError,
+                           match=r"sequence: incompatible shapes \(2,\) and \(3,\)"):
+            Sequence(story_id="s", rows=[np.zeros(2), np.zeros(3)])
 
 
 class TestTensorRecord:

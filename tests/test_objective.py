@@ -8,10 +8,9 @@ import objective_oracle
 from bmrnn.data import SkipRecord
 from bmrnn.errors import ConfigError, DataError, ShapeMismatchError
 from bmrnn.evaluation import rank_of_truth
-from bmrnn.numeric import SeededRng
+from bmrnn.numeric import SeededRng, Sequence
 from bmrnn.objective import (
     CompatibilityConfig,
-    SentenceSequence,
     SequenceStack,
     SubStoryPartition,
     compatibility,
@@ -22,7 +21,7 @@ from bmrnn.objective import (
 
 
 def seq(story_id, rows):
-    return SentenceSequence(story_id=story_id, v=[np.asarray(r, dtype=float) for r in rows])
+    return Sequence(story_id=story_id, rows=[np.asarray(r, dtype=float) for r in rows])
 
 
 def vecs(rows):
@@ -76,7 +75,7 @@ class TestCompatibility:
         H = vecs(rng.normal(size=(5, 3)))
         V = seq("v", rng.normal(size=(5, 3)))
         cfg = CompatibilityConfig(alpha=1.0)
-        plain = sum(float(np.dot(H[t], V.v[t])) for t in range(5))
+        plain = sum(float(np.dot(H[t], V.rows[t])) for t in range(5))
         for groups in ([[0, 1, 2, 3, 4]], [[0], [1], [2], [3], [4]], [[0, 2], [1, 4], [3]]):
             c = compatibility(SequenceStack.of([H]), SequenceStack.of([V]),
                               SubStoryPartition(groups=groups), cfg)[0]
@@ -135,11 +134,6 @@ class TestCompatibility:
         with pytest.raises(DataError):
             compatibility(SequenceStack.of([[]]), SequenceStack.of([seq("v", [[1.0]])]),
                           SubStoryPartition(groups=[[0]]), CompatibilityConfig())
-
-    @pytest.mark.parametrize("v", [[], np.zeros((0, 4))], ids=["no-rows", "zero-rows"])
-    def test_empty_sentence_sequence_rejected(self, v):
-        with pytest.raises(DataError, match="v7"):
-            SentenceSequence(story_id="v7", v=v)
 
     def test_dim_mismatch(self):
         with pytest.raises(ShapeMismatchError):
@@ -382,7 +376,7 @@ class TestBilinearForm:
     @given(scoring_instances())
     def test_matches_per_timestep_loops(self, inst):
         H, V, part, cfg = inst
-        want, want_grad = reference_compatibility(H, V.v, part.groups, cfg.alpha,
+        want, want_grad = reference_compatibility(H, V.rows, part.groups, cfg.alpha,
                                                   cfg.local_term_mode)
         H_one, V_one = SequenceStack.of([H]), SequenceStack.of([V])
         npt.assert_allclose(compatibility(H_one, V_one, part, cfg)[0], want, rtol=1e-12, atol=1e-12)
@@ -400,7 +394,7 @@ class TestBilinearForm:
         # c is linear in H, so this stream negative scores gamma + 1 below
         # the positive and its hinge stays inactive
         far = H - (cfg.gamma + 1.0) / sq * g
-        dup = seq("dup", V.v.copy())
+        dup = seq("dup", V.rows.copy())
         res = contrastive_loss(H, V, SequenceStack.of([dup]), SequenceStack.of([far]), part, cfg)
         assert res.loss == cfg.gamma
         assert res.active_v_hinges == 1 and res.active_h_hinges == 0
@@ -480,7 +474,7 @@ def loss_instances(draw):
     neg_V = [seq(f"nv{k}", rows(m)) for k, m in enumerate(lengths[:count])]
     neg_H = [rows(m) for m in lengths[count:]]
     for k in draw(st.lists(st.integers(0, count - 1), max_size=3)):
-        neg_V[k], neg_H[k] = seq("dup", V.v.copy()), H.copy()
+        neg_V[k], neg_H[k] = seq("dup", V.rows.copy()), H.copy()
     for k in draw(st.lists(st.integers(0, count - 1), max_size=2)):
         neg_V[k], neg_H[k] = neg_V[0], neg_H[0]
     cfg = CompatibilityConfig(

@@ -15,10 +15,9 @@ import network_oracle
 from bmrnn.data import SynthConfig, generate_synthetic
 from bmrnn.errors import ConfigError, DataError, DivergenceError
 from bmrnn.network import init_bmrnn_params, load_model, save_model
-from bmrnn.numeric import SeededRng
+from bmrnn.numeric import SeededRng, Sequence
 from bmrnn.objective import (
     CompatibilityConfig,
-    SentenceSequence,
     SequenceStack,
     contrastive_loss,
     sample_negatives,
@@ -259,7 +258,7 @@ class TestTrain:
     def test_divergence_names_story_epoch_step(self):
         corpus, tr, va = small_corpus(n=12, seed=4)
         victim = tr[3]
-        victim.story.x[0][:] = np.nan
+        victim.story.rows[0][:] = np.nan
         ccfg = CompatibilityConfig(negatives_per_positive=3)
         with pytest.raises(DivergenceError) as exc_info:
             train(tr, [], corpus.skips, TrainConfig(epochs=1, seed=0), ccfg, hidden_dim=4)
@@ -325,7 +324,7 @@ class TestTrain:
             [rec.story], [corpus.skips[rec.story_id].matrix()])).merged[0].ravel() for rec in tr])
         dual = 10.0 * np.linalg.pinv(H).T
         for rec, v in zip(tr, dual):
-            rec.sentences = SentenceSequence(rec.story_id, v.reshape(rec.story.N, 16))
+            rec.sentences = Sequence(rec.story_id, v.reshape(rec.story.N, 16))
         ccfg = CompatibilityConfig(alpha=1.0, gamma=gamma, negatives_per_positive=3)
         ckpt = train(tr, [], corpus.skips, TrainConfig(epochs=1, seed=0, learning_rate=0.0),
                      ccfg, params=params)
@@ -372,8 +371,8 @@ def per_story_train(records, skips_by_id, cfg, ccfg, hidden_dim):
     loop that ran one story at a time: the network oracle's forward and
     backward per story, negatives gathered at their full width."""
     rng = SeededRng(cfg.seed)
-    params = init_bmrnn_params(records[0].story.x.shape[1], hidden_dim,
-                               records[0].sentences.v.shape[1], rng.spawn(0))
+    params = init_bmrnn_params(records[0].story.rows.shape[1], hidden_dim,
+                               records[0].sentences.rows.shape[1], rng.spawn(0))
     order_rng, neg_rng = rng.spawn(1), rng.spawn(2)
     sentences = SequenceStack.of([rec.sentences for rec in records])
     state = init_optimizer_state(params, cfg)
@@ -512,8 +511,8 @@ class TestGradCheck:
         merged = bmrnn_forward(params, StoryGroup.of([rec.story], [skip.matrix()])).merged[0]
         # positive pair massively compatible, negatives anti-aligned:
         # every hinge is inactive, so loss and all gradients vanish
-        sentences = SentenceSequence(rec.story_id, [10.0 * h for h in merged])
-        neg_v = SequenceStack.of([SentenceSequence("neg", [-10.0 * h for h in merged])])
+        sentences = Sequence(rec.story_id, [10.0 * h for h in merged])
+        neg_v = SequenceStack.of([Sequence("neg", [-10.0 * h for h in merged])])
         neg_h = SequenceStack.of([[np.zeros(3) for _ in merged]])
         ccfg = CompatibilityConfig(negatives_per_positive=1)
         [(result, grad, d_inputs)] = story_loss_and_grads(
