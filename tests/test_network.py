@@ -707,6 +707,14 @@ class TestSequenceBackward:
             assert rel_err(dX[0, t, j], fd) < 1e-5, (t, j)
 
 
+class TestStoryStream:
+    """A story's photo stream is a numeric.Sequence."""
+
+    def test_empty_story_rejected(self):
+        with pytest.raises(DataError, match=r"at least one step \(story: s\)"):
+            Sequence(story_id="s", rows=[])
+
+
 class TestModelFile:
     def test_round_trip(self, tmp_path):
         p = init_bmrnn_params(3, 4, 2, SeededRng(20))

@@ -102,11 +102,6 @@ class TestSequence:
         rows = np.zeros((3, 4))
         assert Sequence(story_id="s", rows=rows).rows is rows
 
-    @pytest.mark.parametrize("rows", [[], np.zeros((0, 4))], ids=["no-rows", "zero-rows"])
-    def test_empty_sequence_names_its_story(self, rows):
-        with pytest.raises(DataError, match=r"at least one step \(story: v7\)"):
-            Sequence(story_id="v7", rows=rows)
-
     @pytest.mark.parametrize("rows", [np.zeros(3), [1.0, 2.0], np.zeros((2, 3, 4))])
     def test_steps_of_wrong_rank_rejected(self, rows):
         with pytest.raises(ShapeMismatchError, match="sequence"):

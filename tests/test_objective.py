@@ -135,6 +135,11 @@ class TestCompatibility:
             compatibility(SequenceStack.of([[]]), SequenceStack.of([seq("v", [[1.0]])]),
                           SubStoryPartition(groups=[[0]]), CompatibilityConfig())
 
+    @pytest.mark.parametrize("v", [[], np.zeros((0, 4))], ids=["no-rows", "zero-rows"])
+    def test_empty_sentence_sequence_rejected(self, v):
+        with pytest.raises(DataError, match=r"at least one step \(story: v7\)"):
+            Sequence(story_id="v7", rows=v)
+
     def test_dim_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             compatibility(SequenceStack.of([vecs([[1.0, 2.0]])]),
